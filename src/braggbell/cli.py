@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,6 +29,7 @@ EXIT_PHYSICS = 2
 EXIT_IO = 3
 
 SWEEP_VARS = ("chi_ratio", "l0", "n0", "s")
+MIN_SAMPLES = 2  # the flip-frequency fit differentiates the sampled populations
 
 SWEEP_COLUMNS = (
     "var",
@@ -317,7 +317,13 @@ def validate_point(
     return report
 
 
+def _check_samples(samples: int) -> None:
+    if samples < MIN_SAMPLES:
+        raise UsageError(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
+
+
 def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _check_samples(args.samples)
     p = cfg.physical()
     if args.l0 is not None or args.n is not None:
         p = replace(
@@ -348,23 +354,20 @@ def _sweep_param(base: params.PhysicalParams, var: str, value: float):
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _check_samples(args.samples)
     base = cfg.physical()
     values = _parse_value_list(args.var, args.values)
     if not values:
         raise UsageError("sweep needs at least one value")
 
-    def run_point(value):
-        p, s = _sweep_param(base, args.var, value)
+    points = []
+    for value in values:
         try:
+            p, s = _sweep_param(base, args.var, value)
             point = validate_point(p, s=s, samples=args.samples, guard=args.guard)
         except (params.ParameterError, ValueError) as exc:
             point = {"error": str(exc), "l0": None, "n0": None}
-        point = {"var": args.var, "value": value, **point}
-        return point
-
-    workers = min(len(values), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        points = list(pool.map(run_point, values))  # map preserves input order
+        points.append({"var": args.var, "value": value, **point})
 
     if args.format == "json":
         _emit(_json_text(points), cfg.output)

@@ -377,22 +377,17 @@ def _atom_pairs_ladder(
     tol: float,
     edge_threshold: float,
 ) -> list[BranchAmplitudes]:
-    atoms = []
-    h_vac = ladder.build_hamiltonian(0, p.l0, d, l_range, include_stark)
-    h_fock = ladder.build_hamiltonian(p.n0, p.l0, d, l_range, include_stark)
-    for direction, t in zip(directions, times):
-        branch_pairs = {}
-        for branch, h, n_br in (("vacuum", h_vac, 0), ("fock", h_fock, p.n0)):
-            st = ladder.initial_state(p.l0, direction, l_range, n=n_br)
-            ev = ladder.evolve(st, h, t, tol=tol, edge_threshold=edge_threshold)
-            cp, cm, _ = two_mode_from_ladder(ev)
-            branch_pairs[branch] = (cp, cm)
-        atoms.append(
-            BranchAmplitudes(
-                vacuum=branch_pairs["vacuum"], fock=branch_pairs["fock"], n0=p.n0
-            )
-        )
-    return atoms
+    # the mirror ladder has the same amplitudes; direction only relabels
+    # which resonant order is |+> (as in two_mode_from_ladder)
+    branches = []
+    for n_br in (0, p.n0):
+        h = ladder.build_hamiltonian(n_br, p.l0, d, l_range, include_stark)
+        st = ladder.initial_state(p.l0, l_range=l_range, n=n_br)
+        amps = ladder.sample_evolution(st, h, times, edge_threshold=edge_threshold)
+        ladder.check_norm_drift(amps, st, tol)
+        pairs = amps[:, [st.index_of(0), st.index_of(-p.l0)]].tolist()
+        branches.append([(a, b) if dr == 1 else (b, a) for (a, b), dr in zip(pairs, directions)])
+    return [BranchAmplitudes(vacuum=v, fock=f, n0=p.n0) for v, f in zip(*branches)]
 
 
 def run_scenario(

@@ -41,6 +41,10 @@ class PhysicalParams:
     l0: int = 2
 
     def __post_init__(self):
+        for name in ("mass", "wavelength", "coupling_g", "detuning"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.mass <= 0:
             raise ParameterError(f"mass must be positive, got {self.mass}")
         if self.wavelength <= 0:

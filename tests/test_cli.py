@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import braggbell
 from braggbell import cli
 from braggbell.cli import main
 
@@ -266,6 +271,19 @@ def test_sweep_single_point_matches_validate(capsys):
         assert point[key] == rep[key], key
 
 
+def test_sweep_bad_point_becomes_error_row(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--var", "l0", "--values", "2,3,4", "--format", "json",
+        "--samples", "128",
+    )
+    assert code == 0
+    points = json.loads(out)
+    assert [pt["value"] for pt in points] == [2, 3, 4]
+    assert "l0 must be a positive even integer" in points[1]["error"]
+    assert "error" not in points[0] and "error" not in points[2]
+    assert points[2]["b_rad_s"] > 0
+
+
 def test_sweep_empty_values(capsys):
     code, _, err = run(capsys, "sweep", "--var", "l0", "--values", ",")
     assert code == 1
@@ -325,6 +343,36 @@ def test_conflicting_spellings(capsys):
 def test_unwritable_output(capsys):
     code, _, _ = run(capsys, "coeffs", "--output", "/proc/definitely/not/here.csv")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--samples", "1"),
+        ("sweep", "--var", "s", "--values", "1", "--samples", "1"),
+        ("sweep", "--var", "s", "--values", "1", "--samples", "0"),
+        ("bell", "--set", "g_rad_s=nan"),
+        ("validate", "--set", "detuning_rad_s=inf"),
+    ],
+)
+def test_bad_input_is_usage_error_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency (the oracles); the CLI must not import it
+    src = str(Path(braggbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, braggbell.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_code(capsys):

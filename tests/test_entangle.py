@@ -252,6 +252,33 @@ def test_bell_ladder_engine(rb):
     assert rep.vacuum_deviation < 1e-14
 
 
+def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
+    # one propagation per field branch, read out for every atom, must equal
+    # evolving each atom separately from its own (mirror-aware) initial state
+    p = at_ratio(0.05, l0=4)
+    d = derive(p)
+    directions = [1, -1, 1]
+    times = [0.7 * math.pi / d.chi, 1.3 * math.pi / d.chi, 0.2 * math.pi / d.chi]
+    atoms = entangle._atom_pairs_ladder(
+        directions, times, p, d, None, False, ladder.DEFAULT_TOL, ladder.DEFAULT_EDGE_THRESHOLD
+    )
+    for atom, direction, t in zip(atoms, directions, times):
+        for branch, n in (("vacuum", 0), ("fock", p.n0)):
+            h = ladder.build_hamiltonian(n, p.l0, d)
+            st = ladder.initial_state(p.l0, direction, n=n)
+            cp, cm, _ = two_mode_from_ladder(ladder.evolve(st, h, t))
+            np.testing.assert_allclose(getattr(atom, branch), (cp, cm), rtol=0, atol=1e-12)
+
+
+def test_ladder_truncation_between_samples_is_caught(at_ratio):
+    # the edge population peaks near 4e-10, above the 1e-10 threshold, at
+    # t ~ 0.019*t1, between the instants a sampled check would look at; the
+    # time-independent bound catches it
+    p = at_ratio(0.1, l0=4)
+    with pytest.raises(ladder.TruncationError):
+        run_scenario(p, engine="ladder", l_range=(-8, 4))
+
+
 def test_bell_phase_bookkeeping(rb):
     # l0=2 has no level shift: first-order reference phase is zero, while the
     # exact propagator's i-per-flip makes the measured phase -pi for two atoms

@@ -71,6 +71,10 @@ def test_derive_scalings(rubidium):
         dict(l0=0),
         dict(l0=3),
         dict(l0=-2),
+        dict(mass=math.nan),
+        dict(wavelength=math.inf),
+        dict(coupling_g=math.nan),
+        dict(detuning=-math.inf),
     ],
 )
 def test_invalid_params_rejected(kwargs):
