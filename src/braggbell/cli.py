@@ -6,12 +6,14 @@ data (resolved parameters, ranges) goes to a `.meta.json` sidecar next to the
 CSV, which is itself deterministic.
 
 Exit codes: 0 success, 1 usage/config error, 2 physics error (regime
-violation, ladder truncation), 3 I/O error.
+violation, ladder truncation, a coupling too weak to resolve), 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -46,6 +48,7 @@ SWEEP_COLUMNS = (
     "two_mode_min",
     "max_leakage",
     "bell_fidelity",
+    "error",
 )
 
 
@@ -67,10 +70,6 @@ class RunConfig:
         return p
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -80,17 +79,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(output).write_text(text)
-
-
-def _params_dict(p: params.PhysicalParams) -> dict:
-    return {
-        "mass_kg": p.mass,
-        "wavelength_m": p.wavelength,
-        "g_rad_s": p.coupling_g,
-        "detuning_rad_s": p.detuning,
-        "n0": p.n0,
-        "l0": p.l0,
-    }
 
 
 def _derived_dict(d: params.DerivedParams) -> dict:
@@ -115,7 +103,7 @@ def cmd_preset(args: argparse.Namespace, cfg: RunConfig) -> int:
     verdict = params.validate_bragg_regime(d, p.n0)
     payload = {
         "name": name,
-        "physical": _params_dict(p),
+        "physical": params.physical_dict(p),
         "derived": _derived_dict(d),
         "regime_verdict": verdict.value,
     }
@@ -189,7 +177,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.output is not None:
         meta = {
             "command": "simulate",
-            "physical": _params_dict(p),
+            "physical": params.physical_dict(p),
             "derived": _derived_dict(d),
             "photon_number": int(n),
             "regime_verdict": verdict.value,
@@ -265,7 +253,11 @@ def validate_point(
     st = ladder.initial_state(p.l0, l_range=l_range, n=p.n0)
     times = np.linspace(0.0, cycle, samples)
     try:
+        ladder.check_resolution(h, c.b_n)
         amps = ladder.sample_evolution(st, h, times)
+    except ladder.ResolutionError as exc:
+        report["error"] = f"ladder resolution: {exc}"
+        return report
     except ladder.TruncationError as exc:
         report["error"] = f"ladder truncation: {exc}"
         return report
@@ -339,6 +331,9 @@ def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_PHYSICS
+    if "error" in report:
+        print(f"error: {report['error']}", file=sys.stderr)
+        return EXIT_PHYSICS
     return EXIT_OK
 
 
@@ -373,7 +368,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         _emit(_json_text(points), cfg.output)
         return EXIT_OK
 
-    lines = [",".join(SWEEP_COLUMNS)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
     for point in points:
         cells = []
         for col in SWEEP_COLUMNS:
@@ -385,9 +382,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             elif col in ("l0", "n0"):
                 cells.append(str(int(v)))
             else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", cfg.output)
+                cells.append(format(float(v), ".15g"))
+        writer.writerow(cells)
+    _emit(buf.getvalue(), cfg.output)
     return EXIT_OK
 
 
@@ -552,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _HANDLERS[args.command](args, cfg)
-    except (entangle.RegimeError, ladder.TruncationError) as exc:
+    except (entangle.RegimeError, ladder.TruncationError, ladder.ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except (

@@ -5,12 +5,17 @@ ladder-backed run the population outside those two orders is recorded as
 leakage rather than silently renormalized away per atom. The joint state of k
 atoms and the field superposition (|0> + |n0>)/sqrt(2) keeps one product of
 atom amplitudes per field branch, which is exactly the structure the separable
-Hamiltonian enforces.
+Hamiltonian enforces. compose builds each product as a chain of broadcast
+outer products over a (branch, atom, qubit) array, and scales by the field
+amplitudes last.
 
 Projecting the field onto {|0>, |n0>} collapses the atoms to a product state;
 projecting onto (|0> +- |n0>)/sqrt(2) transfers the branch coherence to the
 atoms and yields the Bell (k=2) or GHZ (k>=3) states. Both bases are
-available so that this dependence can be demonstrated, not assumed.
+available so that this dependence can be demonstrated, not assumed. The
+concurrence of a two-qubit pure state is the closed form 2|c00*c11 - c01*c10|
+(Wootters); the density-operator formula `concurrence` is kept for mixed
+states.
 
 Phase convention: targets are written (|u> + sign * e^{-i phi} |v>)/sqrt(2).
 The exact per-atom propagator puts a factor i on every flipped amplitude, so
@@ -34,6 +39,7 @@ from .params import (
     PhysicalParams,
     RegimeVerdict,
     derive,
+    physical_dict,
     validate_bragg_regime,
 )
 
@@ -140,16 +146,15 @@ def compose(atoms: Sequence[BranchAmplitudes], f: FieldSuperposition) -> JointSt
         if a.n0 != f.n0:
             raise ValueError(f"atom prepared for n0={a.n0}, field has n0={f.n0}")
     k = len(atoms)
-    vec = np.zeros((2, 2**k), dtype=np.complex128)
-    for row, amp, branch in (
-        (0, f.amp_vacuum, "vacuum"),
-        (1, f.amp_fock, "fock"),
-    ):
-        prod = np.array([1.0 + 0.0j])
-        for a in atoms:
-            cp, cm = getattr(a, branch)
-            prod = np.kron(prod, np.array([cp, cm], dtype=np.complex128))
-        vec[row] = amp * prod
+    # pairs[b, i] = atom i's (c_plus, c_minus) in branch b; each outer product
+    # appends one atom as the next less significant bit
+    pairs = np.array(
+        [[a.vacuum for a in atoms], [a.fock for a in atoms]], dtype=np.complex128
+    )
+    vec = np.ones((2, 1), dtype=np.complex128)
+    for i in range(k):
+        vec = (vec[:, :, None] * pairs[:, i, None, :]).reshape(2, -1)
+    vec *= np.array([[f.amp_vacuum], [f.amp_fock]], dtype=np.complex128)
     raw = float(np.linalg.norm(vec) ** 2)
     leakage = max(0.0, 1.0 - raw)
     if raw <= 0.0:
@@ -280,8 +285,14 @@ def concurrence(rho: np.ndarray) -> float:
 
 
 def concurrence_pure(state: np.ndarray) -> float:
+    """Concurrence 2|c00*c11 - c01*c10| of a normalized two-qubit pure state."""
     state = np.asarray(state, dtype=np.complex128).reshape(-1)
-    return concurrence(np.outer(state, state.conj()))
+    if state.shape != (4,):
+        raise ValueError(f"pure state must have 4 amplitudes, got {state.shape[0]}")
+    norm = np.linalg.norm(state)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"state must be normalized, got norm {norm}")
+    return float(2.0 * abs(state[0] * state[3] - state[1] * state[2]))
 
 
 # --- scenario runner ---------------------------------------------------------
@@ -382,6 +393,8 @@ def _atom_pairs_ladder(
     branches = []
     for n_br in (0, p.n0):
         h = ladder.build_hamiltonian(n_br, p.l0, d, l_range, include_stark)
+        if n_br:
+            ladder.check_resolution(h, adiabatic.coupling(n_br, p.l0, d))
         st = ladder.initial_state(p.l0, l_range=l_range, n=n_br)
         amps = ladder.sample_evolution(st, h, times, edge_threshold=edge_threshold)
         ladder.check_norm_drift(amps, st, tol)
@@ -532,12 +545,7 @@ def run_scenario(
     vacuum_deviation = float(np.max(np.abs(vac_pops - expected)))
 
     parameters = {
-        "mass_kg": p.mass,
-        "wavelength_m": p.wavelength,
-        "g_rad_s": p.coupling_g,
-        "detuning_rad_s": p.detuning,
-        "n0": p.n0,
-        "l0": p.l0,
+        **physical_dict(p),
         "s": s,
         "r": r,
         "k": k,
@@ -600,15 +608,12 @@ def _looks_psi(post: np.ndarray, k: int) -> bool:
     return psi_weight >= phi_weight
 
 
-_X_BASIS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
 def _ghz_collapse(post: np.ndarray, k: int, kind: str, phase: float) -> dict:
     """Measure atom 0 in the (|+> +- |->)/sqrt2 basis; grade the remnant."""
     out: dict[str, dict] = {}
     sign = 1 if kind.endswith("plus") else -1
     for idx, label in enumerate(("x_plus", "x_minus")):
-        prob, rest = measure_atom(post, k, 0, _X_BASIS, idx)
+        prob, rest = measure_atom(post, k, 0, superposition_basis(), idx)
         rest_sign = sign if idx == 0 else -sign
         if k - 1 == 2:
             target = bell_target(f"phi_{'plus' if rest_sign == 1 else 'minus'}", phase)

@@ -15,7 +15,15 @@ Evolution uses the exact propagator from one eigendecomposition H = V E V^T
 of the (time-independent) generator, for any duration and number of times,
 so norm is conserved to machine precision. Truncation is policed, not
 assumed: with c = V^T C(0), max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2,
-and a bound above `edge_threshold` aborts with TruncationError.
+and a bound above `edge_threshold` aborts with TruncationError. A branch
+without coupling (the vacuum, n = 0) is already diagonal and is propagated
+from its diagonal without a decomposition.
+
+Resolution is policed too: the flip frequency b_n of the resonant pair is an
+eigenvalue splitting, which the eigen-solver resolves only down to about
+eps*||H||. check_resolution refuses a branch whose |b_n| is within
+RESOLUTION_LIMIT*eps*||H||, with ||H|| bounded by Gershgorin's
+max|diagonal| + 2|off_diagonal|, and raises ResolutionError.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid; states carry a `direction` flag and the same
@@ -34,10 +42,15 @@ DEFAULT_GUARD = 8       # extra orders kept beyond the resonant pair
 MIN_GUARD = 4           # below this the truncation cannot be trusted
 DEFAULT_TOL = 1e-9
 DEFAULT_EDGE_THRESHOLD = 1e-10
+RESOLUTION_LIMIT = 1e3  # |b_n| must exceed this many eps*||H||
 
 
 class TruncationError(RuntimeError):
     """Population reached the ladder boundary; widen the range or fix the regime."""
+
+
+class ResolutionError(RuntimeError):
+    """The flip frequency is below what the eigen-solver resolves for this ladder."""
 
 
 def default_range(l0: int, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
@@ -217,7 +230,10 @@ def sample_evolution(
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 0):
         raise ValueError("sample times must be >= 0")
-    evals, evecs = np.linalg.eigh(h.matrix())
+    if h.off_diagonal == 0.0:
+        evals, evecs = h.diagonal, np.eye(h.size)
+    else:
+        evals, evecs = np.linalg.eigh(h.matrix())
     coeffs = evecs.T @ s.amplitudes
     edge = np.sum(np.abs(evecs[[0, -1]] * coeffs), axis=1) ** 2
     if np.any(edge > edge_threshold):
@@ -229,6 +245,18 @@ def sample_evolution(
         )
     phases = np.exp(-1j * np.outer(times, evals))
     return phases * coeffs @ evecs.T
+
+
+def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
+    """Raise ResolutionError if |b_n| <= RESOLUTION_LIMIT * eps * ||H|| (module docstring)."""
+    h_norm = float(np.max(np.abs(h.diagonal))) + 2.0 * abs(h.off_diagonal)
+    limit = RESOLUTION_LIMIT * np.finfo(np.float64).eps * h_norm
+    if abs(b_n) <= limit:
+        raise ResolutionError(
+            f"flip frequency |b_n| = {abs(b_n):.3e} rad/s is not above "
+            f"{limit:.3e} rad/s, the smallest splitting the eigen-solver resolves "
+            f"in the l0={h.l0} ladder; lower l0 or raise the coupling"
+        )
 
 
 def check_norm_drift(amplitudes: np.ndarray, s: LadderState, tol: float) -> None:

@@ -235,6 +235,11 @@ def apply_config(base: PhysicalParams, values: dict[str, str]) -> PhysicalParams
     return replace(base, **fields) if fields else base
 
 
+def physical_dict(p: PhysicalParams) -> dict:
+    """The parameters keyed by their plain config-file names (mass_kg, ..., l0)."""
+    return {key: getattr(p, attr) for key, attr in {**_FLOAT_KEYS, **_INT_KEYS}.items()}
+
+
 def _parse_float(key: str, raw: str) -> float:
     try:
         return float(raw)

@@ -74,3 +74,18 @@ def propagate_rk4(h, v0, t, steps=20000):
         k4 = -1j * (h @ (y + dt * k3))
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+def kron_product_state(branch_pairs, field_amps):
+    """Unnormalized joint vector, one np.kron chain of qubit pairs per branch.
+
+    branch_pairs[b][i] is atom i's (c_plus, c_minus) in field branch b and
+    field_amps[b] that branch's amplitude; atom 0 is the most significant bit.
+    """
+    rows = []
+    for pairs, amp in zip(branch_pairs, field_amps):
+        prod = np.array([1.0 + 0.0j])
+        for pair in pairs:
+            prod = np.kron(prod, np.array(pair, dtype=np.complex128))
+        rows.append(amp * prod)
+    return np.array(rows)

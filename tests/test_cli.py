@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -282,6 +284,49 @@ def test_sweep_bad_point_becomes_error_row(capsys):
     assert "l0 must be a positive even integer" in points[1]["error"]
     assert "error" not in points[0] and "error" not in points[2]
     assert points[2]["b_rad_s"] > 0
+
+
+def test_sweep_csv_error_column_keeps_the_reason(capsys):
+    code, out, _ = run(capsys, "sweep", "--var", "l0", "--values", "2,3,4", "--samples", "128")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["value"] for row in rows] == ["2", "3", "4"]
+    assert rows[1]["error"] == "l0 must be a positive even integer, got 3"
+    assert rows[0]["error"] == rows[2]["error"] == ""
+    assert float(rows[2]["b_rad_s"]) > 0
+
+
+@pytest.mark.parametrize("l0, ratio", [("8", "0.005"), ("10", "0.02"), ("12", "0.02")])
+def test_validate_refuses_unresolvable_coupling(capsys, l0, ratio):
+    code, out, err = run(capsys, "validate", "--l0", l0, "--chi-ratio", ratio, "--samples", "64")
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["verdict"] == "good"
+    assert rep["error"].startswith("ladder resolution: ")
+    assert "freq_rad_s" not in rep and "bell_fidelity" not in rep
+    assert err.startswith("error: ladder resolution: ")
+    assert "Traceback" not in err
+
+
+def test_sweep_refuses_unresolvable_points(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--var", "l0", "--values", "2,8,10,12", "--chi-ratio", "0.005",
+        "--samples", "64",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["error"] == "" and float(rows[0]["freq_ratio"]) == pytest.approx(1.0, abs=1e-3)
+    for row in rows[1:]:
+        assert row["error"].startswith("ladder resolution: ")
+        assert row["freq_rad_s"] == row["bell_fidelity"] == ""
+
+
+def test_ladder_bell_refuses_unresolvable_coupling(capsys):
+    code, out, err = run(capsys, "bell", "--engine", "ladder", "--set", "l0=10", "--chi-ratio", "0.02")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: flip frequency")
+    assert "Traceback" not in err
 
 
 def test_sweep_empty_values(capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from braggbell import entangle, ladder
 from braggbell.entangle import (
     BranchAmplitudes,
@@ -94,14 +95,31 @@ def test_concurrence_pure_states():
 
 
 def test_concurrence_pure_closed_form():
-    # for pure |ab> states C = 2|a0*b3 - a1*b2|; the matrix path resolves the
-    # triple-degenerate zero eigenvalue only to ~sqrt(eps), hence the tolerance
+    # for pure states C = 2|c00*c11 - c01*c10|
     rng = np.random.default_rng(5)
     for _ in range(50):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
         expect = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
-        assert concurrence_pure(v) == pytest.approx(expect, abs=5e-8)
+        assert concurrence_pure(v) == pytest.approx(expect, abs=1e-15)
+
+
+def test_concurrence_pure_matches_density_matrix_path():
+    rng = np.random.default_rng(11)
+    states = [bell_target("psi_minus"), np.kron([1.0, 0.0], [INV_SQRT2, INV_SQRT2])]
+    for _ in range(50):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(v / np.linalg.norm(v))
+    for v in states:
+        # the matrix path resolves its degenerate zero eigenvalues only to ~sqrt(eps)
+        assert concurrence_pure(v) == pytest.approx(concurrence(np.outer(v, v.conj())), abs=5e-8)
+
+
+def test_concurrence_pure_validates_input():
+    with pytest.raises(ValueError, match="4 amplitudes"):
+        concurrence_pure(ghz_target(3))
+    with pytest.raises(ValueError, match="normalized"):
+        concurrence_pure(0.5 * bell_target("psi_plus"))
 
 
 def test_concurrence_mixed_states():
@@ -157,6 +175,25 @@ def test_compose_records_leakage():
     # only the fock branch of atom 1 lost norm: total deficit = 0.02/2
     assert j.leakage == pytest.approx(0.01, rel=1e-9)
     assert np.linalg.norm(j.vector) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_compose_matches_kron_chain_exactly():
+    rng = np.random.default_rng(3)
+
+    def lossy_pair():
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return tuple(complex(x) for x in v / np.linalg.norm(v) * rng.uniform(0.9, 0.999))
+
+    f = FieldSuperposition(0.6, 0.8j, 1)
+    for k in range(1, entangle.MAX_ATOMS + 1):
+        atoms = [BranchAmplitudes(vacuum=lossy_pair(), fock=lossy_pair(), n0=1) for _ in range(k)]
+        raw_vec = oracles.kron_product_state(
+            [[a.vacuum for a in atoms], [a.fock for a in atoms]], [f.amp_vacuum, f.amp_fock]
+        )
+        raw = float(np.linalg.norm(raw_vec) ** 2)
+        j = compose(atoms, f)
+        assert j.leakage == 1.0 - raw > 0.0
+        np.testing.assert_array_equal(j.vector, raw_vec / math.sqrt(raw))
 
 
 def test_compose_rejects_mismatched_n0():
@@ -277,6 +314,15 @@ def test_ladder_truncation_between_samples_is_caught(at_ratio):
     p = at_ratio(0.1, l0=4)
     with pytest.raises(ladder.TruncationError):
         run_scenario(p, engine="ladder", l_range=(-8, 4))
+
+
+@pytest.mark.parametrize("l0, ratio", [(8, 0.005), (10, 0.02), (12, 0.02)])
+def test_ladder_run_refuses_unresolvable_coupling(at_ratio, l0, ratio):
+    p = at_ratio(ratio, l0=l0)
+    with pytest.raises(ladder.ResolutionError):
+        run_scenario(p, engine="ladder")
+    # the two-level engine has no eigen-split to resolve
+    assert run_scenario(p, engine="adiabatic").fidelity > 0.99
 
 
 def test_bell_phase_bookkeeping(rb):

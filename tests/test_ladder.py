@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from braggbell import ladder
+from braggbell import adiabatic, ladder
 from braggbell.ladder import (
     TruncationError,
     build_hamiltonian,
@@ -161,6 +161,42 @@ def test_vacuum_hamiltonian_is_static(d_rb):
     assert pops[0] == pytest.approx(1.0, abs=1e-30)
     # l=0 is also phase-stationary: diagonal element w*l*(l+l0) vanishes there
     assert out.amplitudes[out.index_of(0)] == pytest.approx(1.0 + 0.0j, abs=1e-14)
+
+
+@pytest.mark.parametrize("include_stark", [False, True])
+def test_vacuum_branch_propagates_without_decomposition(d_rb, monkeypatch, include_stark):
+    h = build_hamiltonian(0, 4, d_rb, include_stark=include_stark)
+    rng = np.random.default_rng(2)
+    amps = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
+    amps[[0, -1]] = 0.0  # keep the edge bound quiet
+    st = ladder.LadderState(amps / np.linalg.norm(amps), h.l_min, h.l_max, 4, n=0)
+    times = np.array([0.0, 1e-4, 3.7e-3, 0.21])
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the diagonal branch must not be decomposed")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    ours = sample_evolution(st, h, times)
+    _, h_dense = oracles.dense_matrix(d_rb.recoil_frequency, d_rb.chi, 0, 4, h.l_min, h.l_max)
+    for t, row in zip(times, ours):
+        np.testing.assert_array_equal(row, np.exp(-1j * h.diagonal * t) * st.amplitudes)
+        ref = oracles.propagate_expm(h_dense, st.amplitudes, t)
+        assert np.max(np.abs(row - ref)) < 1e-12
+
+
+def test_resolution_guard_threshold_is_gershgorin_norm(d_rb):
+    h = build_hamiltonian(1, 6, d_rb)
+    h_norm = np.max(np.abs(h.diagonal)) + 2.0 * abs(h.off_diagonal)
+    limit = ladder.RESOLUTION_LIMIT * np.finfo(float).eps * h_norm
+    with pytest.raises(ladder.ResolutionError):
+        ladder.check_resolution(h, limit)
+    with pytest.raises(ladder.ResolutionError):
+        ladder.check_resolution(h, -0.5 * limit)
+    ladder.check_resolution(h, 1.01 * limit)
+    # l0=6 at chi*n0/w_rec = 0.002 is still resolved, with a margin of 1.3
+    p = with_regime_ratio(replace(rubidium_preset(), l0=6), 0.002)
+    d = derive(p)
+    ladder.check_resolution(build_hamiltonian(1, 6, d), adiabatic.coupling(1, 6, d))
 
 
 def test_truncation_error_raised_when_regime_broken():
