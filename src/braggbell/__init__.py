@@ -3,8 +3,8 @@
 Atoms Bragg-deflect off a cavity standing wave held in a superposition of
 photon-number states; measuring the field in the superposition basis leaves
 the atomic momenta in Bell or GHZ states. This package provides the full
-momentum-ladder integrator, the two-level adiabatic closed forms it reduces
-to, and the joint-state bookkeeping needed to score the entanglement.
+momentum-ladder integrator, the two-level reduction derived from it, and the
+joint-state bookkeeping needed to score the entanglement.
 """
 
 from .adiabatic import TwoLevelCoeffs, TwoLevelSolution, coeffs, coupling, level_shift, pulse_times, solve

@@ -1,21 +1,26 @@
-"""Closed-form two-level reduction of the Bragg ladder.
+"""Two-level reduction of the Bragg ladder.
 
-Eliminating the intermediate orders between l=0 and l=-l0 leaves two coupled
-amplitudes with a common level shift a_n and a coupling b_n:
+Eliminating every order but the resonant pair {0, -l0} leaves two coupled
+amplitudes with a common level shift a_n and a signed coupling b_n:
 
     i dc+/dt = a_n c+ - (b_n/2) c-,
     i dc-/dt = a_n c- - (b_n/2) c+.
 
-For l0=2 there is nothing to eliminate: a_n = 0 and b_n = chi*n. For higher
-orders b_n = (chi*n)^(l0/2) / ((2 w_rec)^(l0/2-1) * [(l0-2)(l0-4)...4*2]^2).
+Both come from one Brillouin-Wigner partition of the ladder Hamiltonian of
+`ladder.build_hamiltonian` on the `ladder.default_range` grid (Loewdin, J.
+Chem. Phys. 19, 1396 (1951)): the effective 2x2 at energy E has diagonal
+self-energy alpha(E) and off-diagonal beta(E). The shift solves a = alpha(a),
+and b = -2*beta(a)/(1 - alpha'(a)) is the splitting with the weight that the
+pair loses to the eliminated orders divided out. The ladder is tridiagonal
+and mirror-symmetric about l = -l0/2, so alpha and beta are scalar
+recurrences: a continued fraction over the orders outside the pair, and the
+ratios of successive determinants of the orders between them (for l0 = 2
+there are none, and beta is the direct coupling -chi*n/2). To leading order
+b_n = -(-chi*n)^(l0/2) / ((2 w_rec)^(l0/2-1) * [(l0-2)(l0-4)...2]^2).
 
-The companion closed form for the shift, a_n = -(chi*n/2)/(2 w_rec (l0-2)),
-is dimensionless as written, so two conventions are provided: `linear`
-evaluates that expression literally (reading the result as rad/s), and
-`quadratic` uses the second-order elimination shift (chi*n/2)^2/(2 w_rec
-(l0-2)), which has correct units. The shift is a common phase inside one
-field branch; it only becomes observable between branches, and `validate`
-can measure it from the full ladder to compare the conventions.
+The sign of b_n is kept, and solve() uses it as written; anything that needs
+a rate (pulse times, flip periods) uses |b_n|. The shift is a common phase
+inside one field branch; it only becomes observable between branches.
 
 solve() is the exact unitary propagator exp(-i(a*I - (b/2)*sigma_x)t): the
 cosine/sine population content matches the textbook flip formulas while the
@@ -26,16 +31,18 @@ unitarity requires.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
+from . import ladder
 from .params import DerivedParams
 
-SHIFT_MODES = ("quadratic", "linear")
+MAX_ITERATIONS = 100  # a = alpha(a) converges in a handful inside the Bragg regime
 
 
 @dataclass(frozen=True)
 class TwoLevelCoeffs:
-    """Level shift a_n and coupling b_n (rad/s, b_n >= 0) for one branch."""
+    """Level shift a_n and signed coupling b_n (rad/s) for one branch."""
 
     a_n: float
     b_n: float
@@ -52,49 +59,66 @@ class TwoLevelSolution:
     t: float
 
 
-def _check_order(l0: int) -> None:
-    if l0 < 2 or l0 % 2:
-        raise ValueError(f"l0 must be a positive even integer, got {l0}")
+def _chain(e: float, energies: list[float], v: float) -> tuple[float, float, float]:
+    """Eliminate a chain of orders coupled by v, from its far end inwards.
+
+    x_k = e - energies[k] - v^2/x_{k-1} is the ratio of successive
+    determinants of (e - H) over the chain, so v^2/x is the self-energy the
+    chain gives the order next to its near end. Returns (x, dx/de,
+    prod_k v/x_k); v times the product is the coupling the chain carries
+    from the order beyond its far end to that beyond its near end.
+    """
+    x, dx, carried = math.inf, 0.0, 1.0
+    for energy in energies:
+        dx = 1.0 + v * v * dx / (x * x)
+        x = e - energy - v * v / x
+        carried *= v / x
+    return x, dx, carried
 
 
-def level_shift(n: int, l0: int, d: DerivedParams, mode: str = "quadratic") -> float:
-    """Common shift a_n of the resonant pair, per the chosen convention."""
-    _check_order(l0)
-    if mode not in SHIFT_MODES:
-        raise ValueError(f"shift mode must be one of {SHIFT_MODES}, got {mode!r}")
-    if l0 == 2 or n == 0:
-        return 0.0
-    half = d.chi * n / 2.0
-    denom = 2.0 * d.recoil_frequency * (l0 - 2)
-    if mode == "linear":
-        return -half / denom
-    return half * half / denom
+def _self_energies(e: float, outer: list[float], middle: list[float], v: float):
+    """alpha(e), alpha'(e) and beta(e) of the effective 2x2 at energy e."""
+    x, dx, _ = _chain(e, outer, v)
+    alpha, dalpha, beta = v * v / x, -v * v * dx / (x * x), v
+    if middle:
+        x, dx, carried = _chain(e, middle, v)
+        alpha += v * v / x
+        dalpha -= v * v * dx / (x * x)
+        beta *= carried
+    return alpha, dalpha, beta
+
+
+def coeffs(n: int, l0: int, d: DerivedParams) -> TwoLevelCoeffs:
+    """a_n and b_n from the partition of the n-photon ladder (module docstring)."""
+    _, l_max = ladder.default_range(l0)
+    if n < 0:
+        raise ValueError(f"photon number must be >= 0, got {n}")
+    v = -d.chi * n / 2.0
+    if v == 0.0:
+        return TwoLevelCoeffs(a_n=0.0, b_n=0.0, n=n, l0=l0)
+    w = d.recoil_frequency
+    # l = l_max..2 dresses l = 0, and -l0+2..-2 joins it to l = -l0; by mirror
+    # symmetry l = -l0 gets the same self-energy from the other side
+    outer = [w * l * (l + l0) for l in range(l_max, 0, -2)]
+    middle = [w * l * (l + l0) for l in range(2 - l0, 0, 2)]
+    a = 0.0
+    for _ in range(MAX_ITERATIONS):
+        alpha, dalpha, beta = _self_energies(a, outer, middle, v)
+        converged = abs(alpha - a) <= 4.0 * sys.float_info.epsilon * abs(alpha)
+        a = alpha
+        if converged:
+            break
+    return TwoLevelCoeffs(a_n=a, b_n=-2.0 * beta / (1.0 - dalpha), n=n, l0=l0)
+
+
+def level_shift(n: int, l0: int, d: DerivedParams) -> float:
+    """Common shift a_n of the resonant pair."""
+    return coeffs(n, l0, d).a_n
 
 
 def coupling(n: int, l0: int, d: DerivedParams) -> float:
     """|b_n|: flip rate of the resonant pair."""
-    _check_order(l0)
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    chi_n = abs(d.chi) * n
-    if l0 == 2:
-        return chi_n
-    # product of even integers (l0-2)(l0-4)...4*2, squared in the denominator
-    even_product = math.prod(range(2, l0 - 1, 2))
-    return chi_n ** (l0 // 2) / (
-        (2.0 * d.recoil_frequency) ** (l0 // 2 - 1) * even_product**2
-    )
-
-
-def coeffs(
-    n: int, l0: int, d: DerivedParams, shift_mode: str = "quadratic"
-) -> TwoLevelCoeffs:
-    return TwoLevelCoeffs(
-        a_n=level_shift(n, l0, d, shift_mode),
-        b_n=coupling(n, l0, d),
-        n=n,
-        l0=l0,
-    )
+    return abs(coeffs(n, l0, d).b_n)
 
 
 def solve(
@@ -116,29 +140,31 @@ def solve(
 
 
 def pulse_times(c: TwoLevelCoeffs, s: int, offset_r: int = 0) -> tuple[float, float]:
-    """Interaction times (t1, t2) = (s*pi/b_n, t1 + 2*offset_r*pi/b_n).
+    """Interaction times (t1, t2) = (s*pi/|b_n|, t1 + 2*offset_r*pi/|b_n|).
 
     s must be odd and positive (full population flip); offset_r shifts the
     second time by whole flip periods, so both atoms still exit flipped.
     """
     if s < 1 or s % 2 == 0:
         raise ValueError(f"s must be a positive odd integer, got {s}")
-    if c.b_n <= 0:
+    rate = abs(c.b_n)
+    if rate == 0:
         raise ValueError(f"pulse times undefined for b_n = {c.b_n} (n = {c.n})")
-    t1 = s * math.pi / c.b_n
-    t2 = t1 + 2.0 * offset_r * math.pi / c.b_n
+    t1 = s * math.pi / rate
+    t2 = t1 + 2.0 * offset_r * math.pi / rate
     if t2 < 0:
         raise ValueError(f"offset_r = {offset_r} makes the second time negative")
     return t1, t2
 
 
 def format_coeffs_csv(rows: list[TwoLevelCoeffs]) -> str:
-    """CSV table of coefficients: n, l0, a_n, b_n and the s=1 flip time."""
+    """CSV table of coefficients: n, l0, a_n, |b_n| and the s=1 flip time."""
     lines = ["n,l0,a_n_rad_s,b_n_rad_s,pi_pulse_s"]
     for c in rows:
-        pi_pulse = math.pi / c.b_n if c.b_n > 0 else math.inf
+        rate = abs(c.b_n)
+        pi_pulse = math.pi / rate if rate > 0 else math.inf
         lines.append(
             f"{c.n},{c.l0},{format(c.a_n, '.15g')},"
-            f"{format(c.b_n, '.15g')},{format(pi_pulse, '.15g')}"
+            f"{format(rate, '.15g')},{format(pi_pulse, '.15g')}"
         )
     return "\n".join(lines) + "\n"

@@ -5,6 +5,11 @@ repeated identical invocations are byte-identical. Run provenance that is not
 data (resolved parameters, ranges) goes to a `.meta.json` sidecar next to the
 CSV, which is itself deterministic.
 
+Rates that are printed or turned into durations (`coeffs`'s b_n_rad_s and
+pi_pulse_s, `validate`'s b_rad_s and flip cycle, `simulate --cycles`) are the
+flip rate |b_n| of the two-level reduction in `adiabatic`; the sign of b_n
+only enters the scenario reports through the two-level propagator.
+
 Exit codes: 0 success, 1 usage/config error, 2 physics error (regime
 violation, ladder truncation, a coupling too weak to resolve), 3 I/O error.
 """
@@ -116,11 +121,7 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
     d = params.derive(p)
     l0_list = _parse_int_list(args.l0) if args.l0 else [p.l0]
     n_list = _parse_int_list(args.n) if args.n else [p.n0]
-    rows = [
-        adiabatic.coeffs(n, l0, d, args.shift_mode)
-        for l0 in l0_list
-        for n in n_list
-    ]
+    rows = [adiabatic.coeffs(n, l0, d) for l0 in l0_list for n in n_list]
     _emit(adiabatic.format_coeffs_csv(rows), cfg.output)
     return EXIT_OK
 
@@ -151,13 +152,13 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
         duration = args.duration
     else:
         cycles = args.cycles if args.cycles is not None else 1.0
-        c = adiabatic.coeffs(n, p.l0, d, "quadratic")
-        if c.b_n <= 0:
+        rate = adiabatic.coupling(n, p.l0, d)
+        if rate == 0:
             raise UsageError(
                 "cannot convert --cycles to a duration with zero coupling "
                 "(n=0); give --duration explicitly"
             )
-        duration = cycles * 2.0 * math.pi / c.b_n
+        duration = cycles * 2.0 * math.pi / rate
     if duration < 0:
         raise UsageError(f"duration must be >= 0, got {duration}")
 
@@ -198,7 +199,6 @@ def _scenario_args(args: argparse.Namespace, cfg: RunConfig, k: int, mode: str) 
         k=k,
         engine=args.engine,
         basis=args.basis,
-        shift_mode=args.shift_mode,
         fit_phase=args.fit_phase,
         include_stark=args.include_stark,
         selected_outcome=args.outcome,
@@ -224,36 +224,36 @@ def cmd_ghz(args: argparse.Namespace, cfg: RunConfig) -> int:
 def validate_point(
     p: params.PhysicalParams, s: int = 1, samples: int = 512, guard: int = ladder.DEFAULT_GUARD
 ) -> dict:
-    """Ladder-vs-closed-form comparison over one population-flip cycle.
+    """Ladder-vs-two-level comparison over one population-flip cycle.
 
-    Keys: regime verdict, coupling b_n and the frequency actually measured in
-    the ladder data, max pointwise population deviation, two-mode confinement
-    and leakage, a phase-agnostic Bell fidelity, and (for l0 > 2) the
-    level-shift comparison between both printed conventions and the shift
-    measured from the ladder phase.
+    Keys: regime verdict, shift a_n and flip rate |b_n| of the two-level
+    reduction and the frequency actually measured in the ladder data, max
+    pointwise population deviation, two-mode confinement and leakage, and a
+    phase-agnostic Bell fidelity.
     """
     d = params.derive(p)
     verdict = params.validate_bragg_regime(d, p.n0)
-    c = adiabatic.coeffs(p.n0, p.l0, d, "quadratic")
+    c = adiabatic.coeffs(p.n0, p.l0, d)
+    rate = abs(c.b_n)
     report: dict = {
         "l0": p.l0,
         "n0": p.n0,
         "chi_ratio": d.regime_ratio,
         "verdict": verdict.value,
         "a_rad_s": c.a_n,
-        "b_rad_s": c.b_n,
+        "b_rad_s": rate,
     }
-    if c.b_n <= 0:
+    if rate == 0:
         report["error"] = "zero coupling (n=0); nothing to compare"
         return report
 
-    cycle = 2.0 * math.pi / c.b_n
+    cycle = 2.0 * math.pi / rate
     l_range = ladder.default_range(p.l0, guard)
     h = ladder.build_hamiltonian(p.n0, p.l0, d, l_range)
     st = ladder.initial_state(p.l0, l_range=l_range, n=p.n0)
     times = np.linspace(0.0, cycle, samples)
     try:
-        ladder.check_resolution(h, c.b_n)
+        ladder.check_resolution(h, rate)
         amps = ladder.sample_evolution(st, h, times)
     except ladder.ResolutionError as exc:
         report["error"] = f"ladder resolution: {exc}"
@@ -267,14 +267,14 @@ def validate_point(
     p_plus = np.abs(amps[:, i_plus]) ** 2
     p_flip = np.abs(amps[:, i_flip]) ** 2
     two_mode = p_plus + p_flip
-    half = 0.5 * c.b_n * times
+    half = 0.5 * rate * times
     dev = np.maximum(np.abs(p_plus - np.cos(half) ** 2), np.abs(p_flip - np.sin(half) ** 2))
     freq = ladder.extract_flip_frequency(times, p_plus, p_flip)
 
     report.update(
         {
             "freq_rad_s": freq,
-            "freq_ratio": freq / c.b_n,
+            "freq_ratio": freq / rate,
             "max_pop_dev": float(np.max(dev)),
             "two_mode_min": float(np.min(two_mode)),
             "max_leakage": float(np.max(1.0 - two_mode)),
@@ -290,22 +290,6 @@ def validate_point(
         report["bell_fidelity"] = None
         report["bell_error"] = str(exc)
 
-    if p.l0 > 2:
-        # phase of the surviving amplitude over the first quarter cycle gives
-        # the level shift actually present in the ladder; compare it to both
-        # printed conventions
-        mask = times <= 0.4 * cycle / 2.0
-        phase = np.unwrap(np.angle(amps[mask, i_plus]))
-        a_measured = -float(np.polyfit(times[mask], phase, 1)[0])
-        a_lin = adiabatic.level_shift(p.n0, p.l0, d, "linear")
-        a_quad = adiabatic.level_shift(p.n0, p.l0, d, "quadratic")
-        closer = "quadratic" if abs(a_measured - a_quad) <= abs(a_measured - a_lin) else "linear"
-        report["shift_comparison"] = {
-            "a_linear_rad_s": a_lin,
-            "a_quadratic_rad_s": a_quad,
-            "a_measured_rad_s": a_measured,
-            "closer_mode": closer,
-        }
     return report
 
 
@@ -446,7 +430,6 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
         default="superposition",
         help="field measurement basis",
     )
-    sub.add_argument("--shift-mode", choices=adiabatic.SHIFT_MODES, default="quadratic")
     sub.add_argument(
         "--fit-phase",
         action="store_true",
@@ -471,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs = sub.add_parser("coeffs", help="two-level coefficient table (CSV)")
     p_coeffs.add_argument("--l0", default=None, help="comma list of Bragg orders")
     p_coeffs.add_argument("--n", default=None, help="comma list of photon numbers")
-    p_coeffs.add_argument("--shift-mode", choices=adiabatic.SHIFT_MODES, default="quadratic")
     _add_common(p_coeffs)
 
     p_sim = sub.add_parser("simulate", help="ladder time series (CSV + meta sidecar)")

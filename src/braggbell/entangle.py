@@ -18,10 +18,14 @@ concurrence of a two-qubit pure state is the closed form 2|c00*c11 - c01*c10|
 states.
 
 Phase convention: targets are written (|u> + sign * e^{-i phi} |v>)/sqrt(2).
-The exact per-atom propagator puts a factor i on every flipped amplitude, so
-k flipped atoms contribute i^k on top of the level-shift phase; reports carry
-both the measured phase and the first-order reference formula
-phi_ref = (s+r)*pi*a_n/b_n (per pair, halved per atom for GHZ) side by side.
+The exact per-atom propagator puts a factor +-i, set by the sign of b_n and
+the pulse multiple s, on every flipped amplitude, on top of the level-shift
+phase e^{-i a_n t}. The scheduled target takes its phase from the same
+closed-form solve that prepares the adiabatic engine's Fock branch, so one
+solve per atom serves both; the vacuum branch (a = b = 0) keeps its initial
+amplitudes. Reports carry both the measured phase and the first-order
+reference formula phi_ref = (s+r)*pi*a_n/|b_n| (per pair, halved per atom
+for GHZ) side by side.
 """
 
 from __future__ import annotations
@@ -172,6 +176,16 @@ def computational_basis() -> np.ndarray:
     return np.eye(2)
 
 
+def _check_basis(basis: np.ndarray, what: str) -> np.ndarray:
+    """`basis` as a complex 2x2 array whose rows are orthonormal within 1e-12."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    if basis.shape != (2, 2):
+        raise MeasurementError(f"{what} basis must be 2x2, got {basis.shape}")
+    if np.max(np.abs(basis @ basis.conj().T - np.eye(2))) > 1e-12:
+        raise MeasurementError(f"{what} basis is not orthonormal within 1e-12")
+    return basis
+
+
 def measure_field(
     j: JointState, basis: np.ndarray, outcome: int
 ) -> tuple[float, np.ndarray]:
@@ -179,12 +193,7 @@ def measure_field(
 
     Returns (probability, renormalized atom state of dimension 2^k).
     """
-    basis = np.asarray(basis, dtype=np.complex128)
-    if basis.shape != (2, 2):
-        raise MeasurementError(f"field basis must be 2x2, got {basis.shape}")
-    gram = basis @ basis.conj().T
-    if np.max(np.abs(gram - np.eye(2))) > 1e-12:
-        raise MeasurementError("field basis is not orthonormal within 1e-12")
+    basis = _check_basis(basis, "field")
     if outcome not in (0, 1):
         raise MeasurementError(f"outcome must be 0 or 1, got {outcome}")
     post = basis[outcome].conj() @ j.vector
@@ -198,11 +207,7 @@ def measure_atom(
     state: np.ndarray, k: int, atom_index: int, basis: np.ndarray, outcome: int
 ) -> tuple[float, np.ndarray]:
     """Project one atom of a k-qubit state onto basis row `outcome`."""
-    basis = np.asarray(basis, dtype=np.complex128)
-    if basis.shape != (2, 2):
-        raise MeasurementError(f"atom basis must be 2x2, got {basis.shape}")
-    if np.max(np.abs(basis @ basis.conj().T - np.eye(2))) > 1e-12:
-        raise MeasurementError("atom basis is not orthonormal within 1e-12")
+    basis = _check_basis(basis, "atom")
     if not 0 <= atom_index < k:
         raise MeasurementError(f"atom index {atom_index} outside 0..{k - 1}")
     tensor = np.asarray(state, dtype=np.complex128).reshape((2,) * k)
@@ -353,35 +358,10 @@ def _flip_kind(kind: str) -> str:
     return f"{stem}_{'minus' if sign == 'plus' else 'plus'}"
 
 
-def _atom_pairs_adiabatic(
-    inits: list[tuple[complex, complex]],
-    times: list[float],
-    c: adiabatic.TwoLevelCoeffs,
-    zero: adiabatic.TwoLevelCoeffs,
-    n0: int,
-    stark_rate: float = 0.0,
-) -> list[BranchAmplitudes]:
-    # a uniform -chi*n shift of the Fock-branch diagonal is a global phase
-    # exp(+i chi n t) there, so it can be applied exactly after the solve
-    atoms = []
-    for init, t in zip(inits, times):
-        vac = adiabatic.solve(init, zero, t)
-        fock = adiabatic.solve(init, c, t)
-        ph = np.exp(1j * stark_rate * t)
-        atoms.append(
-            BranchAmplitudes(
-                vacuum=(vac.c_plus, vac.c_minus),
-                fock=(ph * fock.c_plus, ph * fock.c_minus),
-                n0=n0,
-            )
-        )
-    return atoms
-
-
 def _atom_pairs_ladder(
     directions: list[int],
     times: list[float],
-    p: PhysicalParams,
+    c: adiabatic.TwoLevelCoeffs,
     d: DerivedParams,
     l_range: tuple[int, int] | None,
     include_stark: bool,
@@ -389,18 +369,19 @@ def _atom_pairs_ladder(
     edge_threshold: float,
 ) -> list[BranchAmplitudes]:
     # the mirror ladder has the same amplitudes; direction only relabels
-    # which resonant order is |+> (as in two_mode_from_ladder)
+    # which resonant order is |+> (as in two_mode_from_ladder); c is the
+    # Fock branch's reduction, whose b_n the resolution guard checks
     branches = []
-    for n_br in (0, p.n0):
-        h = ladder.build_hamiltonian(n_br, p.l0, d, l_range, include_stark)
+    for n_br in (0, c.n):
+        h = ladder.build_hamiltonian(n_br, c.l0, d, l_range, include_stark)
         if n_br:
-            ladder.check_resolution(h, adiabatic.coupling(n_br, p.l0, d))
-        st = ladder.initial_state(p.l0, l_range=l_range, n=n_br)
+            ladder.check_resolution(h, c.b_n)
+        st = ladder.initial_state(c.l0, l_range=l_range, n=n_br)
         amps = ladder.sample_evolution(st, h, times, edge_threshold=edge_threshold)
         ladder.check_norm_drift(amps, st, tol)
-        pairs = amps[:, [st.index_of(0), st.index_of(-p.l0)]].tolist()
+        pairs = amps[:, [st.index_of(0), st.index_of(-c.l0)]].tolist()
         branches.append([(a, b) if dr == 1 else (b, a) for (a, b), dr in zip(pairs, directions)])
-    return [BranchAmplitudes(vacuum=v, fock=f, n0=p.n0) for v, f in zip(*branches)]
+    return [BranchAmplitudes(vacuum=v, fock=f, n0=c.n) for v, f in zip(*branches)]
 
 
 def run_scenario(
@@ -414,7 +395,6 @@ def run_scenario(
     k: int = 2,
     engine: str = "adiabatic",
     basis: str | np.ndarray = "superposition",
-    shift_mode: str = "quadratic",
     fit_phase: bool = False,
     include_stark: bool = False,
     field_state: FieldSuperposition | None = None,
@@ -455,19 +435,27 @@ def run_scenario(
             f"chi*n/w_rec = {abs(d.regime_ratio):.3g} is outside the Bragg regime"
         )
 
-    c = adiabatic.coeffs(p.n0, p.l0, d, shift_mode)
-    zero = adiabatic.coeffs(0, p.l0, d, shift_mode)
+    c = adiabatic.coeffs(p.n0, p.l0, d)
     t1, t2 = adiabatic.pulse_times(c, s, r)
     times = [t1] * (k - 1) + [t2]
     directions = [1, -1] if (k == 2 and mode == "opposite") else [1] * k
     inits = [(1.0 + 0.0j, 0.0j) if drc == 1 else (0.0j, 1.0 + 0.0j) for drc in directions]
+    # one closed-form solve per atom's Fock branch serves the adiabatic engine
+    # and the scheduled target of either engine
+    fock = [adiabatic.solve(init, c, t) for init, t in zip(inits, times)]
 
     if engine == "adiabatic":
+        # the vacuum branch (a = b = 0) keeps its initial amplitudes; a uniform
+        # -chi*n shift of the Fock-branch diagonal is a global phase
+        # exp(+i chi n t) there, so it can be applied exactly after the solve
         stark_rate = d.chi * p.n0 if include_stark else 0.0
-        atoms = _atom_pairs_adiabatic(inits, times, c, zero, p.n0, stark_rate)
+        atoms = [
+            BranchAmplitudes(vacuum=init, fock=(ph * sol.c_plus, ph * sol.c_minus), n0=p.n0)
+            for init, sol, ph in zip(inits, fock, np.exp(1j * stark_rate * np.array(times)))
+        ]
     else:
         atoms = _atom_pairs_ladder(
-            directions, times, p, d, l_range, include_stark, tol, edge_threshold
+            directions, times, c, d, l_range, include_stark, tol, edge_threshold
         )
 
     f = field_state if field_state is not None else FieldSuperposition.balanced(p.n0)
@@ -489,22 +477,21 @@ def run_scenario(
         scenario = f"bell-{mode}"
         family = "psi" if mode == "opposite" else "phi"
         kind = f"{family}_{'plus' if r % 2 == 0 else 'minus'}"
-        phase_reference = (s + r) * math.pi * c.a_n / c.b_n
+        phase_reference = (s + r) * math.pi * c.a_n / abs(c.b_n)
     else:
         scenario = "ghz"
         kind = f"ghz_{'plus' if r % 2 == 0 else 'minus'}"
         if r == 0:
-            phase_reference = k * s * math.pi * c.a_n / (2.0 * c.b_n)
+            phase_reference = k * s * math.pi * c.a_n / (2.0 * abs(c.b_n))
         else:
-            phase_reference = ((k - 1) * s + 2 * r) * math.pi * c.a_n / (2.0 * c.b_n)
+            phase_reference = ((k - 1) * s + 2 * r) * math.pi * c.a_n / (2.0 * abs(c.b_n))
 
     init_idx = _bits_to_index([0 if drc == 1 else 1 for drc in directions])
     flip_idx = _bits_to_index([1 if drc == 1 else 0 for drc in directions])
 
     # predicted flip coefficient from the closed-form propagator
     f_pred = 1.0 + 0.0j
-    for init, t in zip(inits, times):
-        sol = adiabatic.solve(init, c, t)
+    for init, sol in zip(inits, fock):
         f_pred *= sol.c_minus if init[0] != 0 else sol.c_plus
     sign = 1.0 if kind.endswith("plus") else -1.0
     target_phase = -float(np.angle(sign * f_pred))
@@ -551,7 +538,6 @@ def run_scenario(
         "k": k,
         "mode": mode,
         "basis": basis_name,
-        "shift_mode": shift_mode,
         "fit_phase": fit_phase,
         "include_stark": include_stark,
         "times_s": [float(t) for t in times],

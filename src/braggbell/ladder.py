@@ -58,10 +58,13 @@ def default_range(l0: int, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
     if guard < MIN_GUARD:
         raise ValueError(f"guard must be >= {MIN_GUARD}, got {guard}")
     guard += guard % 2
+    _check_range(-l0 - guard, guard, l0)
     return (-l0 - guard, guard)
 
 
 def _check_range(l_min: int, l_max: int, l0: int) -> None:
+    if l0 < 2 or l0 % 2:
+        raise ValueError(f"l0 must be a positive even integer, got {l0}")
     if l_min % 2 or l_max % 2:
         raise ValueError(f"ladder range [{l_min}, {l_max}] must have even endpoints")
     if l_min > -l0 - MIN_GUARD or l_max < MIN_GUARD:
@@ -170,8 +173,6 @@ def build_hamiltonian(
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    if l0 < 2 or l0 % 2:
-        raise ValueError(f"l0 must be a positive even integer, got {l0}")
     l_min, l_max = l_range if l_range is not None else default_range(l0)
     _check_range(l_min, l_max, l0)
     orders = np.arange(l_min, l_max + 1, 2)

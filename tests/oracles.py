@@ -6,6 +6,8 @@ without importing the package's Hamiltonian construction or propagator, so a
 shared bug cannot cancel out.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -32,6 +34,29 @@ def dense_matrix(w_rec, chi, n, l0, l_min, l_max):
         if i + 1 < dim:
             h[i, i + 1] = h[i + 1, i] = -chi * n / 2.0
     return orders, h
+
+
+def leading_order_coupling(w_rec, chi_n, l0):
+    """Signed two-level coupling b_n to leading order in chi*n/w_rec.
+
+    Each intermediate order l (-l0 < l < 0) passes the coupling -chi*n/2 on
+    with weight (chi*n/2)/(w_rec*|l|*(l0-|l|)); their product is
+    b_n = -(-chi*n)^(l0/2) / ((2 w_rec)^(l0/2-1) * [(l0-2)(l0-4)...2]^2).
+    """
+    even_product = math.prod(range(2, l0 - 1, 2))
+    return -((-chi_n) ** (l0 // 2)) / ((2.0 * w_rec) ** (l0 // 2 - 1) * even_product**2)
+
+
+def resonant_pair(h):
+    """(mean, splitting) of the two eigenvalues of the dense ladder h nearest zero.
+
+    Orders 0 and -l0 sit at zero energy and every other order at least
+    4*w_rec away, so in the Bragg regime the two eigenvalues nearest zero are
+    the dressed resonant pair.
+    """
+    evals = np.linalg.eigvalsh(h)
+    pair = evals[np.argsort(np.abs(evals))[:2]]
+    return float(pair.mean()), float(abs(pair[1] - pair[0]))
 
 
 def psi0(orders, l_start=0):

@@ -43,10 +43,10 @@ def _at_ratio(ratio, l0=2):
 def _flip_series(p, samples=512, cycles=1.0):
     """(times, p_plus, p_flip, final_norm, chi, b) for one ladder run."""
     d = derive(p)
-    c = adiabatic.coeffs(p.n0, p.l0, d, "quadratic")
+    c = adiabatic.coeffs(p.n0, p.l0, d)
     h = ladder.build_hamiltonian(p.n0, p.l0, d)
     st = ladder.initial_state(p.l0)
-    times = np.linspace(0.0, cycles * TWO_PI / c.b_n, samples)
+    times = np.linspace(0.0, cycles * TWO_PI / abs(c.b_n), samples)
     amps = ladder.sample_evolution(st, h, times)
     p_plus = np.abs(amps[:, st.index_of(0)]) ** 2
     p_flip = np.abs(amps[:, st.index_of(-p.l0)]) ** 2
@@ -94,7 +94,8 @@ def test_criterion_3_second_order_bragg():
     confinement = p_plus + p_flip
     assert confinement.min() >= 0.98
     expect_b = (d.chi * 1) ** 2 / (8.0 * d.recoil_frequency)
-    assert c.b_n == pytest.approx(expect_b, rel=1e-12)
+    # the reduction departs from the leading order at O((chi n/w_rec)^2)
+    assert abs(c.b_n) == pytest.approx(expect_b, rel=d.regime_ratio**2)
     freq = ladder.extract_flip_frequency(times, p_plus, p_flip)
     assert abs(freq - expect_b) / expect_b < 0.05
     assert time.perf_counter() - t0 < 10.0
@@ -208,3 +209,23 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     meta_b = tmp_path / "run0_b.dat.meta.json"
     assert json.loads(meta_a.read_text()) == json.loads(meta_b.read_text())
     assert meta_a.read_bytes() == meta_b.read_bytes()
+
+
+@criterion(11, "unfitted fidelity >= 0.9999 for both engines, l0 in {2,4,6}, s in {1,3,5}, k in {2,3}, both detuning signs, at ratio 0.02")
+def test_criterion_11_scheduled_phase():
+    # the adiabatic engine is scored against its own schedule, so the engines
+    # must also prepare the same phase: 0.02 rad costs 1e-4 of fidelity
+    base = rubidium_preset()
+    for l0 in (2, 4, 6):
+        for sign in (1, -1):
+            p = with_regime_ratio(replace(base, l0=l0, detuning=sign * base.detuning), 0.02)
+            for s in (1, 3, 5):
+                for k, mode in ((2, "opposite"), (2, "same"), (3, "same")):
+                    case = dict(l0=l0, sign=sign, s=s, k=k, mode=mode)
+                    reps = [entangle.run_scenario(p, s=s, k=k, mode=mode, engine=engine)
+                            for engine in ("adiabatic", "ladder")]
+                    for rep in reps:
+                        for o in rep.outcomes.values():
+                            assert o["fidelity"] >= 0.9999, (rep.engine, case)
+                    gap = reps[0].phase_measured_rad - reps[1].phase_measured_rad
+                    assert abs(np.exp(1j * gap) - 1.0) <= 0.02, case

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from braggbell import adiabatic
+import oracles
+from braggbell import adiabatic, ladder
 from braggbell.adiabatic import coeffs, coupling, level_shift, pulse_times, solve
 from braggbell.params import derive, rubidium_preset, with_regime_ratio
 
@@ -17,29 +18,48 @@ def d_rb():
     return derive(rubidium_preset())
 
 
+def _at(l0, ratio=0.02, sign=1):
+    """Derived parameters at an exact chi*n0/w_rec, detuning of the given sign."""
+    base = rubidium_preset()
+    return derive(with_regime_ratio(replace(base, l0=l0, detuning=sign * base.detuning), ratio))
+
+
+def _assert_leading_order(n, l0, d):
+    # the reduction departs from the leading-order product at O((chi n/w_rec)^2)
+    ratio = d.chi * n / d.recoil_frequency
+    lead = oracles.leading_order_coupling(d.recoil_frequency, d.chi * n, l0)
+    assert coeffs(n, l0, d).b_n == pytest.approx(lead, rel=ratio**2)
+
+
 def test_first_order_coupling_is_chi_n(d_rb):
-    assert coupling(1, 2, d_rb) == pytest.approx(CHI_RB, rel=1e-14)
-    assert coupling(2, 2, d_rb) == pytest.approx(2 * CHI_RB, rel=1e-14)
-    assert coupling(7, 2, d_rb) == pytest.approx(7 * CHI_RB, rel=1e-14)
+    for n in (1, 2, 7):
+        _assert_leading_order(n, 2, d_rb)
+        assert coeffs(n, 2, d_rb).b_n == pytest.approx(n * CHI_RB, rel=1e-3)
 
 
 def test_second_order_coupling_formula(d_rb):
-    # l0=4: |B| = (chi n)^2 / (8 w_rec); the 8 comes from (2 w_rec) * (4-2)^2
+    # l0=4: b = -(chi n)^2 / (8 w_rec) at leading order; the 8 is (2 w_rec) * (4-2)^2
     w = d_rb.recoil_frequency
     for n in (1, 2, 3):
-        expect = (CHI_RB * n) ** 2 / (8.0 * w)
-        assert coupling(n, 4, d_rb) == pytest.approx(expect, rel=1e-13)
-    assert coupling(1, 4, d_rb) == pytest.approx(1.3242326501505583, rel=1e-12)
+        _assert_leading_order(n, 4, d_rb)
+        assert coeffs(n, 4, d_rb).b_n < 0
+        assert coupling(n, 4, d_rb) == pytest.approx((CHI_RB * n) ** 2 / (8.0 * w), rel=1e-3)
 
 
 def test_higher_order_coupling_general_product(d_rb):
-    # (chi n)^(l0/2) / ((2 w_rec)^(l0/2-1) * [(l0-2)(l0-4)...2]^2)
-    w = d_rb.recoil_frequency
     for n, l0 in [(1, 6), (2, 6), (1, 8), (3, 8), (1, 10)]:
-        denom = (2.0 * w) ** (l0 // 2 - 1) * math.prod(range(2, l0 - 1, 2)) ** 2
-        assert coupling(n, l0, d_rb) == pytest.approx(
-            (CHI_RB * n) ** (l0 // 2) / denom, rel=1e-12
-        )
+        _assert_leading_order(n, l0, d_rb)
+
+
+@pytest.mark.parametrize("l0", [2, 4, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_reduction_matches_dense_ladder(l0, sign):
+    d = _at(l0, sign=sign)
+    c = coeffs(1, l0, d)
+    _, h = oracles.dense_matrix(d.recoil_frequency, d.chi, 1, l0, *ladder.default_range(l0))
+    mean, splitting = oracles.resonant_pair(h)
+    assert abs(abs(c.b_n) - splitting) <= 10 * np.finfo(float).eps * np.linalg.norm(h, 2)
+    assert c.a_n == pytest.approx(mean, rel=1e-4)
 
 
 def test_coupling_shrinks_with_order(d_rb):
@@ -50,31 +70,32 @@ def test_coupling_shrinks_with_order(d_rb):
 def test_vacuum_coupling_zero(d_rb):
     for l0 in (2, 4, 6):
         assert coupling(0, l0, d_rb) == 0.0
-        assert level_shift(0, l0, d_rb, "quadratic") == 0.0
-        assert level_shift(0, l0, d_rb, "linear") == 0.0
+        assert level_shift(0, l0, d_rb) == 0.0
 
 
-def test_level_shift_modes(d_rb):
-    w = d_rb.recoil_frequency
-    # resonant pair is unshifted at first order
-    assert level_shift(1, 2, d_rb, "quadratic") == 0.0
-    assert level_shift(1, 2, d_rb, "linear") == 0.0
-    # l0=4 conventions differ in both magnitude and sign
-    quad = level_shift(1, 4, d_rb, "quadratic")
-    lin = level_shift(1, 4, d_rb, "linear")
-    assert quad == pytest.approx((CHI_RB / 2) ** 2 / (2 * w * 2), rel=1e-13)
-    assert quad == pytest.approx(0.6621163250752792, rel=1e-12)
-    assert lin == pytest.approx(-(CHI_RB / 2) / (2 * w * 2), rel=1e-13)
-    assert lin < 0 < quad
-    with pytest.raises(ValueError):
-        level_shift(1, 4, d_rb, "cubic")
+def test_level_shift_matches_ladder_phase():
+    # over the first fifth of a flip the surviving amplitude C_0 turns at the
+    # rate -a_n; measured on the dense ladder propagated by its own eigenbasis
+    for l0 in (2, 4):
+        d = _at(l0)
+        c = coeffs(1, l0, d)
+        orders, h = oracles.dense_matrix(
+            d.recoil_frequency, d.chi, 1, l0, *ladder.default_range(l0)
+        )
+        evals, evecs = np.linalg.eigh(h)
+        times = np.linspace(0.0, 0.2 * 2.0 * math.pi / abs(c.b_n), 64)
+        coef = evecs[list(orders).index(0)]
+        c0 = (coef * np.exp(-1j * np.outer(times, evals))) @ coef
+        a_measured = -np.polyfit(times, np.unwrap(np.angle(c0)), 1)[0]
+        assert c.a_n == pytest.approx(a_measured, rel=1e-3)
+        assert c.a_n < 0 if l0 == 2 else c.a_n > 0
 
 
 def test_coeffs_bundle(d_rb):
-    c = coeffs(2, 4, d_rb, "quadratic")
+    c = coeffs(2, 4, d_rb)
     assert c.n == 2 and c.l0 == 4
-    assert c.b_n == coupling(2, 4, d_rb)
-    assert c.a_n == level_shift(2, 4, d_rb, "quadratic")
+    assert coupling(2, 4, d_rb) == abs(c.b_n)
+    assert c.a_n == level_shift(2, 4, d_rb)
 
 
 def test_solve_unitary_everywhere():
@@ -116,13 +137,36 @@ def test_solve_matches_matrix_exponential(d_rb):
 def test_pi_pulse_full_flip(d_rb):
     c = coeffs(1, 2, d_rb)
     t1, _ = pulse_times(c, 1)
-    assert t1 == pytest.approx(math.pi / CHI_RB, rel=1e-14)
-    assert t1 == pytest.approx(0.006377551020408164, rel=1e-14)  # = 1/(2*78.4 Hz)
+    assert t1 == math.pi / abs(c.b_n)
+    # 1/(2*78.4 Hz) at leading order; the reduction moves it at O((chi/w_rec)^2)
+    ratio = CHI_RB / d_rb.recoil_frequency
+    assert t1 == pytest.approx(math.pi / CHI_RB, rel=ratio**2)
+    assert t1 == pytest.approx(0.006377551020408164, rel=ratio**2)
     sol = solve((1.0 + 0.0j, 0.0j), c, t1)
     assert abs(sol.c_plus) < 1e-15
     assert abs(sol.c_minus) == pytest.approx(1.0, abs=1e-15)
-    # exact propagator leaves a factor i on the flipped amplitude
-    assert sol.c_minus == pytest.approx(1j, abs=1e-12)
+    # exact propagator leaves a factor i on the flipped amplitude, times the shift phase
+    assert sol.c_minus == pytest.approx(1j * np.exp(-1j * c.a_n * t1), abs=1e-12)
+
+
+@pytest.mark.parametrize("l0", [2, 4, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pi_pulse_full_flip_across_orders(l0, sign):
+    d = _at(l0, sign=sign)
+    c = coeffs(1, l0, d)
+    t1, _ = pulse_times(c, 1)
+    assert t1 == math.pi / abs(c.b_n)
+    sol = solve((1.0 + 0.0j, 0.0j), c, t1)
+    assert abs(sol.c_plus) < 1e-15
+    assert abs(sol.c_minus) == pytest.approx(1.0, abs=1e-15)
+    # exact propagator: a factor i*sign(b_n) on the flipped amplitude and the shift phase
+    assert sol.c_minus == pytest.approx(1j * np.sign(c.b_n) * np.exp(-1j * c.a_n * t1), abs=1e-12)
+    # the dense ladder's deflected amplitude at t1 agrees in amplitude and phase
+    orders, h = oracles.dense_matrix(d.recoil_frequency, d.chi, 1, l0, *ladder.default_range(l0))
+    evals, evecs = np.linalg.eigh(h)
+    i0, im = list(orders).index(0), list(orders).index(-l0)
+    ladder_flip = evecs[im] @ (np.exp(-1j * evals * t1) * evecs[i0])
+    assert abs(sol.c_minus - ladder_flip) < 1e-4
 
 
 def test_half_pulse_balanced_splitter(d_rb):
@@ -133,8 +177,8 @@ def test_half_pulse_balanced_splitter(d_rb):
 
 
 def test_flip_periodicity(d_rb):
-    c = coeffs(1, 4, d_rb, "quadratic")
-    period = 2.0 * math.pi / c.b_n
+    c = coeffs(1, 4, d_rb)
+    period = 2.0 * math.pi / abs(c.b_n)
     sol = solve((1.0 + 0.0j, 0.0j), c, period)
     # population returns, global phase does not have to
     assert abs(sol.c_plus) == pytest.approx(1.0, abs=1e-12)
@@ -162,19 +206,26 @@ def test_pulse_times_contract(d_rb):
         pulse_times(zero, 1)
 
 
-def test_shift_to_coupling_ratio_is_half_for_l0_4():
-    # a/b = [(chi n/2)^2 / (4 w_rec)] / [(chi n)^2 / (8 w_rec)] = 1/2 exactly,
-    # independent of chi: the relative phase per flip period is always pi
-    p = with_regime_ratio(replace(rubidium_preset(), l0=4), 0.02)
-    d = derive(p)
-    c = coeffs(1, 4, d, "quadratic")
-    assert c.a_n / c.b_n == pytest.approx(0.5, rel=1e-14)
+def test_shift_to_coupling_ratio_is_a_third_for_l0_4():
+    # at leading order l = 2 and l = -2 shift the pair by (chi n/2)^2 / w_rec *
+    # (1/4 - 1/12) = (chi n)^2 / (24 w_rec), a third of |b| = (chi n)^2 / (8 w_rec),
+    # independent of chi; the dense ladder's resonant pair agrees
+    for ratio in (0.005, 0.02):
+        d = _at(4, ratio)
+        c = coeffs(1, 4, d)
+        _, h = oracles.dense_matrix(d.recoil_frequency, d.chi, 1, 4, *ladder.default_range(4))
+        mean, splitting = oracles.resonant_pair(h)
+        assert c.a_n / abs(c.b_n) == pytest.approx(mean / splitting, rel=1e-4)
+        assert c.a_n / abs(c.b_n) == pytest.approx(1.0 / 3.0, rel=ratio**2)
 
 
 def test_coeffs_csv_format(d_rb):
-    rows = [coeffs(1, 2, d_rb), coeffs(0, 2, d_rb)]
+    rows = [coeffs(1, 2, d_rb), coeffs(1, 4, d_rb), coeffs(0, 2, d_rb)]
     text = adiabatic.format_coeffs_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "n,l0,a_n_rad_s,b_n_rad_s,pi_pulse_s"
-    assert lines[1].startswith("1,2,0,492.60172808288")
-    assert lines[2].endswith("inf")
+    for line, c in zip(lines[1:3], rows):
+        rate = abs(c.b_n)  # b_n < 0 at l0=4: the table lists the flip rate
+        cells = [format(x, ".15g") for x in (c.a_n, rate, math.pi / rate)]
+        assert line == ",".join([str(c.n), str(c.l0), *cells])
+    assert lines[3] == "0,2,0,0,inf"

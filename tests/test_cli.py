@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import braggbell
-from braggbell import cli
+import oracles
+from braggbell import cli, ladder, params
 from braggbell.cli import main
 
 
@@ -45,15 +46,26 @@ def test_preset_show_unknown(capsys):
     assert "unknown preset" in err
 
 
+def _resonant_pair(n, l0):
+    """(mean, splitting) of the rubidium ladder's resonant pair, dense oracle."""
+    d = params.derive(params.rubidium_preset())
+    _, h = oracles.dense_matrix(d.recoil_frequency, d.chi, n, l0, *ladder.default_range(l0))
+    return oracles.resonant_pair(h)
+
+
 def test_coeffs_table(capsys):
     code, out, _ = run(capsys, "coeffs", "--l0", "2,4", "--n", "1,2")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "n,l0,a_n_rad_s,b_n_rad_s,pi_pulse_s"
     assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[:2] == ["1", "2"]
-    assert float(first[3]) == pytest.approx(492.6017280828795, rel=1e-12)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["n"], row["l0"]) for row in rows] == [("1", "2"), ("2", "2"), ("1", "4"), ("2", "4")]
+    for row in rows:
+        mean, splitting = _resonant_pair(int(row["n"]), int(row["l0"]))
+        assert float(row["a_n_rad_s"]) == pytest.approx(mean, rel=1e-4)
+        assert float(row["b_n_rad_s"]) == pytest.approx(splitting, rel=1e-8)
+        assert float(row["pi_pulse_s"]) == pytest.approx(math.pi / float(row["b_n_rad_s"]), rel=1e-14)
 
 
 def test_coeffs_bad_list(capsys):
@@ -138,7 +150,11 @@ def test_bell_adiabatic_report(capsys):
     assert rep["scenario"] == "bell-opposite"
     assert rep["target_kind"] == "psi_plus"
     assert rep["fidelity"] == pytest.approx(1.0, abs=1e-12)
-    assert rep["phase_reference_rad"] == 0.0
+    a, b = rep["parameters"]["a_rad_s"], rep["parameters"]["b_rad_s"]
+    mean, splitting = _resonant_pair(1, 2)
+    assert a == pytest.approx(mean, rel=1e-4)
+    assert b == pytest.approx(splitting, rel=1e-8)
+    assert rep["phase_reference_rad"] == pytest.approx(math.pi * a / b, rel=1e-12)
     assert set(rep["outcome_probabilities"]) == {"plus", "minus"}
 
 
@@ -199,7 +215,14 @@ def test_validate_good_regime(capsys):
     assert rep["max_pop_dev"] < 1e-2
     assert rep["two_mode_min"] > 0.98
     assert rep["bell_fidelity"] > 0.95
-    assert "shift_comparison" not in rep  # l0=2 has no shift to compare
+    assert "shift_comparison" not in rep  # one reduction, no conventions to compare
+
+
+def test_shift_mode_flag_is_gone(capsys):
+    for command in ("bell", "ghz", "coeffs"):
+        code, _, err = run(capsys, command, "--shift-mode", "quadratic")
+        assert code == 1
+        assert "unrecognized arguments: --shift-mode" in err
 
 
 def test_validate_violated_regime(capsys):
@@ -214,11 +237,14 @@ def test_validate_l0_4_shift_block(capsys):
     code, out, _ = run(capsys, "validate", "--l0", "4", "--chi-ratio", "0.02")
     assert code == 0
     rep = json.loads(out)
-    block = rep["shift_comparison"]
-    assert block["closer_mode"] == "quadratic"
-    assert block["a_quadratic_rad_s"] > 0 > block["a_linear_rad_s"]
-    # the ladder's actual shift sits below the quadratic chain estimate
-    assert 0 < block["a_measured_rad_s"] < block["a_quadratic_rad_s"]
+    assert "shift_comparison" not in rep
+    d = params.derive(params.with_regime_ratio(params.rubidium_preset(), 0.02))
+    _, h = oracles.dense_matrix(d.recoil_frequency, d.chi, 1, 4, *ladder.default_range(4))
+    mean, splitting = oracles.resonant_pair(h)
+    assert rep["a_rad_s"] == pytest.approx(mean, rel=1e-4)
+    # b_n < 0 at l0=4; validate reports the flip rate, which the ladder shows
+    assert rep["b_rad_s"] == pytest.approx(splitting, rel=1e-8)
+    assert rep["freq_ratio"] == pytest.approx(1.0, abs=1e-3)
 
 
 # --- sweep -------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from braggbell import entangle, ladder
+from braggbell import adiabatic, entangle, ladder
 from braggbell.entangle import (
     BranchAmplitudes,
     FieldSuperposition,
@@ -280,7 +280,9 @@ def test_bell_outcome_kind_flips(rb):
 
 def test_bell_ladder_engine(rb):
     rep = run_scenario(rb, mode="opposite", engine="ladder")
-    assert rep.fidelity == pytest.approx(0.9999955421979649, abs=1e-8)
+    # the scheduled phase is the ladder's own: only populations cost fidelity
+    fitted = run_scenario(rb, mode="opposite", engine="ladder", fit_phase=True)
+    assert rep.fidelity == pytest.approx(fitted.fidelity, abs=1e-9)
     assert rep.fidelity > 0.95
     for o in rep.outcomes.values():
         assert o["fidelity"] > 0.95
@@ -296,8 +298,9 @@ def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
     d = derive(p)
     directions = [1, -1, 1]
     times = [0.7 * math.pi / d.chi, 1.3 * math.pi / d.chi, 0.2 * math.pi / d.chi]
+    c = adiabatic.coeffs(p.n0, p.l0, d)
     atoms = entangle._atom_pairs_ladder(
-        directions, times, p, d, None, False, ladder.DEFAULT_TOL, ladder.DEFAULT_EDGE_THRESHOLD
+        directions, times, c, d, None, False, ladder.DEFAULT_TOL, ladder.DEFAULT_EDGE_THRESHOLD
     )
     for atom, direction, t in zip(atoms, directions, times):
         for branch, n in (("vacuum", 0), ("fock", p.n0)):
@@ -325,26 +328,36 @@ def test_ladder_run_refuses_unresolvable_coupling(at_ratio, l0, ratio):
     assert run_scenario(p, engine="adiabatic").fidelity > 0.99
 
 
+def _phase_gap(a, b):
+    return abs(np.exp(1j * (a.phase_measured_rad - b.phase_measured_rad)) - 1.0)
+
+
 def test_bell_phase_bookkeeping(rb):
-    # l0=2 has no level shift: first-order reference phase is zero, while the
-    # exact propagator's i-per-flip makes the measured phase -pi for two atoms
-    rep = run_scenario(rb, mode="opposite", engine="adiabatic")
-    assert rep.phase_reference_rad == 0.0
-    assert abs(rep.phase_measured_rad) == pytest.approx(math.pi, abs=1e-12)
-    rep_s3 = run_scenario(rb, mode="opposite", s=3, r=2, engine="adiabatic")
-    assert rep_s3.phase_reference_rad == 0.0  # a_n = 0 regardless of timing
+    # the atoms flip with factors i*sin(s*pi/2) and i*sin((s+2r)*pi/2), whose
+    # product is -1 for even r, on top of the level-shift phase
+    # e^{-i a_n (t1 + t2)}; the l0=2 shift is negative and the ladder carries
+    # the same phase
+    for s, r in ((1, 0), (3, 2)):
+        rep = run_scenario(rb, mode="opposite", s=s, r=r, engine="adiabatic")
+        a, b = rep.parameters["a_rad_s"], rep.parameters["b_rad_s"]
+        assert a < 0
+        assert rep.phase_reference_rad == pytest.approx((s + r) * math.pi * a / abs(b), rel=1e-12)
+        t_sum = sum(rep.parameters["times_s"])
+        assert abs(np.exp(1j * rep.phase_measured_rad) + np.exp(1j * a * t_sum)) < 1e-9
+        rl = run_scenario(rb, mode="opposite", s=s, r=r, engine="ladder")
+        assert _phase_gap(rep, rl) < 1e-3
 
 
 def test_bell_phase_reference_l0_4():
     p = with_regime_ratio(replace(rubidium_preset(), l0=4), 0.02)
-    rep = run_scenario(p, mode="opposite", engine="adiabatic", shift_mode="quadratic")
-    # a/b = 1/2 for l0=4, so (s+r)*pi*a/b = pi/2
-    assert rep.phase_reference_rad == pytest.approx(math.pi / 2.0, rel=1e-12)
-    # true accumulated shift phase is a*(t1+t2) = pi; with i^2 that closes to 0
-    assert rep.phase_measured_rad == pytest.approx(0.0, abs=1e-10)
+    rep = run_scenario(p, mode="opposite", engine="adiabatic")
+    # a/|b| is a third at l0=4 (test_adiabatic), so (s+r)*pi*a/|b| is pi/3
+    assert rep.phase_reference_rad == pytest.approx(math.pi / 3.0, rel=1e-4)
     assert rep.fidelity > 1.0 - 1e-12
-    rep_lin = run_scenario(p, mode="opposite", engine="adiabatic", shift_mode="linear")
-    assert rep_lin.phase_reference_rad != rep.phase_reference_rad
+    # the ladder prepares the phase the two-level run predicts
+    rl = run_scenario(p, mode="opposite", engine="ladder")
+    assert _phase_gap(rep, rl) < 1e-3
+    assert rl.fidelity > 0.9999
 
 
 def test_ladder_vs_adiabatic_phase_agree_l0_2(rb):
@@ -410,9 +423,10 @@ def test_ghz_ladder(rb):
 
 def test_ghz_reference_phase_formulas():
     p = with_regime_ratio(replace(rubidium_preset(), l0=4), 0.02)
-    d = derive(p)
+    c = adiabatic.coeffs(p.n0, p.l0, derive(p))
     rep = run_scenario(p, mode="same", k=3, engine="adiabatic")
-    a_over_b = 0.5
+    a_over_b = c.a_n / abs(c.b_n)
+    assert a_over_b == pytest.approx(1.0 / 3.0, rel=1e-3)
     assert rep.phase_reference_rad == pytest.approx(3 * 1 * math.pi * a_over_b / 2.0)
     rep_r = run_scenario(p, mode="same", k=3, r=1, engine="adiabatic")
     assert rep_r.target_kind == "ghz_minus"
