@@ -25,7 +25,6 @@ from .entangle import (
     measure_field,
     run_scenario,
     superposition_basis,
-    two_mode_from_ladder,
 )
 from .ladder import (
     LadderHamiltonian,
@@ -94,7 +93,6 @@ __all__ = [
     "sample_evolution",
     "solve",
     "superposition_basis",
-    "two_mode_from_ladder",
     "validate_bragg_regime",
     "with_regime_ratio",
 ]

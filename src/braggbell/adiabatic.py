@@ -11,8 +11,11 @@ Both come from one Brillouin-Wigner partition of the ladder Hamiltonian of
 Chem. Phys. 19, 1396 (1951)): the effective 2x2 at energy E has diagonal
 self-energy alpha(E) and off-diagonal beta(E). The shift solves a = alpha(a),
 and b = -2*beta(a)/(1 - alpha'(a)) is the splitting with the weight that the
-pair loses to the eliminated orders divided out. The ladder is tridiagonal
-and mirror-symmetric about l = -l0/2, so alpha and beta are scalar
+pair loses to the eliminated orders divided out. The shift is found by
+fixed-point iteration, which converges inside the Bragg regime; where it
+does not (far outside, e.g. chi*n/w_rec = 10 at l0 = 4) coeffs raises
+ConvergenceError instead of returning the last iterate. The ladder is
+tridiagonal and mirror-symmetric about l = -l0/2, so alpha and beta are scalar
 recurrences: a continued fraction over the orders outside the pair, and the
 ratios of successive determinants of the orders between them (for l0 = 2
 there are none, and beta is the direct coupling -chi*n/2). To leading order
@@ -38,6 +41,10 @@ from . import ladder
 from .params import DerivedParams
 
 MAX_ITERATIONS = 100  # a = alpha(a) converges in a handful inside the Bragg regime
+
+
+class ConvergenceError(RuntimeError):
+    """The level shift a = alpha(a) did not converge; the coupling is far too strong."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,12 @@ def coeffs(n: int, l0: int, d: DerivedParams) -> TwoLevelCoeffs:
         a = alpha
         if converged:
             break
+    else:
+        raise ConvergenceError(
+            f"level shift a_{n} at l0={l0} did not converge in {MAX_ITERATIONS} "
+            f"iterations at chi*n/w_rec = {abs(2.0 * v / w):.3g}, far outside the "
+            "Bragg regime"
+        )
     return TwoLevelCoeffs(a_n=a, b_n=-2.0 * beta / (1.0 - dalpha), n=n, l0=l0)
 
 

@@ -11,7 +11,9 @@ flip rate |b_n| of the two-level reduction in `adiabatic`; the sign of b_n
 only enters the scenario reports through the two-level propagator.
 
 Exit codes: 0 success, 1 usage/config error, 2 physics error (regime
-violation, ladder truncation, a coupling too weak to resolve), 3 I/O error.
+violation, ladder truncation, a coupling too weak to resolve, a level shift
+that does not converge), 3 I/O error. A sweep reports a point that fails
+with a usage or physics error as an `error` row and still exits 0.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ SWEEP_COLUMNS = (
 class RunConfig:
     """Resolved plumbing for one invocation."""
 
-    command: str
     preset: str
     config_path: str | None
     overrides: tuple[str, ...]
@@ -191,7 +192,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scenario_args(args: argparse.Namespace, cfg: RunConfig, k: int, mode: str) -> dict:
+def _scenario_args(args: argparse.Namespace, k: int, mode: str) -> dict:
     return dict(
         s=args.s,
         r=args.r,
@@ -207,7 +208,7 @@ def _scenario_args(args: argparse.Namespace, cfg: RunConfig, k: int, mode: str) 
 
 def cmd_bell(args: argparse.Namespace, cfg: RunConfig) -> int:
     p = cfg.physical()
-    rep = entangle.run_scenario(p, **_scenario_args(args, cfg, 2, args.mode))
+    rep = entangle.run_scenario(p, **_scenario_args(args, 2, args.mode))
     _emit(rep.to_json(), cfg.output)
     return EXIT_OK
 
@@ -216,7 +217,7 @@ def cmd_ghz(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.k < 3:
         raise UsageError(f"ghz needs --k >= 3 (got {args.k}); use `bell` for two atoms")
     p = cfg.physical()
-    rep = entangle.run_scenario(p, **_scenario_args(args, cfg, args.k, "same"))
+    rep = entangle.run_scenario(p, **_scenario_args(args, args.k, "same"))
     _emit(rep.to_json(), cfg.output)
     return EXIT_OK
 
@@ -344,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         try:
             p, s = _sweep_param(base, args.var, value)
             point = validate_point(p, s=s, samples=args.samples, guard=args.guard)
-        except (params.ParameterError, ValueError) as exc:
+        except (params.ParameterError, ValueError, adiabatic.ConvergenceError) as exc:
             point = {"error": str(exc), "l0": None, "n0": None}
         points.append({"var": args.var, "value": value, **point})
 
@@ -521,7 +522,6 @@ def main(argv: list[str] | None = None) -> int:
         config_path = os.environ.get(params.ENV_CONFIG_VAR) or None
 
     cfg = RunConfig(
-        command=args.command,
         preset=args.preset,
         config_path=config_path,
         overrides=tuple(args.overrides),
@@ -531,7 +531,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _HANDLERS[args.command](args, cfg)
-    except (entangle.RegimeError, ladder.TruncationError, ladder.ResolutionError) as exc:
+    except (
+        entangle.RegimeError,
+        ladder.TruncationError,
+        ladder.ResolutionError,
+        adiabatic.ConvergenceError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except (

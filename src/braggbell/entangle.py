@@ -23,16 +23,16 @@ the pulse multiple s, on every flipped amplitude, on top of the level-shift
 phase e^{-i a_n t}. The scheduled target takes its phase from the same
 closed-form solve that prepares the adiabatic engine's Fock branch, so one
 solve per atom serves both; the vacuum branch (a = b = 0) keeps its initial
-amplitudes. Reports carry both the measured phase and the first-order
-reference formula phi_ref = (s+r)*pi*a_n/|b_n| (per pair, halved per atom
-for GHZ) side by side.
+amplitudes. Reports carry the measured phase and this scheduled phase
+(phase_reference_rad) side by side; for the adiabatic engine without the
+Stark term they agree exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -125,19 +125,6 @@ class JointState:
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"joint vector must be normalized, got norm {norm}")
-
-
-def two_mode_from_ladder(s: ladder.LadderState) -> tuple[complex, complex, float]:
-    """(c_plus, c_minus, leakage) of a ladder state, unrenormalized.
-
-    Ladder index 0 carries the incidence momentum, index -l0 the deflected
-    one; for a mirror-incident atom (direction -1) those map to |-> and |+>.
-    """
-    a0 = complex(s.amplitudes[s.index_of(0)])
-    am = complex(s.amplitudes[s.index_of(-s.l0)])
-    c_plus, c_minus = (a0, am) if s.direction == 1 else (am, a0)
-    leak = float(max(0.0, s.norm() ** 2 - abs(a0) ** 2 - abs(am) ** 2))
-    return c_plus, c_minus, leak
 
 
 def compose(atoms: Sequence[BranchAmplitudes], f: FieldSuperposition) -> JointState:
@@ -302,9 +289,9 @@ def concurrence_pure(state: np.ndarray) -> float:
 
 # --- scenario runner ---------------------------------------------------------
 
-_BASIS_LABELS = {
-    "superposition": ("plus", "minus"),
-    "computational": ("vacuum", "fock"),
+_BASES = {
+    "superposition": (("plus", "minus"), superposition_basis),
+    "computational": (("vacuum", "fock"), computational_basis),
 }
 
 
@@ -326,27 +313,12 @@ class EntanglementReport:
     vacuum_deviation: float
     verdict: str
     selected_outcome: str
-    ghz_collapse: dict | None = field(default=None)
+    ghz_collapse: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "engine": self.engine,
-            "parameters": self.parameters,
-            "target_kind": self.target_kind,
-            "fidelity": self.fidelity,
-            "concurrence": self.concurrence,
-            "phase_measured_rad": self.phase_measured_rad,
-            "phase_reference_rad": self.phase_reference_rad,
-            "leakage": self.leakage,
-            "outcome_probabilities": self.outcome_probabilities,
-            "outcomes": self.outcomes,
-            "vacuum_deviation": self.vacuum_deviation,
-            "verdict": self.verdict,
-            "selected_outcome": self.selected_outcome,
-        }
-        if self.ghz_collapse is not None:
-            out["ghz_collapse"] = self.ghz_collapse
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.ghz_collapse is None:
+            del out["ghz_collapse"]
         return out
 
     def to_json(self) -> str:
@@ -365,20 +337,18 @@ def _atom_pairs_ladder(
     d: DerivedParams,
     l_range: tuple[int, int] | None,
     include_stark: bool,
-    tol: float,
-    edge_threshold: float,
 ) -> list[BranchAmplitudes]:
     # the mirror ladder has the same amplitudes; direction only relabels
-    # which resonant order is |+> (as in two_mode_from_ladder); c is the
-    # Fock branch's reduction, whose b_n the resolution guard checks
+    # which resonant order is |+>; c is the Fock branch's reduction, whose
+    # b_n the resolution guard checks
     branches = []
     for n_br in (0, c.n):
         h = ladder.build_hamiltonian(n_br, c.l0, d, l_range, include_stark)
         if n_br:
             ladder.check_resolution(h, c.b_n)
         st = ladder.initial_state(c.l0, l_range=l_range, n=n_br)
-        amps = ladder.sample_evolution(st, h, times, edge_threshold=edge_threshold)
-        ladder.check_norm_drift(amps, st, tol)
+        amps = ladder.sample_evolution(st, h, times)
+        ladder.check_norm_drift(amps, st, ladder.DEFAULT_TOL)
         pairs = amps[:, [st.index_of(0), st.index_of(-c.l0)]].tolist()
         branches.append([(a, b) if dr == 1 else (b, a) for (a, b), dr in zip(pairs, directions)])
     return [BranchAmplitudes(vacuum=v, fock=f, n0=c.n) for v, f in zip(*branches)]
@@ -387,36 +357,34 @@ def _atom_pairs_ladder(
 def run_scenario(
     p: PhysicalParams,
     *,
-    l0: int | None = None,
-    n0: int | None = None,
     s: int = 1,
     r: int = 0,
     mode: str = "opposite",
     k: int = 2,
     engine: str = "adiabatic",
-    basis: str | np.ndarray = "superposition",
+    basis: str = "superposition",
     fit_phase: bool = False,
     include_stark: bool = False,
-    field_state: FieldSuperposition | None = None,
     l_range: tuple[int, int] | None = None,
-    tol: float = ladder.DEFAULT_TOL,
-    edge_threshold: float = ladder.DEFAULT_EDGE_THRESHOLD,
     selected_outcome: int = 0,
     allow_violated: bool = False,
 ) -> EntanglementReport:
     """Run the full preparation protocol and report what came out.
 
-    mode "opposite" sends the atoms in with momenta +P_{l0} and -P_{l0}
-    (Bell psi family); "same" sends them all in along +P_{l0} (phi family /
-    GHZ). Atom interaction times are s*pi/b_n, with the last atom offset by
-    2*r*pi/b_n. The field is measured in the (|0> +- |n0>)/sqrt2 basis by
-    default; the computational {|0>, |n0>} basis shows the entanglement
-    disappearing with the branch coherence.
+    The field starts in (|0> + |n0>)/sqrt2. mode "opposite" sends the atoms
+    in with momenta +P_{l0} and -P_{l0} (Bell psi family); "same" sends them
+    all in along +P_{l0} (phi family / GHZ). Atom interaction times are
+    s*pi/b_n, with the last atom offset by 2*r*pi/b_n. The field is measured
+    in the (|0> +- |n0>)/sqrt2 basis by default; the computational
+    {|0>, |n0>} basis shows the entanglement disappearing with the branch
+    coherence. l_range sets the ladder engine's truncation.
     """
     if mode not in ("opposite", "same"):
         raise ValueError(f"mode must be 'opposite' or 'same', got {mode!r}")
     if engine not in ("adiabatic", "ladder"):
         raise ValueError(f"engine must be 'adiabatic' or 'ladder', got {engine!r}")
+    if basis not in _BASES:
+        raise ValueError(f"basis must be one of {tuple(_BASES)}, got {basis!r}")
     if k < 2 or k > MAX_ATOMS:
         raise ValueError(f"k must be between 2 and {MAX_ATOMS}, got {k}")
     if k > 2 and mode != "same":
@@ -424,10 +392,6 @@ def run_scenario(
     if selected_outcome not in (0, 1):
         raise ValueError(f"selected_outcome must be 0 or 1, got {selected_outcome}")
 
-    if l0 is not None or n0 is not None:
-        p = replace(
-            p, l0=l0 if l0 is not None else p.l0, n0=n0 if n0 is not None else p.n0
-        )
     d = derive(p)
     verdict = validate_bragg_regime(d, p.n0)
     if verdict is RegimeVerdict.VIOLATED and not allow_violated:
@@ -454,52 +418,35 @@ def run_scenario(
             for init, sol, ph in zip(inits, fock, np.exp(1j * stark_rate * np.array(times)))
         ]
     else:
-        atoms = _atom_pairs_ladder(
-            directions, times, c, d, l_range, include_stark, tol, edge_threshold
-        )
+        atoms = _atom_pairs_ladder(directions, times, c, d, l_range, include_stark)
 
-    f = field_state if field_state is not None else FieldSuperposition.balanced(p.n0)
-    joint = compose(atoms, f)
+    joint = compose(atoms, FieldSuperposition.balanced(p.n0))
 
-    if isinstance(basis, str):
-        if basis not in _BASIS_LABELS:
-            raise ValueError(f"basis must be one of {tuple(_BASIS_LABELS)}, got {basis!r}")
-        basis_name = basis
-        labels = _BASIS_LABELS[basis]
-        basis_mat = superposition_basis() if basis == "superposition" else computational_basis()
-    else:
-        basis_name = "custom"
-        labels = ("outcome_0", "outcome_1")
-        basis_mat = np.asarray(basis)
-
-    # scheduled target: family from the preparation mode, sign from r parity
+    # scheduled target: family from the preparation mode, sign from r parity,
+    # phase from the closed-form flip coefficient
+    sign_name = "plus" if r % 2 == 0 else "minus"
     if k == 2:
         scenario = f"bell-{mode}"
-        family = "psi" if mode == "opposite" else "phi"
-        kind = f"{family}_{'plus' if r % 2 == 0 else 'minus'}"
-        phase_reference = (s + r) * math.pi * c.a_n / abs(c.b_n)
+        kind = f"{'psi' if mode == 'opposite' else 'phi'}_{sign_name}"
     else:
         scenario = "ghz"
-        kind = f"ghz_{'plus' if r % 2 == 0 else 'minus'}"
-        if r == 0:
-            phase_reference = k * s * math.pi * c.a_n / (2.0 * abs(c.b_n))
-        else:
-            phase_reference = ((k - 1) * s + 2 * r) * math.pi * c.a_n / (2.0 * abs(c.b_n))
+        kind = f"ghz_{sign_name}"
 
     init_idx = _bits_to_index([0 if drc == 1 else 1 for drc in directions])
     flip_idx = _bits_to_index([1 if drc == 1 else 0 for drc in directions])
 
-    # predicted flip coefficient from the closed-form propagator
     f_pred = 1.0 + 0.0j
     for init, sol in zip(inits, fock):
         f_pred *= sol.c_minus if init[0] != 0 else sol.c_plus
-    sign = 1.0 if kind.endswith("plus") else -1.0
+    sign = 1.0 if r % 2 == 0 else -1.0
     target_phase = -float(np.angle(sign * f_pred))
 
     phase_measured = -float(
         np.angle(joint.vector[1, flip_idx] * np.conj(joint.vector[0, init_idx]))
     )
 
+    labels, basis_of = _BASES[basis]
+    basis_mat = basis_of()
     outcomes: dict[str, dict] = {}
     probs: dict[str, float] = {}
     collapse: dict | None = None
@@ -537,7 +484,7 @@ def run_scenario(
         "r": r,
         "k": k,
         "mode": mode,
-        "basis": basis_name,
+        "basis": basis,
         "fit_phase": fit_phase,
         "include_stark": include_stark,
         "times_s": [float(t) for t in times],
@@ -556,7 +503,7 @@ def run_scenario(
         fidelity=selected["fidelity"],
         concurrence=selected["concurrence"],
         phase_measured_rad=phase_measured,
-        phase_reference_rad=phase_reference,
+        phase_reference_rad=target_phase,
         leakage=joint.leakage,
         outcome_probabilities=probs,
         outcomes=outcomes,

@@ -26,8 +26,9 @@ RESOLUTION_LIMIT*eps*||H||, with ||H|| bounded by Gershgorin's
 max|diagonal| + 2|off_diagonal|, and raises ResolutionError.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
-a sign-flipped momentum grid; states carry a `direction` flag and the same
-Hamiltonian is reused.
+a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
+it: its |+> and |-> are the orders -l0 and 0 instead of 0 and -l0, a
+relabelling left to the caller.
 """
 
 from __future__ import annotations
@@ -78,10 +79,8 @@ def _check_range(l_min: int, l_max: int, l0: int) -> None:
 class LadderState:
     """Complex amplitudes over even ladder orders l_min..l_max (step 2).
 
-    `direction` is +1 for incidence with momentum +P_{l0}, -1 for the mirror
-    ladder; index l then labels physical momentum direction*(l0/2 + l) in
-    units of hbar*k. `n` is the photon number of the field branch this state
-    evolves under, `time` the accumulated interaction time in seconds.
+    Order l carries momentum P_{l0} + l*hbar*k; `n` is the photon number of
+    the field branch this state evolves under.
     """
 
     amplitudes: np.ndarray
@@ -89,15 +88,11 @@ class LadderState:
     l_max: int
     l0: int
     n: int
-    direction: int = 1
-    time: float = 0.0
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
         _check_range(self.l_min, self.l_max, self.l0)
-        if self.direction not in (-1, 1):
-            raise ValueError(f"direction must be +1 or -1, got {self.direction}")
         expected = (self.l_max - self.l_min) // 2 + 1
         if amps.shape != (expected,):
             raise ValueError(
@@ -116,10 +111,6 @@ class LadderState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def momentum_orders_hbar_k(self) -> np.ndarray:
-        """Physical momentum of each index in units of hbar*k (signed)."""
-        return self.direction * (self.l0 // 2 + self.orders)
 
 
 @dataclass(frozen=True)
@@ -192,17 +183,14 @@ def build_hamiltonian(
 
 def initial_state(
     l0: int,
-    direction: int = 1,
     l_range: tuple[int, int] | None = None,
     n: int = 1,
 ) -> LadderState:
-    """Unit amplitude at ladder index l=0: incidence along direction*P_{l0}."""
+    """Unit amplitude at ladder index l=0: incidence along P_{l0}."""
     l_min, l_max = l_range if l_range is not None else default_range(l0)
     amps = np.zeros((l_max - l_min) // 2 + 1, dtype=np.complex128)
     amps[(0 - l_min) // 2] = 1.0
-    return LadderState(
-        amplitudes=amps, l_min=l_min, l_max=l_max, l0=l0, n=n, direction=direction
-    )
+    return LadderState(amplitudes=amps, l_min=l_min, l_max=l_max, l0=l0, n=n)
 
 
 def _check_compatible(s: LadderState, h: LadderHamiltonian) -> None:
@@ -221,7 +209,7 @@ def sample_evolution(
     times: np.ndarray,
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD,
 ) -> np.ndarray:
-    """Amplitudes at each requested time offset (seconds from s.time).
+    """Amplitudes at each requested time (seconds after the state s).
 
     Returns an array of shape (len(times), size). Raises TruncationError when
     the time-independent edge bound (module docstring), which also holds
@@ -288,20 +276,7 @@ def evolve(
         return s
     final = sample_evolution(s, h, [duration], edge_threshold=edge_threshold)[0]
     check_norm_drift(final, s, tol)
-    return replace(s, amplitudes=final, time=s.time + duration)
-
-
-def populations(s: LadderState) -> dict[int, float]:
-    """|amplitude|^2 keyed by ladder order."""
-    probs = np.abs(s.amplitudes) ** 2
-    return {int(l): float(p) for l, p in zip(s.orders, probs)}
-
-
-def two_mode_population(amplitudes: np.ndarray, l_min: int, l0: int) -> float:
-    """Total population on the resonant pair {0, -l0} for packed amplitudes."""
-    i0 = (0 - l_min) // 2
-    im = (-l0 - l_min) // 2
-    return float(np.abs(amplitudes[i0]) ** 2 + np.abs(amplitudes[im]) ** 2)
+    return replace(s, amplitudes=final)
 
 
 def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.ndarray) -> float:

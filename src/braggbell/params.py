@@ -116,22 +116,16 @@ class RegimeVerdict(enum.Enum):
     VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Cut points on |chi*n/w_rec| separating the verdicts."""
-
-    good: float = 0.05
-    marginal: float = 0.2
+GOOD_RATIO = 0.05      # |chi*n/w_rec| up to this is "good"
+MARGINAL_RATIO = 0.2   # above this the Bragg regime is "violated"
 
 
-def validate_bragg_regime(
-    d: DerivedParams, n: int, thresholds: RegimeThresholds = RegimeThresholds()
-) -> RegimeVerdict:
+def validate_bragg_regime(d: DerivedParams, n: int) -> RegimeVerdict:
     """Classify how well w_rec >> chi*n holds for a branch with n photons."""
     ratio = abs(d.chi * n / d.recoil_frequency)
-    if ratio <= thresholds.good:
+    if ratio <= GOOD_RATIO:
         return RegimeVerdict.GOOD
-    if ratio <= thresholds.marginal:
+    if ratio <= MARGINAL_RATIO:
         return RegimeVerdict.MARGINAL
     return RegimeVerdict.VIOLATED
 

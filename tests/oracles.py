@@ -59,6 +59,20 @@ def resonant_pair(h):
     return float(pair.mean()), float(abs(pair[1] - pair[0]))
 
 
+def partition_self_energy(h, orders, l0, e):
+    """alpha(e) = [H_PQ (e - H_QQ)^-1 H_QP] at order 0, P = {0, -l0}, by a dense solve.
+
+    Q is every other order of the dense ladder h. The level shift a_n of the
+    two-level reduction is a fixed point a = alpha(a).
+    """
+    orders = list(orders)
+    pair = [orders.index(0), orders.index(-l0)]
+    rest = [i for i in range(len(orders)) if i not in pair]
+    h_pq = h[np.ix_(pair[:1], rest)]
+    h_qq = h[np.ix_(rest, rest)]
+    return float((h_pq @ np.linalg.solve(e * np.eye(len(rest)) - h_qq, h_pq.T))[0, 0])
+
+
 def psi0(orders, l_start=0):
     v = np.zeros(len(orders), dtype=np.complex128)
     v[list(orders).index(l_start)] = 1.0

@@ -98,6 +98,22 @@ def test_coeffs_bundle(d_rb):
     assert c.a_n == level_shift(2, 4, d_rb)
 
 
+def test_coeffs_refuses_a_shift_that_does_not_converge():
+    # far outside the Bragg regime the iteration for a = alpha(a) stalls;
+    # the last iterate is no fixed point and must not be returned
+    with pytest.raises(adiabatic.ConvergenceError, match="did not converge"):
+        coeffs(1, 4, _at(4, ratio=10.0))
+    # up to ratio 4 every order converges to a fixed point of the dense partition
+    for l0 in (2, 4, 6, 8):
+        for ratio in (0.02, 0.5, 4.0):
+            d = _at(l0, ratio)
+            c = coeffs(1, l0, d)
+            l_min, l_max = ladder.default_range(l0)
+            orders, h = oracles.dense_matrix(d.recoil_frequency, d.chi, 1, l0, l_min, l_max)
+            alpha = oracles.partition_self_energy(h, orders, l0, c.a_n)
+            assert alpha == pytest.approx(c.a_n, rel=1e-12)
+
+
 def test_solve_unitary_everywhere():
     rng = np.random.default_rng(7)
     for _ in range(200):

@@ -154,7 +154,9 @@ def test_bell_adiabatic_report(capsys):
     mean, splitting = _resonant_pair(1, 2)
     assert a == pytest.approx(mean, rel=1e-4)
     assert b == pytest.approx(splitting, rel=1e-8)
-    assert rep["phase_reference_rad"] == pytest.approx(math.pi * a / b, rel=1e-12)
+    # psi_plus: the scheduled phase is the phase the prepared state carries
+    gap = np.exp(-1j * rep["phase_reference_rad"]) - np.exp(-1j * rep["phase_measured_rad"])
+    assert abs(gap) < 1e-9
     assert set(rep["outcome_probabilities"]) == {"plus", "minus"}
 
 
@@ -353,6 +355,25 @@ def test_ladder_bell_refuses_unresolvable_coupling(capsys):
     assert out == ""
     assert err.startswith("error: flip frequency")
     assert "Traceback" not in err
+
+
+def test_coeffs_nonconvergent_shift_is_a_physics_error(capsys):
+    code, out, err = run(capsys, "coeffs", "--chi-ratio", "10", "--l0", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: level shift a_1 at l0=4 did not converge")
+    assert "Traceback" not in err
+
+
+def test_sweep_nonconvergent_point_becomes_error_row(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--var", "chi_ratio", "--values", "0.02,10", "--set", "l0=4",
+        "--samples", "64",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["error"] == "" and float(rows[0]["freq_ratio"]) == pytest.approx(1.0, abs=1e-3)
+    assert rows[1]["error"].startswith("level shift a_1 at l0=4 did not converge")
 
 
 def test_sweep_empty_values(capsys):

@@ -22,7 +22,6 @@ from braggbell.entangle import (
     measure_field,
     run_scenario,
     superposition_basis,
-    two_mode_from_ladder,
 )
 from braggbell.params import derive, rubidium_preset, with_regime_ratio
 
@@ -231,23 +230,6 @@ def test_measure_atom_collapses_ghz():
     assert concurrence_pure(restz) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_two_mode_from_ladder_direction_mapping(rb):
-    d = derive(rb)
-    st = ladder.initial_state(2, direction=1)
-    cp, cm, leak = two_mode_from_ladder(st)
-    assert cp == 1.0 and cm == 0.0 and leak == 0.0
-    mirrored = ladder.initial_state(2, direction=-1)
-    cp, cm, leak = two_mode_from_ladder(mirrored)
-    assert cp == 0.0 and cm == 1.0
-    # after a pi pulse the deflected order carries the weight, and the
-    # mirrored atom's labels swap with it
-    h = ladder.build_hamiltonian(1, 2, d)
-    out = ladder.evolve(mirrored, h, math.pi / d.chi)
-    cp, cm, leak = two_mode_from_ladder(out)
-    assert abs(cp) ** 2 > 0.999
-    assert leak < 1e-5
-
-
 # --- full scenarios ----------------------------------------------------------
 
 
@@ -299,15 +281,15 @@ def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
     directions = [1, -1, 1]
     times = [0.7 * math.pi / d.chi, 1.3 * math.pi / d.chi, 0.2 * math.pi / d.chi]
     c = adiabatic.coeffs(p.n0, p.l0, d)
-    atoms = entangle._atom_pairs_ladder(
-        directions, times, c, d, None, False, ladder.DEFAULT_TOL, ladder.DEFAULT_EDGE_THRESHOLD
-    )
+    atoms = entangle._atom_pairs_ladder(directions, times, c, d, None, False)
     for atom, direction, t in zip(atoms, directions, times):
         for branch, n in (("vacuum", 0), ("fock", p.n0)):
             h = ladder.build_hamiltonian(n, p.l0, d)
-            st = ladder.initial_state(p.l0, direction, n=n)
-            cp, cm, _ = two_mode_from_ladder(ladder.evolve(st, h, t))
-            np.testing.assert_allclose(getattr(atom, branch), (cp, cm), rtol=0, atol=1e-12)
+            out = ladder.evolve(ladder.initial_state(p.l0, n=n), h, t)
+            incident, deflected = out.amplitudes[[out.index_of(0), out.index_of(-p.l0)]]
+            # a mirror atom enters on P_{-l0}: its |+> is the deflected order
+            expect = (incident, deflected) if direction == 1 else (deflected, incident)
+            np.testing.assert_allclose(getattr(atom, branch), expect, rtol=0, atol=1e-12)
 
 
 def test_ladder_truncation_between_samples_is_caught(at_ratio):
@@ -332,31 +314,49 @@ def _phase_gap(a, b):
     return abs(np.exp(1j * (a.phase_measured_rad - b.phase_measured_rad)) - 1.0)
 
 
-def test_bell_phase_bookkeeping(rb):
-    # the atoms flip with factors i*sin(s*pi/2) and i*sin((s+2r)*pi/2), whose
-    # product is -1 for even r, on top of the level-shift phase
-    # e^{-i a_n (t1 + t2)}; the l0=2 shift is negative and the ladder carries
-    # the same phase
-    for s, r in ((1, 0), (3, 2)):
-        rep = run_scenario(rb, mode="opposite", s=s, r=r, engine="adiabatic")
-        a, b = rep.parameters["a_rad_s"], rep.parameters["b_rad_s"]
-        assert a < 0
-        assert rep.phase_reference_rad == pytest.approx((s + r) * math.pi * a / abs(b), rel=1e-12)
-        t_sum = sum(rep.parameters["times_s"])
-        assert abs(np.exp(1j * rep.phase_measured_rad) + np.exp(1j * a * t_sum)) < 1e-9
-        rl = run_scenario(rb, mode="opposite", s=s, r=r, engine="ladder")
-        assert _phase_gap(rep, rl) < 1e-3
+def _check_scheduled_phase(p, **kw):
+    """phase_reference_rad is the phase the adiabatic engine prepares.
+
+    The relative amplitude of the prepared state's flipped component,
+    e^{-i phase_measured}, must equal sign * e^{-i phase_reference} (sign -1
+    for the *_minus kinds) and the product over atoms of the closed-form flip
+    factor i*sin(b_n t/2)*e^{-i a_n t}; the ladder engine prepares the same
+    phase.
+    """
+    rep = run_scenario(p, engine="adiabatic", **kw)
+    sign = 1.0 if rep.target_kind.endswith("plus") else -1.0
+    measured = np.exp(-1j * rep.phase_measured_rad)
+    assert abs(sign * np.exp(-1j * rep.phase_reference_rad) - measured) < 1e-9
+    a, b = rep.parameters["a_rad_s"], rep.parameters["b_rad_s"]
+    flip = np.prod([1j * np.sin(0.5 * b * t) * np.exp(-1j * a * t) for t in rep.parameters["times_s"]])
+    assert abs(flip / abs(flip) - measured) < 1e-9
+    assert rep.fidelity > 1.0 - 1e-12
+    rl = run_scenario(p, engine="ladder", **kw)
+    assert _phase_gap(rep, rl) < 1e-3
+    return rep, rl
+
+
+def _signed_ratio_params(l0, sign, ratio=0.02):
+    base = rubidium_preset()
+    return with_regime_ratio(replace(base, l0=l0, detuning=sign * base.detuning), ratio)
+
+
+def test_bell_phase_bookkeeping():
+    for l0 in (2, 4, 6):
+        for sign in (1, -1):
+            p = _signed_ratio_params(l0, sign)
+            for mode in ("opposite", "same"):
+                for s, r in ((1, 0), (1, 1), (3, 0), (3, 1), (3, 2)):
+                    _check_scheduled_phase(p, mode=mode, s=s, r=r)
 
 
 def test_bell_phase_reference_l0_4():
     p = with_regime_ratio(replace(rubidium_preset(), l0=4), 0.02)
-    rep = run_scenario(p, mode="opposite", engine="adiabatic")
-    # a/|b| is a third at l0=4 (test_adiabatic), so (s+r)*pi*a/|b| is pi/3
-    assert rep.phase_reference_rad == pytest.approx(math.pi / 3.0, rel=1e-4)
-    assert rep.fidelity > 1.0 - 1e-12
-    # the ladder prepares the phase the two-level run predicts
-    rl = run_scenario(p, mode="opposite", engine="ladder")
-    assert _phase_gap(rep, rl) < 1e-3
+    rep, rl = _check_scheduled_phase(p, mode="opposite")
+    # psi_plus: the reference is the measured phase itself, -pi/3 up to
+    # the O(ratio^2) corrections of a_n/|b_n| = 1/3 (test_adiabatic)
+    assert rep.phase_reference_rad == pytest.approx(rep.phase_measured_rad, abs=1e-9)
+    assert rep.phase_reference_rad == pytest.approx(-math.pi / 3.0, rel=1e-3)
     assert rl.fidelity > 0.9999
 
 
@@ -422,15 +422,13 @@ def test_ghz_ladder(rb):
 
 
 def test_ghz_reference_phase_formulas():
-    p = with_regime_ratio(replace(rubidium_preset(), l0=4), 0.02)
-    c = adiabatic.coeffs(p.n0, p.l0, derive(p))
-    rep = run_scenario(p, mode="same", k=3, engine="adiabatic")
-    a_over_b = c.a_n / abs(c.b_n)
-    assert a_over_b == pytest.approx(1.0 / 3.0, rel=1e-3)
-    assert rep.phase_reference_rad == pytest.approx(3 * 1 * math.pi * a_over_b / 2.0)
-    rep_r = run_scenario(p, mode="same", k=3, r=1, engine="adiabatic")
-    assert rep_r.target_kind == "ghz_minus"
-    assert rep_r.phase_reference_rad == pytest.approx((2 * 1 + 2 * 1) * math.pi * a_over_b / 2.0)
+    for l0 in (2, 4, 6):
+        for sign in (1, -1):
+            p = _signed_ratio_params(l0, sign)
+            for k in (3, 5):
+                for r in (0, 1):
+                    rep, _ = _check_scheduled_phase(p, mode="same", k=k, r=r)
+                    assert rep.target_kind == ("ghz_plus" if r == 0 else "ghz_minus")
 
 
 def test_scenario_validation(rb):
