@@ -284,7 +284,8 @@ def validate_point(
 
     try:
         rep = entangle.run_scenario(
-            p, s=s, mode="opposite", engine="ladder", fit_phase=True, allow_violated=True
+            p, s=s, mode="opposite", engine="ladder", fit_phase=True, allow_violated=True,
+            l_range=l_range,
         )
         report["bell_fidelity"] = rep.fidelity
     except (ladder.TruncationError, ValueError) as exc:

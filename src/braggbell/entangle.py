@@ -2,12 +2,13 @@
 
 Each atom is reduced to a momentum qubit {|+> = P_{+l0}, |-> = P_{-l0}}; in a
 ladder-backed run the population outside those two orders is recorded as
-leakage rather than silently renormalized away per atom. The joint state of k
-atoms and the field superposition (|0> + |n0>)/sqrt(2) keeps one product of
-atom amplitudes per field branch, which is exactly the structure the separable
-Hamiltonian enforces. compose builds each product as a chain of broadcast
-outer products over a (branch, atom, qubit) array, and scales by the field
-amplitudes last.
+leakage rather than silently renormalized away per atom. The state is one
+complex (branch, atom, qubit) array from preparation to measurement: entry
+[b, i] holds atom i's (c_plus, c_minus) in field branch b (0 vacuum, 1 Fock).
+The joint state of k atoms and the field (|0> + |n0>)/sqrt(2) (FIELD) keeps
+one product of atom amplitudes per field branch, which is exactly the
+structure the separable Hamiltonian enforces; compose builds each product as
+a chain of broadcast outer products and scales by the field amplitudes last.
 
 Projecting the field onto {|0>, |n0>} collapses the atoms to a product state;
 projecting onto (|0> +- |n0>)/sqrt(2) transfers the branch coherence to the
@@ -17,15 +18,18 @@ concurrence of a two-qubit pure state is the closed form 2|c00*c11 - c01*c10|
 (Wootters); the density-operator formula `concurrence` is kept for mixed
 states.
 
-Phase convention: targets are written (|u> + sign * e^{-i phi} |v>)/sqrt(2).
-The exact per-atom propagator puts a factor +-i, set by the sign of b_n and
-the pulse multiple s, on every flipped amplitude, on top of the level-shift
-phase e^{-i a_n t}. The scheduled target takes its phase from the same
-closed-form solve that prepares the adiabatic engine's Fock branch, so one
-solve per atom serves both; the vacuum branch (a = b = 0) keeps its initial
-amplitudes. Reports carry the measured phase and this scheduled phase
-(phase_reference_rad) side by side; for the adiabatic engine without the
-Stark term they agree exactly.
+Phase convention: targets are written (|u> + sign * e^{-i phi} |v>)/sqrt(2),
+with u the atoms' initial qubit index and v the flipped one, both fixed by
+the preparation mode. The exact per-atom propagator puts a factor +-i, set
+by the sign of b_n and the pulse multiple s, on every flipped amplitude, on
+top of the level-shift phase e^{-i a_n t} and, with the Stark term, the
+Fock-branch phase e^{+i chi n0 t}. The scheduled target takes its phase from
+the same closed-form Fock-branch pairs that the adiabatic engine prepares,
+so one solve per atom serves both. The vacuum branch (a = b = 0, no Stark
+shift at n = 0) keeps its initial amplitudes in both engines; the ladder
+engine propagates the Fock branch only. Reports carry the measured phase and
+this scheduled phase (phase_reference_rad) side by side; for the adiabatic
+engine they agree exactly, up to the sign that the *_minus kinds carry.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -60,97 +63,33 @@ class RegimeError(RuntimeError):
     """Requested run sits outside the Bragg regime."""
 
 
-@dataclass(frozen=True)
-class FieldSuperposition:
-    """Cavity field a0|0> + a1|n0> with |a0|^2 + |a1|^2 = 1."""
-
-    amp_vacuum: complex
-    amp_fock: complex
-    n0: int
-
-    def __post_init__(self):
-        norm = abs(self.amp_vacuum) ** 2 + abs(self.amp_fock) ** 2
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"field amplitudes must be normalized, |.|^2 = {norm}")
-        if self.n0 < 1:
-            raise ValueError(f"n0 must be >= 1, got {self.n0}")
-
-    @classmethod
-    def balanced(cls, n0: int) -> "FieldSuperposition":
-        amp = 1.0 / math.sqrt(2.0)
-        return cls(amp_vacuum=amp, amp_fock=amp, n0=n0)
+# the cavity field (|0> + |n0>)/sqrt2, one amplitude per branch (0 vacuum, 1 Fock)
+FIELD = np.full((2, 1), 1.0 / math.sqrt(2.0), dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class BranchAmplitudes:
-    """One atom's qubit amplitudes (c_plus, c_minus) in each field branch.
+def compose(pairs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Joint state of FIELD and k atoms as a product over atoms per branch.
 
-    Branch norms may fall below one; the deficit is two-mode leakage and is
-    accounted for when composing the joint state.
+    pairs[b, i] is atom i's (c_plus, c_minus) in field branch b. Returns the
+    normalized (2, 2^k) vector, vector[b, i] with i the big-endian qubit index
+    (atom 0 is the most significant bit, bit 0 = |+>, bit 1 = |->), and the
+    leakage: the probability that fell outside the two-mode subspaces, where
+    an atom's branch norm is below one.
     """
-
-    vacuum: tuple[complex, complex]
-    fock: tuple[complex, complex]
-    n0: int
-
-    def __post_init__(self):
-        for name, pair in (("vacuum", self.vacuum), ("fock", self.fock)):
-            norm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
-            if norm > 1.0 + 1e-9:
-                raise ValueError(f"{name} branch norm {norm} exceeds 1")
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Normalized joint vector over (field branch) x (k momentum qubits).
-
-    vector[b, i]: b = 0 vacuum / 1 Fock branch; i = big-endian qubit index
-    (atom 0 is the most significant bit, bit 0 = |+>, bit 1 = |->).
-    `leakage` is the probability that fell outside the two-mode subspaces
-    before normalization.
-    """
-
-    vector: np.ndarray
-    n0: int
-    k: int
-    leakage: float = 0.0
-
-    def __post_init__(self):
-        vec = np.array(self.vector, dtype=np.complex128)
-        object.__setattr__(self, "vector", vec)
-        if vec.shape != (2, 2**self.k):
-            raise ValueError(f"vector shape {vec.shape}, expected (2, {2**self.k})")
-        if not 0.0 <= self.leakage <= 1.0:
-            raise ValueError(f"leakage {self.leakage} outside [0, 1]")
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"joint vector must be normalized, got norm {norm}")
-
-
-def compose(atoms: Sequence[BranchAmplitudes], f: FieldSuperposition) -> JointState:
-    """Assemble the joint state per field branch as a product over atoms."""
-    if not atoms:
-        raise ValueError("need at least one atom")
-    if len(atoms) > MAX_ATOMS:
-        raise ValueError(f"at most {MAX_ATOMS} atoms supported, got {len(atoms)}")
-    for a in atoms:
-        if a.n0 != f.n0:
-            raise ValueError(f"atom prepared for n0={a.n0}, field has n0={f.n0}")
-    k = len(atoms)
-    # pairs[b, i] = atom i's (c_plus, c_minus) in branch b; each outer product
-    # appends one atom as the next less significant bit
-    pairs = np.array(
-        [[a.vacuum for a in atoms], [a.fock for a in atoms]], dtype=np.complex128
-    )
+    pairs = np.asarray(pairs, dtype=np.complex128)
+    if pairs.ndim != 3 or pairs.shape[::2] != (2, 2) or not 1 <= pairs.shape[1] <= MAX_ATOMS:
+        raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2), got {pairs.shape}")
+    if np.any(np.sum(np.abs(pairs) ** 2, axis=2) > 1.0 + 1e-9):
+        raise ValueError("an atom's branch norm exceeds 1")
+    # each outer product appends one atom as the next less significant bit
     vec = np.ones((2, 1), dtype=np.complex128)
-    for i in range(k):
+    for i in range(pairs.shape[1]):
         vec = (vec[:, :, None] * pairs[:, i, None, :]).reshape(2, -1)
-    vec *= np.array([[f.amp_vacuum], [f.amp_fock]], dtype=np.complex128)
+    vec *= FIELD
     raw = float(np.linalg.norm(vec) ** 2)
-    leakage = max(0.0, 1.0 - raw)
     if raw <= 0.0:
         raise ValueError("joint state has zero norm")
-    return JointState(vector=vec / math.sqrt(raw), n0=f.n0, k=k, leakage=leakage)
+    return vec / math.sqrt(raw), max(0.0, 1.0 - raw)
 
 
 def superposition_basis() -> np.ndarray:
@@ -174,16 +113,16 @@ def _check_basis(basis: np.ndarray, what: str) -> np.ndarray:
 
 
 def measure_field(
-    j: JointState, basis: np.ndarray, outcome: int
+    vector: np.ndarray, basis: np.ndarray, outcome: int
 ) -> tuple[float, np.ndarray]:
-    """Born-rule projection of the field onto basis row `outcome`.
+    """Born-rule projection of compose's (2, 2^k) vector onto field basis row `outcome`.
 
     Returns (probability, renormalized atom state of dimension 2^k).
     """
     basis = _check_basis(basis, "field")
     if outcome not in (0, 1):
         raise MeasurementError(f"outcome must be 0 or 1, got {outcome}")
-    post = basis[outcome].conj() @ j.vector
+    post = basis[outcome].conj() @ vector
     prob = float(np.linalg.norm(post) ** 2)
     if prob < 1e-14:
         raise MeasurementError(f"outcome {outcome} has zero probability ({prob:.3e})")
@@ -337,21 +276,20 @@ def _atom_pairs_ladder(
     d: DerivedParams,
     l_range: tuple[int, int] | None,
     include_stark: bool,
-) -> list[BranchAmplitudes]:
-    # the mirror ladder has the same amplitudes; direction only relabels
-    # which resonant order is |+>; c is the Fock branch's reduction, whose
-    # b_n the resolution guard checks
-    branches = []
-    for n_br in (0, c.n):
-        h = ladder.build_hamiltonian(n_br, c.l0, d, l_range, include_stark)
-        if n_br:
-            ladder.check_resolution(h, c.b_n)
-        st = ladder.initial_state(c.l0, l_range=l_range, n=n_br)
-        amps = ladder.sample_evolution(st, h, times)
-        ladder.check_norm_drift(amps, st, ladder.DEFAULT_TOL)
-        pairs = amps[:, [st.index_of(0), st.index_of(-c.l0)]].tolist()
-        branches.append([(a, b) if dr == 1 else (b, a) for (a, b), dr in zip(pairs, directions)])
-    return [BranchAmplitudes(vacuum=v, fock=f, n0=c.n) for v, f in zip(*branches)]
+) -> np.ndarray:
+    """Each atom's Fock-branch (c_plus, c_minus) from one ladder propagation, shape (k, 2).
+
+    c is the Fock branch's reduction, whose b_n the resolution guard checks.
+    The mirror ladder has the same amplitudes; direction only relabels which
+    resonant order is |+>.
+    """
+    h = ladder.build_hamiltonian(c.n, c.l0, d, l_range, include_stark)
+    ladder.check_resolution(h, c.b_n)
+    st = ladder.initial_state(c.l0, l_range=l_range, n=c.n)
+    amps = ladder.sample_evolution(st, h, times)
+    ladder.check_norm_drift(amps, st, ladder.DEFAULT_TOL)
+    pairs = amps[:, [st.index_of(0), st.index_of(-c.l0)]]
+    return np.where(np.array(directions)[:, None] == 1, pairs, pairs[:, ::-1])
 
 
 def run_scenario(
@@ -402,28 +340,28 @@ def run_scenario(
     c = adiabatic.coeffs(p.n0, p.l0, d)
     t1, t2 = adiabatic.pulse_times(c, s, r)
     times = [t1] * (k - 1) + [t2]
-    directions = [1, -1] if (k == 2 and mode == "opposite") else [1] * k
-    inits = [(1.0 + 0.0j, 0.0j) if drc == 1 else (0.0j, 1.0 + 0.0j) for drc in directions]
-    # one closed-form solve per atom's Fock branch serves the adiabatic engine
-    # and the scheduled target of either engine
-    fock = [adiabatic.solve(init, c, t) for init, t in zip(inits, times)]
-
-    if engine == "adiabatic":
-        # the vacuum branch (a = b = 0) keeps its initial amplitudes; a uniform
-        # -chi*n shift of the Fock-branch diagonal is a global phase
-        # exp(+i chi n t) there, so it can be applied exactly after the solve
-        stark_rate = d.chi * p.n0 if include_stark else 0.0
-        atoms = [
-            BranchAmplitudes(vacuum=init, fock=(ph * sol.c_plus, ph * sol.c_minus), n0=p.n0)
-            for init, sol, ph in zip(inits, fock, np.exp(1j * stark_rate * np.array(times)))
-        ]
+    # opposite: |+-> in, |-+> flipped; same: |+...+> in, |-...-> flipped
+    if mode == "opposite":
+        directions, init_idx, flip_idx = [1, -1], 0b01, 0b10
     else:
-        atoms = _atom_pairs_ladder(directions, times, c, d, l_range, include_stark)
-
-    joint = compose(atoms, FieldSuperposition.balanced(p.n0))
+        directions, init_idx, flip_idx = [1] * k, 0, 2**k - 1
+    inits = np.array([(1, 0) if drc == 1 else (0, 1) for drc in directions], dtype=np.complex128)
+    # one closed-form solve per atom's Fock branch serves the adiabatic engine
+    # and the scheduled target of either engine; a uniform -chi*n shift of the
+    # Fock-branch diagonal is the global phase exp(+i chi n t) there
+    stark_rate = d.chi * p.n0 if include_stark else 0.0
+    sols = [adiabatic.solve(init, c, t) for init, t in zip(inits, times)]
+    closed_form = np.array([(sol.c_plus, sol.c_minus) for sol in sols])
+    closed_form *= np.exp(1j * stark_rate * np.array(times))[:, None]
+    if engine == "adiabatic":
+        fock = closed_form
+    else:
+        fock = _atom_pairs_ladder(directions, times, c, d, l_range, include_stark)
+    # the vacuum branch (a = b = 0) keeps its initial amplitudes
+    vector, leakage = compose(np.stack([inits, fock]))
 
     # scheduled target: family from the preparation mode, sign from r parity,
-    # phase from the closed-form flip coefficient
+    # phase from the closed-form flip coefficients
     sign_name = "plus" if r % 2 == 0 else "minus"
     if k == 2:
         scenario = f"bell-{mode}"
@@ -432,18 +370,12 @@ def run_scenario(
         scenario = "ghz"
         kind = f"ghz_{sign_name}"
 
-    init_idx = _bits_to_index([0 if drc == 1 else 1 for drc in directions])
-    flip_idx = _bits_to_index([1 if drc == 1 else 0 for drc in directions])
-
-    f_pred = 1.0 + 0.0j
-    for init, sol in zip(inits, fock):
-        f_pred *= sol.c_minus if init[0] != 0 else sol.c_plus
+    # each atom's flipped amplitude is the one its initial state leaves at zero
+    f_pred = math.prod(closed_form[inits == 0], start=1.0 + 0.0j)
     sign = 1.0 if r % 2 == 0 else -1.0
     target_phase = -float(np.angle(sign * f_pred))
 
-    phase_measured = -float(
-        np.angle(joint.vector[1, flip_idx] * np.conj(joint.vector[0, init_idx]))
-    )
+    phase_measured = -float(np.angle(vector[1, flip_idx] * np.conj(vector[0, init_idx])))
 
     labels, basis_of = _BASES[basis]
     basis_mat = basis_of()
@@ -451,13 +383,16 @@ def run_scenario(
     probs: dict[str, float] = {}
     collapse: dict | None = None
     for idx, label in enumerate(labels):
-        prob, post = measure_field(joint, basis_mat, idx)
+        prob, post = measure_field(vector, basis_mat, idx)
         out_kind = kind if idx == 0 else _flip_kind(kind)
-        target = _scheduled_target(out_kind, target_phase, k)
         if fit_phase:
-            fid = _phase_fitted_fidelity(post, k)
+            # fidelity maximized over the target's relative phase
+            fid = float((abs(post[init_idx]) + abs(post[flip_idx])) ** 2 / 2.0)
         else:
-            fid = fidelity(post, target)
+            target = np.zeros(2**k, dtype=np.complex128)
+            target[init_idx] = 1.0
+            target[flip_idx] = (1 if out_kind.endswith("plus") else -1) * np.exp(-1j * target_phase)
+            fid = fidelity(post, target / math.sqrt(2.0))
         conc = concurrence_pure(post) if k == 2 else None
         outcomes[label] = {
             "probability": prob,
@@ -472,8 +407,7 @@ def run_scenario(
     selected_label = labels[selected_outcome]
     selected = outcomes[selected_label]
 
-    vac_branch = joint.vector[0]
-    vac_pops = np.abs(vac_branch / np.linalg.norm(vac_branch)) ** 2
+    vac_pops = np.abs(vector[0] / np.linalg.norm(vector[0])) ** 2
     expected = np.zeros_like(vac_pops)
     expected[init_idx] = 1.0
     vacuum_deviation = float(np.max(np.abs(vac_pops - expected)))
@@ -504,7 +438,7 @@ def run_scenario(
         concurrence=selected["concurrence"],
         phase_measured_rad=phase_measured,
         phase_reference_rad=target_phase,
-        leakage=joint.leakage,
+        leakage=leakage,
         outcome_probabilities=probs,
         outcomes=outcomes,
         vacuum_deviation=vacuum_deviation,
@@ -512,33 +446,6 @@ def run_scenario(
         selected_outcome=selected_label,
         ghz_collapse=collapse,
     )
-
-
-def _bits_to_index(bits: list[int]) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
-
-
-def _scheduled_target(kind: str, phase: float, k: int) -> np.ndarray:
-    if kind.startswith("ghz"):
-        return ghz_target(k, 1 if kind.endswith("plus") else -1, phase)
-    return bell_target(kind, phase)
-
-
-def _phase_fitted_fidelity(post: np.ndarray, k: int) -> float:
-    """Fidelity maximized over the target's relative phase (family fixed)."""
-    u_idx, v_idx = (0b01, 0b10) if _looks_psi(post, k) else (0, 2**k - 1)
-    return float((abs(post[u_idx]) + abs(post[v_idx])) ** 2 / 2.0)
-
-
-def _looks_psi(post: np.ndarray, k: int) -> bool:
-    if k != 2:
-        return False
-    psi_weight = abs(post[0b01]) ** 2 + abs(post[0b10]) ** 2
-    phi_weight = abs(post[0b00]) ** 2 + abs(post[0b11]) ** 2
-    return psi_weight >= phi_weight
 
 
 def _ghz_collapse(post: np.ndarray, k: int, kind: str, phase: float) -> dict:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import braggbell
 import oracles
-from braggbell import cli, ladder, params
+from braggbell import cli, entangle, ladder, params
 from braggbell.cli import main
 
 
@@ -247,6 +248,20 @@ def test_validate_l0_4_shift_block(capsys):
     # b_n < 0 at l0=4; validate reports the flip rate, which the ladder shows
     assert rep["b_rad_s"] == pytest.approx(splitting, rel=1e-8)
     assert rep["freq_ratio"] == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("guard", [6, 20])
+def test_validate_guard_sets_the_bell_fidelity_ladder(capsys, guard):
+    # --guard truncates the ladder of the Bell fidelity as well as the samples
+    code, out, _ = run(capsys, "validate", "--l0", "4", "--guard", str(guard), "--samples", "64")
+    assert code == 0
+    rep = json.loads(out)
+    p = replace(params.rubidium_preset(), l0=4)
+    expect = entangle.run_scenario(
+        p, mode="opposite", engine="ladder", fit_phase=True, allow_violated=True,
+        l_range=ladder.default_range(4, guard),
+    )
+    assert rep["bell_fidelity"] == expect.fidelity
 
 
 # --- sweep -------------------------------------------------------------------

@@ -7,8 +7,6 @@ import pytest
 import oracles
 from braggbell import adiabatic, entangle, ladder
 from braggbell.entangle import (
-    BranchAmplitudes,
-    FieldSuperposition,
     MeasurementError,
     RegimeError,
     bell_target,
@@ -33,12 +31,14 @@ def rb():
     return rubidium_preset()
 
 
-def _passive_atom(n0=1):
-    return BranchAmplitudes(vacuum=(1.0, 0.0), fock=(1.0, 0.0), n0=n0)
+# one atom's ((vacuum c_plus, c_minus), (Fock c_plus, c_minus))
+PASSIVE = ((1.0, 0.0), (1.0, 0.0))
+FLIPPER = ((1.0, 0.0), (0.0, 1.0))
 
 
-def _flipper_atom(n0=1, amp=1.0):
-    return BranchAmplitudes(vacuum=(1.0, 0.0), fock=(0.0, amp), n0=n0)
+def _pairs(*atoms):
+    """compose's (branch, atom, qubit) array from per-atom branch pairs."""
+    return np.array(atoms, dtype=np.complex128).transpose(1, 0, 2)
 
 
 # --- targets and measures ----------------------------------------------------
@@ -148,72 +148,70 @@ def test_concurrence_validates_input():
 # --- composition and measurement ---------------------------------------------
 
 
-def test_field_superposition_validation():
-    f = FieldSuperposition.balanced(2)
-    assert abs(f.amp_vacuum) ** 2 + abs(f.amp_fock) ** 2 == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        FieldSuperposition(1.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        FieldSuperposition(1.0, 0.0, 0)
-
-
 def test_compose_passive_atoms_has_no_entanglement():
-    j = compose([_passive_atom(), _passive_atom()], FieldSuperposition.balanced(1))
-    assert j.leakage == pytest.approx(0.0, abs=1e-12)
-    prob, post = measure_field(j, superposition_basis(), 0)
+    vector, leakage = compose(_pairs(PASSIVE, PASSIVE))
+    assert leakage == pytest.approx(0.0, abs=1e-12)
+    prob, post = measure_field(vector, superposition_basis(), 0)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert concurrence_pure(post) == pytest.approx(0.0, abs=1e-12)
     # orthogonal outcome has zero probability -> must refuse to renormalize
     with pytest.raises(MeasurementError):
-        measure_field(j, superposition_basis(), 1)
+        measure_field(vector, superposition_basis(), 1)
 
 
 def test_compose_records_leakage():
-    lossy = BranchAmplitudes(vacuum=(1.0, 0.0), fock=(0.0, math.sqrt(0.98)), n0=1)
-    j = compose([lossy, _passive_atom()], FieldSuperposition.balanced(1))
+    lossy = ((1.0, 0.0), (0.0, math.sqrt(0.98)))
+    vector, leakage = compose(_pairs(lossy, PASSIVE))
     # only the fock branch of atom 1 lost norm: total deficit = 0.02/2
-    assert j.leakage == pytest.approx(0.01, rel=1e-9)
-    assert np.linalg.norm(j.vector) == pytest.approx(1.0, abs=1e-12)
+    assert leakage == pytest.approx(0.01, rel=1e-9)
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compose_matches_kron_chain_exactly():
     rng = np.random.default_rng(3)
 
-    def lossy_pair():
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        return tuple(complex(x) for x in v / np.linalg.norm(v) * rng.uniform(0.9, 0.999))
+    def lossy_pairs(k):
+        v = rng.normal(size=(2, k, 2)) + 1j * rng.normal(size=(2, k, 2))
+        return v / np.linalg.norm(v, axis=2, keepdims=True) * rng.uniform(0.9, 0.999, size=(2, k, 1))
 
-    f = FieldSuperposition(0.6, 0.8j, 1)
     for k in range(1, entangle.MAX_ATOMS + 1):
-        atoms = [BranchAmplitudes(vacuum=lossy_pair(), fock=lossy_pair(), n0=1) for _ in range(k)]
-        raw_vec = oracles.kron_product_state(
-            [[a.vacuum for a in atoms], [a.fock for a in atoms]], [f.amp_vacuum, f.amp_fock]
-        )
+        pairs = lossy_pairs(k)
+        raw_vec = oracles.kron_product_state(pairs, [INV_SQRT2, INV_SQRT2])
         raw = float(np.linalg.norm(raw_vec) ** 2)
-        j = compose(atoms, f)
-        assert j.leakage == 1.0 - raw > 0.0
-        np.testing.assert_array_equal(j.vector, raw_vec / math.sqrt(raw))
+        vector, leakage = compose(pairs)
+        assert leakage == 1.0 - raw > 0.0
+        np.testing.assert_array_equal(vector, raw_vec / math.sqrt(raw))
 
 
-def test_compose_rejects_mismatched_n0():
-    with pytest.raises(ValueError):
-        compose([_passive_atom(n0=1)], FieldSuperposition.balanced(2))
+def test_compose_rejects_bad_input():
+    bad_shapes = [
+        np.ones((2, 2)),  # no atom axis
+        np.ones((3, 1, 2)),  # three field branches
+        np.ones((2, 1, 3)),  # qubit with three levels
+        np.ones((2, 0, 2)),  # k = 0
+        np.full((2, entangle.MAX_ATOMS + 1, 2), INV_SQRT2),
+    ]
+    for pairs in bad_shapes:
+        with pytest.raises(ValueError, match="shape"):
+            compose(pairs)
+    with pytest.raises(ValueError, match="branch norm"):
+        compose(_pairs(PASSIVE, ((1.0, 0.0), (0.8, 0.61))))
 
 
 def test_compose_entangling_case():
-    j = compose([_flipper_atom(), _flipper_atom()], FieldSuperposition.balanced(1))
-    _, post = measure_field(j, superposition_basis(), 0)
+    vector, _ = compose(_pairs(FLIPPER, FLIPPER))
+    _, post = measure_field(vector, superposition_basis(), 0)
     assert fidelity(post, bell_target("phi_plus")) == pytest.approx(1.0, abs=1e-12)
-    _, post1 = measure_field(j, superposition_basis(), 1)
+    _, post1 = measure_field(vector, superposition_basis(), 1)
     assert fidelity(post1, bell_target("phi_minus")) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_field_validates_basis():
-    j = compose([_flipper_atom()], FieldSuperposition.balanced(1))
+    vector, _ = compose(_pairs(FLIPPER))
     with pytest.raises(MeasurementError):
-        measure_field(j, np.array([[1.0, 0.0], [1.0, 0.0]]), 0)
+        measure_field(vector, np.array([[1.0, 0.0], [1.0, 0.0]]), 0)
     with pytest.raises(MeasurementError):
-        measure_field(j, superposition_basis(), 2)
+        measure_field(vector, superposition_basis(), 2)
 
 
 def test_measure_atom_collapses_ghz():
@@ -274,22 +272,28 @@ def test_bell_ladder_engine(rb):
 
 
 def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
-    # one propagation per field branch, read out for every atom, must equal
-    # evolving each atom separately from its own (mirror-aware) initial state
+    # one propagation of the Fock branch, read out for every atom, must equal
+    # evolving each atom separately from its own (mirror-aware) initial state;
+    # the vacuum branch, which the scenario runner does not propagate, keeps
+    # its initial amplitudes exactly
     p = at_ratio(0.05, l0=4)
     d = derive(p)
     directions = [1, -1, 1]
     times = [0.7 * math.pi / d.chi, 1.3 * math.pi / d.chi, 0.2 * math.pi / d.chi]
     c = adiabatic.coeffs(p.n0, p.l0, d)
-    atoms = entangle._atom_pairs_ladder(directions, times, c, d, None, False)
-    for atom, direction, t in zip(atoms, directions, times):
-        for branch, n in (("vacuum", 0), ("fock", p.n0)):
+    fock = entangle._atom_pairs_ladder(directions, times, c, d, None, False)
+    assert fock.shape == (3, 2)
+    for pair, direction, t in zip(fock, directions, times):
+        # a mirror atom enters on P_{-l0}: its |+> is the deflected order
+        order = [0, 1] if direction == 1 else [1, 0]
+        for n in (0, p.n0):
             h = ladder.build_hamiltonian(n, p.l0, d)
             out = ladder.evolve(ladder.initial_state(p.l0, n=n), h, t)
-            incident, deflected = out.amplitudes[[out.index_of(0), out.index_of(-p.l0)]]
-            # a mirror atom enters on P_{-l0}: its |+> is the deflected order
-            expect = (incident, deflected) if direction == 1 else (deflected, incident)
-            np.testing.assert_allclose(getattr(atom, branch), expect, rtol=0, atol=1e-12)
+            expect = out.amplitudes[[out.index_of(0), out.index_of(-p.l0)]][order]
+            if n:
+                np.testing.assert_allclose(pair, expect, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(expect, np.array([1.0, 0.0])[order])
 
 
 def test_ladder_truncation_between_samples_is_caught(at_ratio):
@@ -389,6 +393,19 @@ def test_stark_term_is_pure_fock_branch_phase():
         assert abs(np.exp(1j * delta) - expect) < 1e-6
         deltas[engine] = delta
     assert abs(np.exp(1j * (deltas["adiabatic"] - deltas["ladder"])) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("l0", [2, 4, 6])
+def test_stark_phase_is_in_the_scheduled_target(l0):
+    # the Fock-branch phase exp(+i chi n0 t) per atom is prepared, so the
+    # scheduled target carries it too
+    p = replace(rubidium_preset(), l0=l0)
+    rep = run_scenario(p, engine="adiabatic", include_stark=True)
+    assert rep.phase_reference_rad == pytest.approx(rep.phase_measured_rad, abs=1e-9)
+    assert rep.fidelity > 1.0 - 1e-12
+    rl = run_scenario(p, engine="ladder", include_stark=True)
+    assert abs(np.exp(1j * (rl.phase_measured_rad - rl.phase_reference_rad)) - 1.0) < 1e-3
+    assert _phase_gap(rep, rl) < 1e-3
 
 
 def test_fit_phase_isolates_population_error(rb):

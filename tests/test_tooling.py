@@ -7,9 +7,14 @@ text, so nothing is written under `bench/`.
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
+
+import braggbell
 
 BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -30,3 +35,37 @@ def test_every_traced_layer_function_exists():
         module = importlib.import_module(f"braggbell.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"braggbell.{layer}.{name}"
+
+
+# Installs the tracer (which rebinds module attributes, hence a fresh
+# interpreter), runs one ladder Bell op and prints what was traced.
+_TRACED_OP = """
+import importlib, json, sys, types
+spans = types.ModuleType("bench_spans")
+exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), spans.__dict__)
+tracer = spans.Tracer()
+tracer.install()
+from braggbell import entangle, params
+entangle.run_scenario(params.rubidium_preset(), engine="ladder").to_json()
+wrapped = {}
+for layer, names in spans.LAYERS.items():
+    module = importlib.import_module("braggbell." + layer)
+    for name in names:
+        wrapped[layer + "." + name] = hasattr(getattr(module, name), "__wrapped__")
+print(json.dumps({"spans": [sp[2] for sp in tracer.spans], "wrapped": wrapped}))
+"""
+
+
+def test_tracer_installs_on_the_package_and_records_a_ladder_op():
+    src = str(Path(braggbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_OP, str(BENCH_SPANS)], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    traced = json.loads(res.stdout)
+    assert all(traced["wrapped"].values()), [k for k, v in traced["wrapped"].items() if not v]
+    # the ladder engine propagates the Fock branch only
+    assert traced["spans"].count("ladder.sample_evolution") == 1
+    assert traced["spans"].count("entangle.run_scenario") == 1
