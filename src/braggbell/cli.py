@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,21 +59,15 @@ SWEEP_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved plumbing for one invocation."""
-
-    preset: str
-    config_path: str | None
-    overrides: tuple[str, ...]
-    chi_ratio: float | None
-    output: str | None
-
-    def physical(self) -> params.PhysicalParams:
-        p = params.resolve_params(self.preset, self.config_path, list(self.overrides))
-        if self.chi_ratio is not None:
-            p = params.with_regime_ratio(p, self.chi_ratio)
-        return p
+def _physical(args: argparse.Namespace) -> params.PhysicalParams:
+    """Parameters from --preset, --config (else $BRAGG_CONFIG), --set and --chi-ratio."""
+    config_path = args.config
+    if config_path is None:
+        config_path = os.environ.get(params.ENV_CONFIG_VAR) or None
+    p = params.resolve_params(args.preset, config_path, args.overrides)
+    if args.chi_ratio is not None:
+        p = params.with_regime_ratio(p, args.chi_ratio)
+    return p
 
 
 def _json_text(obj) -> str:
@@ -99,11 +93,11 @@ def _derived_dict(d: params.DerivedParams) -> dict:
 # --- subcommand bodies -------------------------------------------------------
 
 
-def cmd_preset(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_preset(args: argparse.Namespace) -> int:
     if args.action == "list":
-        _emit("\n".join(sorted(params.PRESETS)) + "\n", cfg.output)
+        _emit("\n".join(sorted(params.PRESETS)) + "\n", args.output)
         return EXIT_OK
-    name = args.name if args.name is not None else cfg.preset
+    name = args.name if args.name is not None else args.preset
     p = params.get_preset(name)
     d = params.derive(p)
     verdict = params.validate_bragg_regime(d, p.n0)
@@ -113,22 +107,22 @@ def cmd_preset(args: argparse.Namespace, cfg: RunConfig) -> int:
         "derived": _derived_dict(d),
         "regime_verdict": verdict.value,
     }
-    _emit(_json_text(payload), cfg.output)
+    _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
-def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
-    p = cfg.physical()
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    p = _physical(args)
     d = params.derive(p)
     l0_list = _parse_int_list(args.l0) if args.l0 else [p.l0]
     n_list = _parse_int_list(args.n) if args.n else [p.n0]
     rows = [adiabatic.coeffs(n, l0, d) for l0 in l0_list for n in n_list]
-    _emit(adiabatic.format_coeffs_csv(rows), cfg.output)
+    _emit(adiabatic.format_coeffs_csv(rows), args.output)
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    p = cfg.physical()
+def cmd_simulate(args: argparse.Namespace) -> int:
+    p = _physical(args)
     if args.l0 is not None:
         p = replace(p, l0=args.l0)
     # photon number of the branch being propagated; 0 = vacuum is legitimate
@@ -162,6 +156,8 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
         duration = cycles * 2.0 * math.pi / rate
     if duration < 0:
         raise UsageError(f"duration must be >= 0, got {duration}")
+    if not math.isfinite(duration):
+        raise UsageError(f"duration must be finite, got {duration}")
 
     l_range = ladder.default_range(p.l0, args.guard)
     h = ladder.build_hamiltonian(n, p.l0, d, l_range, args.include_stark)
@@ -174,9 +170,9 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
         amps = ladder.sample_evolution(st, h, times)
     pops = np.abs(amps) ** 2
     csv_text = ladder.format_timeseries_csv(times, d.recoil_frequency, pops, st.orders)
-    _emit(csv_text, cfg.output)
+    _emit(csv_text, args.output)
 
-    if cfg.output is not None:
+    if args.output is not None:
         meta = {
             "command": "simulate",
             "physical": params.physical_dict(p),
@@ -188,7 +184,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
             "samples": int(len(times)),
             "include_stark": bool(args.include_stark),
         }
-        Path(cfg.output + ".meta.json").write_text(_json_text(meta))
+        Path(args.output + ".meta.json").write_text(_json_text(meta))
     return EXIT_OK
 
 
@@ -206,19 +202,19 @@ def _scenario_args(args: argparse.Namespace, k: int, mode: str) -> dict:
     )
 
 
-def cmd_bell(args: argparse.Namespace, cfg: RunConfig) -> int:
-    p = cfg.physical()
+def cmd_bell(args: argparse.Namespace) -> int:
+    p = _physical(args)
     rep = entangle.run_scenario(p, **_scenario_args(args, 2, args.mode))
-    _emit(rep.to_json(), cfg.output)
+    _emit(rep.to_json(), args.output)
     return EXIT_OK
 
 
-def cmd_ghz(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_ghz(args: argparse.Namespace) -> int:
     if args.k < 3:
         raise UsageError(f"ghz needs --k >= 3 (got {args.k}); use `bell` for two atoms")
-    p = cfg.physical()
+    p = _physical(args)
     rep = entangle.run_scenario(p, **_scenario_args(args, args.k, "same"))
-    _emit(rep.to_json(), cfg.output)
+    _emit(rep.to_json(), args.output)
     return EXIT_OK
 
 
@@ -248,14 +244,16 @@ def validate_point(
         report["error"] = "zero coupling (n=0); nothing to compare"
         return report
 
-    cycle = 2.0 * math.pi / rate
-    l_range = ladder.default_range(p.l0, guard)
-    h = ladder.build_hamiltonian(p.n0, p.l0, d, l_range)
-    st = ladder.initial_state(p.l0, l_range=l_range, n=p.n0)
-    times = np.linspace(0.0, cycle, samples)
+    times = np.linspace(0.0, 2.0 * math.pi / rate, samples)
+    # one propagation serves the cycle's samples and the Bell fidelity at t1
     try:
-        ladder.check_resolution(h, rate)
-        amps = ladder.sample_evolution(st, h, times)
+        t1, bell_error = [adiabatic.pulse_times(c, s)[0]], None
+    except ValueError as exc:
+        t1, bell_error = [], str(exc)
+    try:
+        pairs = entangle.ladder_pairs(
+            c, d, np.append(times, t1), ladder.default_range(p.l0, guard)
+        )
     except ladder.ResolutionError as exc:
         report["error"] = f"ladder resolution: {exc}"
         return report
@@ -263,10 +261,8 @@ def validate_point(
         report["error"] = f"ladder truncation: {exc}"
         return report
 
-    i_plus = st.index_of(0)
-    i_flip = st.index_of(-p.l0)
-    p_plus = np.abs(amps[:, i_plus]) ** 2
-    p_flip = np.abs(amps[:, i_flip]) ** 2
+    pops = np.abs(pairs[:samples]) ** 2
+    p_plus, p_flip = pops[:, 0], pops[:, 1]
     two_mode = p_plus + p_flip
     half = 0.5 * rate * times
     dev = np.maximum(np.abs(p_plus - np.cos(half) ** 2), np.abs(p_flip - np.sin(half) ** 2))
@@ -282,16 +278,13 @@ def validate_point(
         }
     )
 
-    try:
-        rep = entangle.run_scenario(
-            p, s=s, mode="opposite", engine="ladder", fit_phase=True, allow_violated=True,
-            l_range=l_range,
-        )
-        report["bell_fidelity"] = rep.fidelity
-    except (ladder.TruncationError, ValueError) as exc:
-        report["bell_fidelity"] = None
-        report["bell_error"] = str(exc)
-
+    if bell_error is not None:
+        report.update(bell_fidelity=None, bell_error=bell_error)
+        return report
+    # opposite incidence: |+-> in, |-+> flipped; the mirror atom's pair is reversed
+    vector, _ = entangle.compose(np.array([[(1, 0), (0, 1)], [pairs[-1], pairs[-1, ::-1]]]))
+    _, post = entangle.measure_field(vector, entangle.superposition_basis(), 0)
+    report["bell_fidelity"] = entangle.fitted_fidelity(post, 0b01, 0b10)
     return report
 
 
@@ -300,9 +293,9 @@ def _check_samples(samples: int) -> None:
         raise UsageError(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
 
 
-def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     _check_samples(args.samples)
-    p = cfg.physical()
+    p = _physical(args)
     if args.l0 is not None or args.n is not None:
         p = replace(
             p,
@@ -310,7 +303,7 @@ def cmd_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
             n0=args.n if args.n is not None else p.n0,
         )
     report = validate_point(p, s=args.s, samples=args.samples, guard=args.guard)
-    _emit(_json_text(report), cfg.output)
+    _emit(_json_text(report), args.output)
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
         print(
             f"regime violated: chi*n/w_rec = {abs(report['chi_ratio']):.3g}",
@@ -334,9 +327,9 @@ def _sweep_param(base: params.PhysicalParams, var: str, value: float):
     return base, int(value)  # var == "s"
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     _check_samples(args.samples)
-    base = cfg.physical()
+    base = _physical(args)
     values = _parse_value_list(args.var, args.values)
     if not values:
         raise UsageError("sweep needs at least one value")
@@ -351,7 +344,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         points.append({"var": args.var, "value": value, **point})
 
     if args.format == "json":
-        _emit(_json_text(points), cfg.output)
+        _emit(_json_text(points), args.output)
         return EXIT_OK
 
     buf = io.StringIO()
@@ -370,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             else:
                 cells.append(format(float(v), ".15g"))
         writer.writerow(cells)
-    _emit(buf.getvalue(), cfg.output)
+    _emit(buf.getvalue(), args.output)
     return EXIT_OK
 
 
@@ -518,20 +511,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; remap to our contract
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
-    config_path = args.config
-    if config_path is None:
-        config_path = os.environ.get(params.ENV_CONFIG_VAR) or None
-
-    cfg = RunConfig(
-        preset=args.preset,
-        config_path=config_path,
-        overrides=tuple(args.overrides),
-        chi_ratio=args.chi_ratio,
-        output=args.output,
-    )
-
     try:
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except (
         entangle.RegimeError,
         ladder.TruncationError,

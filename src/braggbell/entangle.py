@@ -269,27 +269,31 @@ def _flip_kind(kind: str) -> str:
     return f"{stem}_{'minus' if sign == 'plus' else 'plus'}"
 
 
-def _atom_pairs_ladder(
-    directions: list[int],
-    times: list[float],
+def ladder_pairs(
     c: adiabatic.TwoLevelCoeffs,
     d: DerivedParams,
-    l_range: tuple[int, int] | None,
-    include_stark: bool,
+    times,
+    l_range: tuple[int, int] | None = None,
+    include_stark: bool = False,
 ) -> np.ndarray:
-    """Each atom's Fock-branch (c_plus, c_minus) from one ladder propagation, shape (k, 2).
+    """Fock-branch (c_plus, c_minus) at each of `times` from one ladder propagation.
 
-    c is the Fock branch's reduction, whose b_n the resolution guard checks.
-    The mirror ladder has the same amplitudes; direction only relabels which
-    resonant order is |+>.
+    Shape (len(times), 2), for an atom entering on +P_{l0}. c is the Fock
+    branch's reduction, whose b_n the resolution guard checks; l_range sets
+    the truncation (default ladder.default_range). A mirror atom has the same
+    amplitudes with |+> and |-> swapped, a reversal left to the caller.
     """
     h = ladder.build_hamiltonian(c.n, c.l0, d, l_range, include_stark)
     ladder.check_resolution(h, c.b_n)
     st = ladder.initial_state(c.l0, l_range=l_range, n=c.n)
     amps = ladder.sample_evolution(st, h, times)
     ladder.check_norm_drift(amps, st, ladder.DEFAULT_TOL)
-    pairs = amps[:, [st.index_of(0), st.index_of(-c.l0)]]
-    return np.where(np.array(directions)[:, None] == 1, pairs, pairs[:, ::-1])
+    return amps[:, [st.index_of(0), st.index_of(-c.l0)]]
+
+
+def fitted_fidelity(post: np.ndarray, init_idx: int, flip_idx: int) -> float:
+    """Fidelity of `post` with (|init> + e^{-i phi}|flip>)/sqrt2, maximized over phi."""
+    return float((abs(post[init_idx]) + abs(post[flip_idx])) ** 2 / 2.0)
 
 
 def run_scenario(
@@ -303,9 +307,7 @@ def run_scenario(
     basis: str = "superposition",
     fit_phase: bool = False,
     include_stark: bool = False,
-    l_range: tuple[int, int] | None = None,
     selected_outcome: int = 0,
-    allow_violated: bool = False,
 ) -> EntanglementReport:
     """Run the full preparation protocol and report what came out.
 
@@ -315,7 +317,7 @@ def run_scenario(
     s*pi/b_n, with the last atom offset by 2*r*pi/b_n. The field is measured
     in the (|0> +- |n0>)/sqrt2 basis by default; the computational
     {|0>, |n0>} basis shows the entanglement disappearing with the branch
-    coherence. l_range sets the ladder engine's truncation.
+    coherence.
     """
     if mode not in ("opposite", "same"):
         raise ValueError(f"mode must be 'opposite' or 'same', got {mode!r}")
@@ -332,7 +334,7 @@ def run_scenario(
 
     d = derive(p)
     verdict = validate_bragg_regime(d, p.n0)
-    if verdict is RegimeVerdict.VIOLATED and not allow_violated:
+    if verdict is RegimeVerdict.VIOLATED:
         raise RegimeError(
             f"chi*n/w_rec = {abs(d.regime_ratio):.3g} is outside the Bragg regime"
         )
@@ -356,7 +358,8 @@ def run_scenario(
     if engine == "adiabatic":
         fock = closed_form
     else:
-        fock = _atom_pairs_ladder(directions, times, c, d, l_range, include_stark)
+        pairs = ladder_pairs(c, d, times, include_stark=include_stark)
+        fock = np.where(np.array(directions)[:, None] == 1, pairs, pairs[:, ::-1])
     # the vacuum branch (a = b = 0) keeps its initial amplitudes
     vector, leakage = compose(np.stack([inits, fock]))
 
@@ -386,8 +389,7 @@ def run_scenario(
         prob, post = measure_field(vector, basis_mat, idx)
         out_kind = kind if idx == 0 else _flip_kind(kind)
         if fit_phase:
-            # fidelity maximized over the target's relative phase
-            fid = float((abs(post[init_idx]) + abs(post[flip_idx])) ** 2 / 2.0)
+            fid = fitted_fidelity(post, init_idx, flip_idx)
         else:
             target = np.zeros(2**k, dtype=np.complex128)
             target[init_idx] = 1.0

@@ -74,16 +74,24 @@ class DerivedParams:
 
 
 def derive(p: PhysicalParams) -> DerivedParams:
-    """Compute wavenumber, recoil frequency, chi and the regime ratio."""
+    """Compute wavenumber, recoil frequency, chi and the regime ratio.
+
+    Raises ParameterError when w_rec underflows to zero or w_rec, chi or the
+    regime ratio is not a finite float.
+    """
     k = 2.0 * math.pi / p.wavelength
     w_rec = HBAR * k * k / (2.0 * p.mass)
-    chi = abs(p.coupling_g) ** 2 / (2.0 * p.detuning)
-    return DerivedParams(
-        wavenumber=k,
-        recoil_frequency=w_rec,
-        chi=chi,
-        regime_ratio=chi * p.n0 / w_rec,
-    )
+    try:
+        chi = abs(p.coupling_g) ** 2 / (2.0 * p.detuning)
+        ratio = chi * p.n0 / w_rec
+    except (OverflowError, ZeroDivisionError):  # |g|^2 or n0 beyond a float, w_rec == 0
+        chi = ratio = math.inf
+    if not all(math.isfinite(x) for x in (w_rec, chi, ratio)):
+        raise ParameterError(
+            f"derived scales out of floating-point range: w_rec = {w_rec:.3g} rad/s, "
+            f"chi*n0/w_rec = {ratio:.3g}"
+        )
+    return DerivedParams(wavenumber=k, recoil_frequency=w_rec, chi=chi, regime_ratio=ratio)
 
 
 def rubidium_preset() -> PhysicalParams:

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 
 import braggbell
 import oracles
-from braggbell import cli, entangle, ladder, params
+from braggbell import cli, ladder, params
 from braggbell.cli import main
 
 
@@ -234,6 +233,8 @@ def test_validate_violated_regime(capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "violated"
     assert "two_mode_min" in rep  # numbers still reported
+    # the Bell fidelity is reported outside the regime as well
+    assert rep["bell_fidelity"] == pytest.approx(0.9999981133742121, rel=0, abs=1e-12)
 
 
 def test_validate_l0_4_shift_block(capsys):
@@ -252,16 +253,23 @@ def test_validate_l0_4_shift_block(capsys):
 
 @pytest.mark.parametrize("guard", [6, 20])
 def test_validate_guard_sets_the_bell_fidelity_ladder(capsys, guard):
-    # --guard truncates the ladder of the Bell fidelity as well as the samples
+    # --guard truncates the ladder of the Bell fidelity as well as the samples:
+    # a dense expm on default_range(4, guard), composed with np.kron, projected
+    # on (|0> + |n0>)/sqrt2 and scored against the best-phase psi target
     code, out, _ = run(capsys, "validate", "--l0", "4", "--guard", str(guard), "--samples", "64")
     assert code == 0
     rep = json.loads(out)
-    p = replace(params.rubidium_preset(), l0=4)
-    expect = entangle.run_scenario(
-        p, mode="opposite", engine="ladder", fit_phase=True, allow_violated=True,
-        l_range=ladder.default_range(4, guard),
+    d = params.derive(params.rubidium_preset())
+    orders, h = oracles.dense_matrix(
+        d.recoil_frequency, d.chi, 1, 4, *ladder.default_range(4, guard)
     )
-    assert rep["bell_fidelity"] == expect.fidelity
+    v = oracles.propagate_expm(h, oracles.psi0(orders), math.pi / rep["b_rad_s"])
+    pair = v[[list(orders).index(0), list(orders).index(-4)]]
+    joint = oracles.kron_product_state([[(1, 0), (0, 1)], [pair, pair[::-1]]], [1.0, 1.0])
+    post = joint[0] + joint[1]
+    post /= np.linalg.norm(post)
+    expect = (abs(post[0b01]) + abs(post[0b10])) ** 2 / 2.0
+    assert rep["bell_fidelity"] == pytest.approx(expect, rel=0, abs=1e-13)
 
 
 # --- sweep -------------------------------------------------------------------
@@ -460,6 +468,11 @@ def test_unwritable_output(capsys):
         ("sweep", "--var", "s", "--values", "1", "--samples", "0"),
         ("bell", "--set", "g_rad_s=nan"),
         ("validate", "--set", "detuning_rad_s=inf"),
+        ("bell", "--set", "wavelength_m=1e300"),
+        ("bell", "--set", "g_rad_s=1e300"),
+        ("simulate", "--duration", "inf"),
+        ("simulate", "--duration", "nan"),
+        ("simulate", "--cycles", "inf"),
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(capsys, argv):
@@ -509,7 +522,7 @@ def test_bell_report_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_byte_identical_despite_threads(tmp_path, capsys):
+def test_sweep_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         code, _, _ = run(capsys, "sweep", "--var", "chi_ratio",

@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braggbell import params
 from braggbell.params import (
@@ -12,6 +14,7 @@ from braggbell.params import (
     derive,
     parse_config_text,
     parse_overrides,
+    physical_dict,
     resolve_params,
     rubidium_preset,
     validate_bragg_regime,
@@ -171,3 +174,60 @@ def test_resolve_params_precedence(tmp_path):
 def test_get_preset_unknown():
     with pytest.raises(ParameterError):
         params.get_preset("no-such-atom")
+
+
+# --- properties --------------------------------------------------------------
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+INTS = st.one_of(st.integers(-3, 13), st.integers())
+
+
+def _derived_or_parameter_error(make):
+    """derive(make()) is finite with w_rec > 0, or one of them raises ParameterError."""
+    try:
+        d = derive(make())
+    except ParameterError:
+        return
+    values = (d.wavenumber, d.recoil_frequency, d.chi, d.regime_ratio)
+    assert all(math.isfinite(x) for x in values) and d.recoil_frequency > 0, d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(FLOATS, FLOATS, FLOATS, FLOATS, INTS, INTS)
+@example(1.42e-25, 1e300, 1.0, 1.0, 1, 2)  # w_rec underflows to zero
+@example(1.42e-25, 0.8e-6, 1e300, 1.0, 1, 2)  # |g|^2 overflows
+@example(1.42e-25, 0.8e-6, 1.0, 1.0, 10**400, 2)  # n0 beyond a float
+def test_physical_params_derive_finite_or_parameter_error(mass, wavelength, g, detuning, n0, l0):
+    _derived_or_parameter_error(lambda: PhysicalParams(mass, wavelength, g, detuning, n0, l0))
+
+
+KEYS = st.sampled_from(params.CONFIG_KEYS + ("bogus", "", "mass"))
+VALUES = st.one_of(FLOATS.map(repr), INTS.map(str), st.text(max_size=8))
+LINES = st.one_of(
+    st.builds("{} = {}".format, KEYS, VALUES),
+    st.builds("{}={}".format, KEYS, VALUES),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(LINES, max_size=6))
+@example(["g_rad_s = 1.0", "g_2pi_hz = 1.0"])
+@example(["n0 = 2", "n0 = 3"])
+def test_config_text_gives_params_or_parameter_error(lines):
+    base = rubidium_preset()
+    _derived_or_parameter_error(lambda: apply_config(base, parse_config_text("\n".join(lines))))
+    _derived_or_parameter_error(lambda: apply_config(base, parse_overrides(lines)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-30, 1e-20), st.floats(1e-9, 1e-3), FLOATS, FLOATS, st.integers(1, 50),
+       st.integers(1, 10).map(lambda m: 2 * m))
+def test_physical_dict_round_trips_as_config_text(mass, wavelength, g, detuning, n0, l0):
+    try:
+        p = PhysicalParams(mass, wavelength, g, detuning, n0, l0)
+    except ParameterError:
+        return
+    text = "".join(f"{key} = {value!r}\n" for key, value in physical_dict(p).items())
+    assert apply_config(rubidium_preset(), parse_config_text(text)) == p

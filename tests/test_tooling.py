@@ -38,15 +38,15 @@ def test_every_traced_layer_function_exists():
 
 
 # Installs the tracer (which rebinds module attributes, hence a fresh
-# interpreter), runs one ladder Bell op and prints what was traced.
+# interpreter), runs the op given as argv[2] and prints what was traced.
 _TRACED_OP = """
 import importlib, json, sys, types
 spans = types.ModuleType("bench_spans")
 exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), spans.__dict__)
 tracer = spans.Tracer()
 tracer.install()
-from braggbell import entangle, params
-entangle.run_scenario(params.rubidium_preset(), engine="ladder").to_json()
+from braggbell import cli, entangle, params
+exec(sys.argv[2])
 wrapped = {}
 for layer, names in spans.LAYERS.items():
     module = importlib.import_module("braggbell." + layer)
@@ -56,16 +56,31 @@ print(json.dumps({"spans": [sp[2] for sp in tracer.spans], "wrapped": wrapped}))
 """
 
 
-def test_tracer_installs_on_the_package_and_records_a_ladder_op():
+def _traced(op: str) -> dict:
     src = str(Path(braggbell.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-B", "-c", _TRACED_OP, str(BENCH_SPANS)], capture_output=True,
+        [sys.executable, "-B", "-c", _TRACED_OP, str(BENCH_SPANS), op], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    traced = json.loads(res.stdout)
+    # the op's own output precedes the tracer's line
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_on_the_package_and_records_a_ladder_op():
+    traced = _traced(
+        'entangle.run_scenario(params.rubidium_preset(), engine="ladder").to_json()'
+    )
     assert all(traced["wrapped"].values()), [k for k, v in traced["wrapped"].items() if not v]
     # the ladder engine propagates the Fock branch only
     assert traced["spans"].count("ladder.sample_evolution") == 1
     assert traced["spans"].count("entangle.run_scenario") == 1
+
+
+def test_validate_propagates_the_ladder_once():
+    # the sampled cycle and the Bell fidelity read one propagation
+    traced = _traced('assert cli.main(["validate", "--samples", "32"]) == 0')
+    assert traced["spans"].count("cli.validate_point") == 1
+    assert traced["spans"].count("ladder.sample_evolution") == 1
+    assert traced["spans"].count("entangle.run_scenario") == 0
