@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -434,7 +435,10 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--outcome", type=int, choices=(0, 1), default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args leaves it as it found it, so
+    in-process callers of main share it; do not add arguments to it."""
     parser = argparse.ArgumentParser(
         prog="braggbell",
         description="Bragg-cavity momentum entanglement simulator",

@@ -13,11 +13,16 @@ w_rec >> chi*n.
 
 Evolution uses the exact propagator from one eigendecomposition H = V E V^T
 of the (time-independent) generator, for any duration and number of times,
-so norm is conserved to machine precision. Truncation is policed, not
-assumed: with c = V^T C(0), max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2,
-and a bound above `edge_threshold` aborts with TruncationError. A branch
-without coupling (the vacuum, n = 0) is already diagonal and is propagated
-from its diagonal without a decomposition.
+so norm is conserved to machine precision. Sampling a cycle on an evenly
+spaced grid from zero (np.linspace(0, T, n)) costs that one decomposition
+and phases exp(-iE*t) from two tables of ceil(sqrt(n)) rows, each grid time
+taking the product of one row of each; any other time gets its own row.
+
+Truncation is policed, not assumed: with c = V^T C(0),
+max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2, and a bound above
+`edge_threshold` aborts with TruncationError. A branch without coupling (the
+vacuum, n = 0) is already diagonal and is propagated from its diagonal
+without a decomposition.
 
 Resolution is policed too: the flip frequency b_n of the resonant pair is an
 eigenvalue splitting, which the eigen-solver resolves only down to about
@@ -33,6 +38,7 @@ relabelling left to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -232,8 +238,35 @@ def sample_evolution(
             f"{edge_threshold:.1e}; ladder range [{h.l_min}, {h.l_max}] is too "
             "narrow for this coupling"
         )
-    phases = np.exp(-1j * np.outer(times, evals))
-    return phases * coeffs @ evecs.T
+    return _phases(evals, times) * coeffs @ evecs.T
+
+
+def _phases(evals: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i*E*t), one row per time, one column per eigenvalue.
+
+    A leading run times[j] == j*dt, which is what np.linspace(0, T, n) yields,
+    takes its phases from two tables of B = ceil(sqrt(run)) rows, since
+    j*dt = (hi*B + lo)*dt; every other time gets its own row.
+    """
+    run = _grid_run(times)
+    if run == 0:
+        return np.exp(-1j * np.outer(times, evals))
+    dt = times[1]
+    b = math.isqrt(run - 1) + 1
+    lo = np.exp(-1j * np.outer(np.arange(b) * dt, evals))
+    hi = np.exp(-1j * np.outer(np.arange(0, run, b) * dt, evals))
+    grid = (hi[:, np.newaxis] * lo).reshape(-1, evals.size)[:run]
+    if run == times.size:
+        return grid
+    return np.concatenate([grid, np.exp(-1j * np.outer(times[run:], evals))])
+
+
+def _grid_run(times: np.ndarray) -> int:
+    """Length of the leading run times[j] == j*times[1], or 0 when there is none."""
+    if times.size < 2 or times[0] != 0.0 or not times[1] > 0.0:
+        return 0
+    on_grid = times == np.arange(times.size) * times[1]
+    return times.size if on_grid.all() else int(on_grid.argmin())
 
 
 def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
@@ -284,15 +317,16 @@ def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.nda
 
     Works on sampled populations only (no model fit): within the two-mode
     subspace p_flip/(p_plus+p_flip) = sin^2(w*t/2), so cos(w*t) is recovered
-    directly, its sign-resolved angle unwrapped, and the slope fitted by
-    least squares. Needs at least ~half an oscillation inside the window.
+    directly, its sign-resolved angle unwrapped, and the least-squares slope
+    taken in closed form. Needs at least ~half an oscillation inside the window.
     """
     times = np.asarray(times, dtype=np.float64)
     q = np.asarray(p_flip) / (np.asarray(p_plus) + np.asarray(p_flip))
     c = np.clip(1.0 - 2.0 * q, -1.0, 1.0)
     sin_sign = np.sign(np.gradient(q, times, edge_order=1))
     angle = np.unwrap(np.arctan2(sin_sign * np.sqrt(1.0 - c * c), c))
-    slope = np.polyfit(times, angle, 1)[0]
+    tc = times - times.mean()
+    slope = tc @ (angle - angle.mean()) / (tc @ tc)
     return float(abs(slope))
 
 

@@ -51,6 +51,10 @@ class PhysicalParams:
             raise ParameterError(f"wavelength must be positive, got {self.wavelength}")
         if self.detuning == 0:
             raise ParameterError("detuning must be nonzero")
+        for name in ("n0", "l0"):  # int() of inf or nan raises
+            value = getattr(self, name)
+            if not isinstance(value, int) and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if int(self.n0) != self.n0 or self.n0 < 1:
             raise ParameterError(f"n0 must be an integer >= 1, got {self.n0}")
         if int(self.l0) != self.l0 or self.l0 < 2 or self.l0 % 2 != 0:

@@ -177,6 +177,18 @@ def test_bell_ladder_engine(capsys):
     assert rep["leakage"] < 1e-4
 
 
+def test_cached_parser_keeps_calls_independent(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "bell", "--set", "l0=4", "--set", "n0=2")
+    assert code == 0
+    assert json.loads(out)["parameters"]["l0"] == 4
+    code, out, _ = run(capsys, "bell")
+    assert code == 0
+    rep = json.loads(out)["parameters"]
+    preset = params.get_preset("rubidium")
+    assert (rep["l0"], rep["n0"]) == (preset.l0, preset.n0)
+
+
 def test_bell_rejects_even_s(capsys):
     code, _, err = run(capsys, "bell", "--s", "2")
     assert code == 1

@@ -225,13 +225,28 @@ def test_extract_flip_frequency_synthetic():
     assert extract_flip_frequency(t, p_plus, p_flip) == pytest.approx(w, rel=1e-9)
 
 
-def test_extract_flip_frequency_with_leakage_noise():
+def _noisy_flip_series():
     rng = np.random.default_rng(3)
     w = 54.3
     t = np.linspace(0.0, 2.0 * 2.0 * math.pi / w, 600)
     p_flip = 0.9999 * np.sin(0.5 * w * t) ** 2 + rng.uniform(0, 1e-6, t.size)
     p_plus = 0.9999 * np.cos(0.5 * w * t) ** 2 + rng.uniform(0, 1e-6, t.size)
+    return w, t, p_plus, p_flip
+
+
+def test_extract_flip_frequency_with_leakage_noise():
+    w, t, p_plus, p_flip = _noisy_flip_series()
     assert extract_flip_frequency(t, p_plus, p_flip) == pytest.approx(w, rel=1e-4)
+
+
+def test_closed_form_slope_is_the_polyfit_slope():
+    _, t, p_plus, p_flip = _noisy_flip_series()
+    q = p_flip / (p_plus + p_flip)
+    c = np.clip(1.0 - 2.0 * q, -1.0, 1.0)
+    sign = np.sign(np.gradient(q, t, edge_order=1))
+    theta = np.unwrap(np.arctan2(sign * np.sqrt(1.0 - c * c), c))
+    expected = abs(np.polyfit(t, theta, 1)[0])
+    assert extract_flip_frequency(t, p_plus, p_flip) == pytest.approx(expected, rel=1e-12)
 
 
 def test_measured_frequency_matches_coupling(d_rb):
@@ -265,3 +280,50 @@ def test_ladder_state_validation(d_rb):
     assert st.index_of(-2) == st.index_of(0) - 1
     with pytest.raises(ValueError):
         st.index_of(-1)  # odd order not on the even ladder
+
+
+def _cycle_ladder(l0, ratio):
+    """Hamiltonian of the default ladder and the length of one flip cycle."""
+    p = with_regime_ratio(replace(rubidium_preset(), l0=l0), ratio)
+    d = derive(p)
+    rate = abs(adiabatic.coeffs(p.n0, l0, d).b_n)
+    return build_hamiltonian(p.n0, l0, d), 2.0 * math.pi / rate
+
+
+def _phase_grids(cycle):
+    """(times, length of the leading j*dt run) for linspace grids, with and
+    without an off-grid time appended, and one grid that does not start at 0."""
+    for n in (2, 3, 4, 5, 200, 512, 513):
+        grid = np.linspace(0.0, cycle, n)
+        run = ladder._grid_run(grid)
+        assert run >= n - 1  # only linspace's exact endpoint may fall off the grid
+        yield grid, run
+        yield np.append(grid, 0.3719 * cycle), run
+    yield np.linspace(0.1 * cycle, cycle, 50), 0
+
+
+@pytest.mark.parametrize("l0, ratio", [(2, 0.02), (8, 0.05)])
+def test_phase_table_matches_60_digit_exponential(l0, ratio):
+    import mpmath
+
+    h, cycle = _cycle_ladder(l0, ratio)
+    evals = np.linalg.eigh(h.matrix())[0]
+    st = initial_state(l0)
+    reference = {}  # exp(-i*E*t) at 60 digits, per float t
+    worst_et = 0.0
+    for times, run in _phase_grids(cycle):
+        assert ladder._grid_run(times) == run
+        phases = ladder._phases(evals, times)
+        for t, row in zip(times, phases):
+            if t not in reference:
+                with mpmath.workdps(60):
+                    x = [mpmath.mpf(float(e)) * mpmath.mpf(float(t)) for e in evals]
+                    reference[t] = np.array([complex(mpmath.cos(v), -mpmath.sin(v)) for v in x])
+            et = np.abs(evals * t)
+            worst_et = max(worst_et, float(et.max()))
+            err = np.abs(row - reference[t])
+            assert np.all(err <= 4.0 * np.finfo(float).eps * (1.0 + et)), (t, err.max())
+        amps = sample_evolution(st, h, times)
+        assert np.max(np.abs(np.linalg.norm(amps, axis=1) - st.norm())) <= 1e-12
+    if l0 == 8:
+        assert worst_et > 1e11  # the tables are exercised at large phases

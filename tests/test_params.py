@@ -78,6 +78,10 @@ def test_derive_scalings(rubidium):
         dict(wavelength=math.inf),
         dict(coupling_g=math.nan),
         dict(detuning=-math.inf),
+        dict(n0=math.inf),
+        dict(n0=math.nan),
+        dict(l0=math.inf),
+        dict(l0=math.nan),
     ],
 )
 def test_invalid_params_rejected(kwargs):
