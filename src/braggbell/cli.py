@@ -39,7 +39,9 @@ EXIT_PHYSICS = 2
 EXIT_IO = 3
 
 SWEEP_VARS = ("chi_ratio", "l0", "n0", "s")
-MIN_SAMPLES = 2  # the flip-frequency fit differentiates the sampled populations
+# the flip-frequency fit differentiates the sampled populations, and
+# simulate's linspace(0, T, 1) would drop the endpoint T
+MIN_SAMPLES = 2
 
 SWEEP_COLUMNS = (
     "var",
@@ -123,6 +125,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_samples(args.samples)
     p = _physical(args)
     if args.l0 is not None:
         p = replace(p, l0=args.l0)
@@ -283,9 +286,9 @@ def validate_point(
         report.update(bell_fidelity=None, bell_error=bell_error)
         return report
     # opposite incidence: |+-> in, |-+> flipped; the mirror atom's pair is reversed
-    vector, _ = entangle.compose(np.array([[(1, 0), (0, 1)], [pairs[-1], pairs[-1, ::-1]]]))
-    _, post = entangle.measure_field(vector, entangle.superposition_basis(), 0)
-    report["bell_fidelity"] = entangle.fitted_fidelity(post, 0b01, 0b10)
+    state, _ = entangle.compose(np.array([[(1, 0), (0, 1)], [pairs[-1], pairs[-1, ::-1]]]))
+    _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
+    report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
     return report
 
 

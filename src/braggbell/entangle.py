@@ -2,24 +2,25 @@
 
 Each atom is reduced to a momentum qubit {|+> = P_{+l0}, |-> = P_{-l0}}; in a
 ladder-backed run the population outside those two orders is recorded as
-leakage rather than silently renormalized away per atom. The state is one
-complex (branch, atom, qubit) array from preparation to measurement: entry
-[b, i] holds atom i's (c_plus, c_minus) in field branch b (0 vacuum, 1 Fock).
-The joint state of k atoms and the field (|0> + |n0>)/sqrt(2) (FIELD) keeps
-one product of atom amplitudes per field branch, which is exactly the
-structure the separable Hamiltonian enforces; compose builds each product as
-a chain of broadcast outer products and scales by the field amplitudes last.
+leakage rather than silently renormalized away per atom. The separable
+Hamiltonian keeps the joint state of k atoms and the field
+(|0> + |n0>)/sqrt(2) (FIELD) at exactly one product of atom pairs per field
+branch, so a state is the pair (weights, pairs) meaning
+sum_b weights[b] * (x)_i pairs[b][i], with pairs[b][i] atom i's
+(c_plus, c_minus) in field branch b (0 vacuum, 1 Fock). Every score is read
+from that form in O(k) complex products; no 2^k vector is built. A qubit
+string is a sequence of per-atom indices, 0 for |+> and 1 for |->.
 
-Projecting the field onto {|0>, |n0>} collapses the atoms to a product state;
+Projecting the field onto {|0>, |n0>} keeps one branch, a product state;
 projecting onto (|0> +- |n0>)/sqrt(2) transfers the branch coherence to the
 atoms and yields the Bell (k=2) or GHZ (k>=3) states. Both bases are
-available so that this dependence can be demonstrated, not assumed. The
-concurrence of a two-qubit pure state is the closed form 2|c00*c11 - c01*c10|
-(Wootters); the density-operator formula `concurrence` is kept for mixed
-states.
+available so that this dependence can be demonstrated, not assumed. Every
+target is (|init> + rel |flip>)/sqrt(2) for the atoms' initial string and
+its complement, so a fidelity reads two amplitudes. The concurrence of a
+two-atom pure state is the closed form 2|c00*c11 - c01*c10| (Wootters).
 
 Phase convention: targets are written (|u> + sign * e^{-i phi} |v>)/sqrt(2),
-with u the atoms' initial qubit index and v the flipped one, both fixed by
+with u the atoms' initial qubit string and v the flipped one, both fixed by
 the preparation mode. The exact per-atom propagator puts a factor +-i, set
 by the sign of b_n and the pulse multiple s, on every flipped amplitude, on
 top of the level-shift phase e^{-i a_n t} and, with the Stark term, the
@@ -34,6 +35,7 @@ engine they agree exactly, up to the sign that the *_minus kinds carry.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, fields
@@ -50,9 +52,7 @@ from .params import (
     validate_bragg_regime,
 )
 
-MAX_ATOMS = 10  # joint state dimension 2*2^k; desk-scale bound
-
-BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
+MAX_ATOMS = 10  # desk-scale bound; the tests check scoring against dense 2^k vectors up to it
 
 
 class MeasurementError(ValueError):
@@ -64,32 +64,33 @@ class RegimeError(RuntimeError):
 
 
 # the cavity field (|0> + |n0>)/sqrt2, one amplitude per branch (0 vacuum, 1 Fock)
-FIELD = np.full((2, 1), 1.0 / math.sqrt(2.0), dtype=np.complex128)
+FIELD = (1.0 / math.sqrt(2.0),) * 2
 
 
-def compose(pairs: np.ndarray) -> tuple[np.ndarray, float]:
+def _norm2(pair) -> float:
+    return abs(pair[0]) ** 2 + abs(pair[1]) ** 2
+
+
+def compose(pairs: np.ndarray) -> tuple[tuple, float]:
     """Joint state of FIELD and k atoms as a product over atoms per branch.
 
     pairs[b, i] is atom i's (c_plus, c_minus) in field branch b. Returns the
-    normalized (2, 2^k) vector, vector[b, i] with i the big-endian qubit index
-    (atom 0 is the most significant bit, bit 0 = |+>, bit 1 = |->), and the
-    leakage: the probability that fell outside the two-mode subspaces, where
-    an atom's branch norm is below one.
+    normalized state (weights, pairs), its weights FIELD over the norm, and
+    the leakage: the probability that fell outside the two-mode subspaces,
+    where an atom's branch norm is below one.
     """
-    pairs = np.asarray(pairs, dtype=np.complex128)
-    if pairs.ndim != 3 or pairs.shape[::2] != (2, 2) or not 1 <= pairs.shape[1] <= MAX_ATOMS:
-        raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2), got {pairs.shape}")
-    if np.any(np.sum(np.abs(pairs) ** 2, axis=2) > 1.0 + 1e-9):
+    arr = np.asarray(pairs, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[::2] != (2, 2) or not 1 <= arr.shape[1] <= MAX_ATOMS:
+        raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2), got {arr.shape}")
+    pairs = arr.tolist()
+    norms = [[_norm2(pair) for pair in branch] for branch in pairs]
+    if max(map(max, norms)) > 1.0 + 1e-9:
         raise ValueError("an atom's branch norm exceeds 1")
-    # each outer product appends one atom as the next less significant bit
-    vec = np.ones((2, 1), dtype=np.complex128)
-    for i in range(pairs.shape[1]):
-        vec = (vec[:, :, None] * pairs[:, i, None, :]).reshape(2, -1)
-    vec *= FIELD
-    raw = float(np.linalg.norm(vec) ** 2)
+    # the field branches are orthogonal, so their norms add
+    raw = sum(f * f * math.prod(branch) for f, branch in zip(FIELD, norms))
     if raw <= 0.0:
         raise ValueError("joint state has zero norm")
-    return vec / math.sqrt(raw), max(0.0, 1.0 - raw)
+    return ([f / math.sqrt(raw) for f in FIELD], pairs), max(0.0, 1.0 - raw)
 
 
 def superposition_basis() -> np.ndarray:
@@ -102,128 +103,93 @@ def computational_basis() -> np.ndarray:
     return np.eye(2)
 
 
-def _check_basis(basis: np.ndarray, what: str) -> np.ndarray:
-    """`basis` as a complex 2x2 array whose rows are orthonormal within 1e-12."""
+def _basis_row(basis: np.ndarray, outcome: int, what: str) -> list[complex]:
+    """Conjugated row `outcome` of a 2x2 basis whose rows are orthonormal within 1e-12."""
     basis = np.asarray(basis, dtype=np.complex128)
     if basis.shape != (2, 2):
         raise MeasurementError(f"{what} basis must be 2x2, got {basis.shape}")
     if np.max(np.abs(basis @ basis.conj().T - np.eye(2))) > 1e-12:
         raise MeasurementError(f"{what} basis is not orthonormal within 1e-12")
-    return basis
-
-
-def measure_field(
-    vector: np.ndarray, basis: np.ndarray, outcome: int
-) -> tuple[float, np.ndarray]:
-    """Born-rule projection of compose's (2, 2^k) vector onto field basis row `outcome`.
-
-    Returns (probability, renormalized atom state of dimension 2^k).
-    """
-    basis = _check_basis(basis, "field")
     if outcome not in (0, 1):
         raise MeasurementError(f"outcome must be 0 or 1, got {outcome}")
-    post = basis[outcome].conj() @ vector
-    prob = float(np.linalg.norm(post) ** 2)
+    return basis[outcome].conj().tolist()
+
+
+def _renormalized(weights: list, pairs: list, outcome: int) -> tuple[float, tuple]:
+    """(probability, normalized state) of the projected atom state (weights, pairs).
+
+    The two products need not be orthogonal once the field is measured, so
+    the norm comes from their 2x2 Gram matrix.
+    """
+    (x, y), (a, b) = weights, pairs
+    overlap = math.prod(
+        (p.conjugate() * q + m.conjugate() * n for (p, m), (q, n) in zip(a, b)), start=1 + 0j
+    )
+    prob = (
+        abs(x) ** 2 * math.prod(map(_norm2, a))
+        + abs(y) ** 2 * math.prod(map(_norm2, b))
+        + 2.0 * (x.conjugate() * y * overlap).real
+    )
     if prob < 1e-14:
         raise MeasurementError(f"outcome {outcome} has zero probability ({prob:.3e})")
-    return prob, post / math.sqrt(prob)
+    return prob, ([w / math.sqrt(prob) for w in weights], pairs)
+
+
+def measure_field(state: tuple, basis: np.ndarray, outcome: int) -> tuple[float, tuple]:
+    """Born-rule projection of compose's state onto field basis row `outcome`.
+
+    Returns (probability, renormalized atom state).
+    """
+    row = _basis_row(basis, outcome, "field")
+    weights, pairs = state
+    return _renormalized([u * w for u, w in zip(row, weights)], pairs, outcome)
 
 
 def measure_atom(
-    state: np.ndarray, k: int, atom_index: int, basis: np.ndarray, outcome: int
-) -> tuple[float, np.ndarray]:
-    """Project one atom of a k-qubit state onto basis row `outcome`."""
-    basis = _check_basis(basis, "atom")
+    state: tuple, atom_index: int, basis: np.ndarray, outcome: int
+) -> tuple[float, tuple]:
+    """Project one atom of a state onto basis row `outcome`; the rest remain."""
+    v_plus, v_minus = _basis_row(basis, outcome, "atom")
+    weights, pairs = state
+    k = len(pairs[0])
     if not 0 <= atom_index < k:
         raise MeasurementError(f"atom index {atom_index} outside 0..{k - 1}")
-    tensor = np.asarray(state, dtype=np.complex128).reshape((2,) * k)
-    post = np.tensordot(basis[outcome].conj(), tensor, axes=([0], [atom_index]))
-    post = post.reshape(-1)
-    prob = float(np.linalg.norm(post) ** 2)
-    if prob < 1e-14:
-        raise MeasurementError(f"outcome {outcome} has zero probability ({prob:.3e})")
-    return prob, post / math.sqrt(prob)
-
-
-def bell_target(kind: str, phase: float = 0.0) -> np.ndarray:
-    """Two-qubit target (|+-> +- e^{-i phi}|-+>)/sqrt2 or the |++>/|--> pair."""
-    if kind not in BELL_KINDS:
-        raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
-    vec = np.zeros(4, dtype=np.complex128)
-    sign = 1.0 if kind.endswith("plus") else -1.0
-    rel = sign * np.exp(-1j * phase)
-    if kind.startswith("psi"):
-        vec[0b01] = 1.0
-        vec[0b10] = rel
-    else:
-        vec[0b00] = 1.0
-        vec[0b11] = rel
-    return vec / math.sqrt(2.0)
-
-
-def ghz_target(k: int, sign: int = 1, phase: float = 0.0) -> np.ndarray:
-    """k-qubit target (|+>^k +- e^{-i phi}|->^k)/sqrt2, k >= 3."""
-    if k < 3:
-        raise ValueError(f"GHZ needs k >= 3 atoms, got {k}")
-    if k > MAX_ATOMS:
-        raise ValueError(f"at most {MAX_ATOMS} atoms supported, got {k}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    vec = np.zeros(2**k, dtype=np.complex128)
-    vec[0] = 1.0
-    vec[-1] = sign * np.exp(-1j * phase)
-    return vec / math.sqrt(2.0)
-
-
-def fidelity(state: np.ndarray, target: np.ndarray) -> float:
-    """|<target|state>|^2 for normalized pure states."""
-    state = np.asarray(state, dtype=np.complex128).reshape(-1)
-    target = np.asarray(target, dtype=np.complex128).reshape(-1)
-    if state.shape != target.shape:
-        raise ValueError(f"dimension mismatch: {state.shape} vs {target.shape}")
-    for name, vec in (("state", state), ("target", target)):
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"{name} must be normalized, got norm {norm}")
-    return float(abs(np.vdot(target, state)) ** 2)
-
-
-_SY_SY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
+    weights = [
+        w * (v_plus * branch[atom_index][0] + v_minus * branch[atom_index][1])
+        for w, branch in zip(weights, pairs)
     ]
-)
+    pairs = [branch[:atom_index] + branch[atom_index + 1 :] for branch in pairs]
+    return _renormalized(weights, pairs, outcome)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density operator."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (4, 4):
-        raise ValueError(f"density operator must be 4x4, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density operator is not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError(f"density operator trace {np.trace(rho)} != 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("density operator has a negative eigenvalue beyond 1e-10")
-    r = rho @ _SY_SY @ rho.conj() @ _SY_SY
-    lams = np.sqrt(np.clip(np.linalg.eigvals(r).real, 0.0, None))
-    lams[::-1].sort()
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+def _product(branch: list, bits) -> complex:
+    """Amplitude of the qubit string `bits` in one product of atom pairs."""
+    return math.prod((pair[q] for pair, q in zip(branch, bits, strict=True)), start=1 + 0j)
 
 
-def concurrence_pure(state: np.ndarray) -> float:
-    """Concurrence 2|c00*c11 - c01*c10| of a normalized two-qubit pure state."""
-    state = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if state.shape != (4,):
-        raise ValueError(f"pure state must have 4 amplitudes, got {state.shape[0]}")
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state must be normalized, got norm {norm}")
-    return float(2.0 * abs(state[0] * state[3] - state[1] * state[2]))
+def _amplitude(state: tuple, bits) -> complex:
+    weights, pairs = state
+    return sum(w * _product(branch, bits) for w, branch in zip(weights, pairs))
+
+
+def fidelity(state: tuple, init_bits, flip_bits, rel: complex) -> float:
+    """|<target|state>|^2 of a normalized state, target (|init> + rel |flip>)/sqrt2."""
+    overlap = _amplitude(state, init_bits) + rel.conjugate() * _amplitude(state, flip_bits)
+    return abs(overlap) ** 2 / 2.0
+
+
+def fitted_fidelity(state: tuple, init_bits, flip_bits) -> float:
+    """Fidelity of `state` with (|init> + e^{-i phi}|flip>)/sqrt2, maximized over phi."""
+    return (abs(_amplitude(state, init_bits)) + abs(_amplitude(state, flip_bits))) ** 2 / 2.0
+
+
+def concurrence(state: tuple) -> float:
+    """Concurrence 2|c00*c11 - c01*c10| of a normalized two-atom pure state."""
+    k = len(state[1][0])
+    if k != 2:
+        raise ValueError(f"concurrence needs a two-atom state, got {k} atoms")
+    c00, c01, c10, c11 = (_amplitude(state, bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return 2.0 * abs(c00 * c11 - c01 * c10)
 
 
 # --- scenario runner ---------------------------------------------------------
@@ -291,11 +257,6 @@ def ladder_pairs(
     return amps[:, [st.index_of(0), st.index_of(-c.l0)]]
 
 
-def fitted_fidelity(post: np.ndarray, init_idx: int, flip_idx: int) -> float:
-    """Fidelity of `post` with (|init> + e^{-i phi}|flip>)/sqrt2, maximized over phi."""
-    return float((abs(post[init_idx]) + abs(post[flip_idx])) ** 2 / 2.0)
-
-
 def run_scenario(
     p: PhysicalParams,
     *,
@@ -343,11 +304,9 @@ def run_scenario(
     t1, t2 = adiabatic.pulse_times(c, s, r)
     times = [t1] * (k - 1) + [t2]
     # opposite: |+-> in, |-+> flipped; same: |+...+> in, |-...-> flipped
-    if mode == "opposite":
-        directions, init_idx, flip_idx = [1, -1], 0b01, 0b10
-    else:
-        directions, init_idx, flip_idx = [1] * k, 0, 2**k - 1
-    inits = np.array([(1, 0) if drc == 1 else (0, 1) for drc in directions], dtype=np.complex128)
+    init_bits = [0, 1] if mode == "opposite" else [0] * k
+    flip_bits = [1 - q for q in init_bits]
+    inits = np.eye(2, dtype=np.complex128)[init_bits]
     # one closed-form solve per atom's Fock branch serves the adiabatic engine
     # and the scheduled target of either engine; a uniform -chi*n shift of the
     # Fock-branch diagonal is the global phase exp(+i chi n t) there
@@ -359,9 +318,10 @@ def run_scenario(
         fock = closed_form
     else:
         pairs = ladder_pairs(c, d, times, include_stark=include_stark)
-        fock = np.where(np.array(directions)[:, None] == 1, pairs, pairs[:, ::-1])
+        fock = np.where(np.array(init_bits)[:, None] == 0, pairs, pairs[:, ::-1])
     # the vacuum branch (a = b = 0) keeps its initial amplitudes
-    vector, leakage = compose(np.stack([inits, fock]))
+    state, leakage = compose(np.stack([inits, fock]))
+    vacuum, fock_branch = state[1]
 
     # scheduled target: family from the preparation mode, sign from r parity,
     # phase from the closed-form flip coefficients
@@ -378,7 +338,9 @@ def run_scenario(
     sign = 1.0 if r % 2 == 0 else -1.0
     target_phase = -float(np.angle(sign * f_pred))
 
-    phase_measured = -float(np.angle(vector[1, flip_idx] * np.conj(vector[0, init_idx])))
+    # both branch weights are FIELD over the same norm
+    flipped, kept = _product(fock_branch, flip_bits), _product(vacuum, init_bits)
+    phase_measured = -cmath.phase(flipped * kept.conjugate())
 
     labels, basis_of = _BASES[basis]
     basis_mat = basis_of()
@@ -386,16 +348,14 @@ def run_scenario(
     probs: dict[str, float] = {}
     collapse: dict | None = None
     for idx, label in enumerate(labels):
-        prob, post = measure_field(vector, basis_mat, idx)
+        prob, post = measure_field(state, basis_mat, idx)
         out_kind = kind if idx == 0 else _flip_kind(kind)
         if fit_phase:
-            fid = fitted_fidelity(post, init_idx, flip_idx)
+            fid = fitted_fidelity(post, init_bits, flip_bits)
         else:
-            target = np.zeros(2**k, dtype=np.complex128)
-            target[init_idx] = 1.0
-            target[flip_idx] = (1 if out_kind.endswith("plus") else -1) * np.exp(-1j * target_phase)
-            fid = fidelity(post, target / math.sqrt(2.0))
-        conc = concurrence_pure(post) if k == 2 else None
+            rel = (1 if out_kind.endswith("plus") else -1) * cmath.exp(-1j * target_phase)
+            fid = fidelity(post, init_bits, flip_bits, rel)
+        conc = concurrence(post) if k == 2 else None
         outcomes[label] = {
             "probability": prob,
             "fidelity": fid,
@@ -404,15 +364,14 @@ def run_scenario(
         }
         probs[label] = prob
         if k >= 3 and idx == selected_outcome:
-            collapse = _ghz_collapse(post, k, out_kind, target_phase)
+            collapse = _ghz_collapse(post, out_kind, target_phase)
 
     selected_label = labels[selected_outcome]
     selected = outcomes[selected_label]
 
-    vac_pops = np.abs(vector[0] / np.linalg.norm(vector[0])) ** 2
-    expected = np.zeros_like(vac_pops)
-    expected[init_idx] = 1.0
-    vacuum_deviation = float(np.max(np.abs(vac_pops - expected)))
+    # the vacuum branch's population outside the initial string, which bounds
+    # every other string's population
+    vacuum_deviation = 1.0 - abs(kept) ** 2 / math.prod(map(_norm2, vacuum))
 
     parameters = {
         **physical_dict(p),
@@ -450,22 +409,17 @@ def run_scenario(
     )
 
 
-def _ghz_collapse(post: np.ndarray, k: int, kind: str, phase: float) -> dict:
+def _ghz_collapse(post: tuple, kind: str, phase: float) -> dict:
     """Measure atom 0 in the (|+> +- |->)/sqrt2 basis; grade the remnant."""
     out: dict[str, dict] = {}
     sign = 1 if kind.endswith("plus") else -1
     for idx, label in enumerate(("x_plus", "x_minus")):
-        prob, rest = measure_atom(post, k, 0, superposition_basis(), idx)
-        rest_sign = sign if idx == 0 else -sign
-        if k - 1 == 2:
-            target = bell_target(f"phi_{'plus' if rest_sign == 1 else 'minus'}", phase)
-            conc = concurrence_pure(rest)
-        else:
-            target = ghz_target(k - 1, rest_sign, phase)
-            conc = None
+        prob, rest = measure_atom(post, 0, superposition_basis(), idx)
+        k = len(rest[1][0])
+        rel = (sign if idx == 0 else -sign) * cmath.exp(-1j * phase)
         out[label] = {
             "probability": prob,
-            "fidelity": fidelity(rest, target),
-            "concurrence": conc,
+            "fidelity": fidelity(rest, [0] * k, [1] * k, rel),
+            "concurrence": concurrence(rest) if k == 2 else None,
         }
     return out

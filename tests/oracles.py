@@ -128,3 +128,51 @@ def kron_product_state(branch_pairs, field_amps):
             prod = np.kron(prod, np.array(pair, dtype=np.complex128))
         rows.append(amp * prod)
     return np.array(rows)
+
+
+def project_field(joint, row):
+    """(probability, normalized atom vector) after projecting the field of the
+    normalized (2, 2^k) joint vector onto the basis vector `row`."""
+    post = np.conj(row) @ joint
+    prob = float(np.vdot(post, post).real)
+    return prob, post / math.sqrt(prob)
+
+
+def project_atom(vec, k, atom, row):
+    """(probability, normalized remnant) after projecting qubit `atom` of the
+    normalized k-qubit vector onto `row`; the remnant keeps the other atoms'
+    order, atom 0 the most significant bit."""
+    post = np.tensordot(np.conj(row), vec.reshape((2,) * k), axes=([0], [atom])).reshape(-1)
+    prob = float(np.vdot(post, post).real)
+    return prob, post / math.sqrt(prob)
+
+
+_SY_SY = np.array(
+    [
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+
+def wootters_concurrence(rho):
+    """Wootters concurrence of a two-qubit density operator (PRL 80, 2245).
+
+    For a pure state it resolves the degenerate zero eigenvalues of
+    rho (sy x sy) rho* (sy x sy) only to about sqrt(eps).
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (4, 4):
+        raise ValueError(f"density operator must be 4x4, got {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise ValueError("density operator is not Hermitian within 1e-10")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise ValueError(f"density operator trace {np.trace(rho)} != 1")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise ValueError("density operator has a negative eigenvalue beyond 1e-10")
+    r = rho @ _SY_SY @ rho.conj() @ _SY_SY
+    lams = np.sqrt(np.clip(np.linalg.eigvals(r).real, 0.0, None))
+    lams[::-1].sort()
+    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))

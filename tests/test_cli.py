@@ -125,6 +125,18 @@ def test_simulate_sidecar(tmp_path, capsys):
     assert "duration_s" in meta and "l_range" in meta
 
 
+@pytest.mark.parametrize("samples", ["0", "1", "-3"])
+def test_simulate_refuses_too_few_samples(tmp_path, capsys, samples):
+    # one sample would be t = 0 only: linspace(0, T, 1) drops the endpoint T
+    out_file = tmp_path / "run.csv"
+    code, _, err = run(
+        capsys, "simulate", "--cycles", "1", "--samples", samples, "--output", str(out_file)
+    )
+    assert code == 1
+    assert err.startswith(f"error: --samples must be >= 2, got {samples}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_regime_gate(capsys):
     code, _, err = run(capsys, "simulate", "--chi-ratio", "0.5", "--cycles", "1")
     assert code == 2

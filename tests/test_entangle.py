@@ -10,13 +10,11 @@ from braggbell import adiabatic, cli, entangle, ladder
 from braggbell.entangle import (
     MeasurementError,
     RegimeError,
-    bell_target,
     compose,
     computational_basis,
     concurrence,
-    concurrence_pure,
     fidelity,
-    ghz_target,
+    fitted_fidelity,
     measure_atom,
     measure_field,
     run_scenario,
@@ -36,152 +34,197 @@ def rb():
 PASSIVE = ((1.0, 0.0), (1.0, 0.0))
 FLIPPER = ((1.0, 0.0), (0.0, 1.0))
 
+# qubit strings (one index per atom, 0 = |+>) of the Bell families
+PSI = ((0, 1), (1, 0))
+PHI = ((0, 0), (1, 1))
+
 
 def _pairs(*atoms):
     """compose's (branch, atom, qubit) array from per-atom branch pairs."""
     return np.array(atoms, dtype=np.complex128).transpose(1, 0, 2)
 
 
-# --- targets and measures ----------------------------------------------------
+def _state(weights, *branches):
+    """The state sum_b weights[b] * (x)_i branches[b][i] as entangle keeps it."""
+    return tuple(weights), [[list(pair) for pair in branch] for branch in branches]
 
 
-def test_bell_target_layout():
-    psi_p = bell_target("psi_plus")
-    np.testing.assert_allclose(psi_p, [0, INV_SQRT2, INV_SQRT2, 0], atol=1e-15)
-    psi_m = bell_target("psi_minus")
-    np.testing.assert_allclose(psi_m, [0, INV_SQRT2, -INV_SQRT2, 0], atol=1e-15)
-    phi_p = bell_target("phi_plus")
-    np.testing.assert_allclose(phi_p, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
-    phase = 0.77
-    tgt = bell_target("phi_minus", phase)
-    assert tgt[3] == pytest.approx(-np.exp(-1j * phase) * INV_SQRT2)
-    with pytest.raises(ValueError):
-        bell_target("sigma_plus")
+def _bell(bits, rel):
+    """(|bits[0]> + rel |bits[1]>)/sqrt2 as two products."""
+    return _state((INV_SQRT2, INV_SQRT2 * rel), *([(1, 0) if q == 0 else (0, 1) for q in s] for s in bits))
 
 
-def test_ghz_target_layout():
-    g = ghz_target(3)
-    assert g.shape == (8,)
-    assert g[0] == pytest.approx(INV_SQRT2)
-    assert g[7] == pytest.approx(INV_SQRT2)
-    assert np.linalg.norm(g) == pytest.approx(1.0)
-    minus = ghz_target(4, sign=-1, phase=0.3)
-    assert minus[-1] == pytest.approx(-np.exp(-0.3j) * INV_SQRT2)
-    with pytest.raises(ValueError):
-        ghz_target(2)
-    with pytest.raises(ValueError):
-        ghz_target(11)
-    with pytest.raises(ValueError):
-        ghz_target(3, sign=0)
+def _index(bits):
+    """Big-endian index of a qubit string in the dense 2^k vector."""
+    return int("".join(map(str, bits)), 2)
+
+
+def _lossy_pairs(rng, k):
+    """Random (2, k, 2) pairs, each of norm between 0.9 and 0.999."""
+    v = rng.normal(size=(2, k, 2)) + 1j * rng.normal(size=(2, k, 2))
+    return v / np.linalg.norm(v, axis=2, keepdims=True) * rng.uniform(0.9, 0.999, size=(2, k, 1))
+
+
+def _random_two_atom_states(rng, count):
+    """(state, dense vector) pairs: random lossy pairs composed and field-projected."""
+    out = []
+    for _ in range(count):
+        pairs = _lossy_pairs(rng, 2)
+        joint = oracles.kron_product_state(pairs, entangle.FIELD)
+        state, _ = compose(pairs)
+        _, post = measure_field(state, superposition_basis(), 0)
+        _, dense = oracles.project_field(joint / np.linalg.norm(joint), superposition_basis()[0])
+        out.append((post, dense))
+    return out
+
+
+# --- scores ------------------------------------------------------------------
 
 
 def test_fidelity_basics():
-    a = bell_target("psi_plus")
-    assert fidelity(a, a) == pytest.approx(1.0, abs=1e-15)
-    assert fidelity(a, bell_target("psi_minus")) == pytest.approx(0.0, abs=1e-15)
+    psi_plus = _bell(PSI, 1.0)
+    assert fidelity(psi_plus, *PSI, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(psi_plus, *PSI, -1.0) == pytest.approx(0.0, abs=1e-15)
+    assert fidelity(psi_plus, *PHI, 1.0) == pytest.approx(0.0, abs=1e-15)
     # global phase invisible
-    assert fidelity(np.exp(0.4j) * a, a) == pytest.approx(1.0, abs=1e-14)
+    rotated = _state((np.exp(0.4j) * INV_SQRT2,) * 2, *psi_plus[1])
+    assert fidelity(rotated, *PSI, 1.0) == pytest.approx(1.0, abs=1e-14)
+    # the target's relative phase enters conjugated; the fit ignores it
+    phased = _bell(PSI, np.exp(-0.77j))
+    assert fidelity(phased, *PSI, np.exp(-0.77j)) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(phased, *PSI, 1.0) == pytest.approx(math.cos(0.385) ** 2, abs=1e-15)
+    assert fitted_fidelity(phased, *PSI) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        fidelity(a, ghz_target(3))
-    with pytest.raises(ValueError):
-        fidelity(a * 0.5, a)
+        fidelity(psi_plus, (0, 1, 0), (1, 0, 1), 1.0)
 
 
 def test_concurrence_pure_states():
-    assert concurrence_pure(bell_target("psi_plus")) == pytest.approx(1.0, abs=1e-12)
-    assert concurrence_pure(bell_target("phi_minus", 1.2)) == pytest.approx(1.0, abs=1e-12)
-    product = np.kron([1.0, 0.0], [INV_SQRT2, INV_SQRT2])
-    assert concurrence_pure(product) == pytest.approx(0.0, abs=1e-12)
+    assert concurrence(_bell(PSI, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence(_bell(PHI, -np.exp(-1.2j))) == pytest.approx(1.0, abs=1e-12)
+    product = _state((1.0, 0.0), ((1, 0), (INV_SQRT2, INV_SQRT2)), ((0, 1), (1, 0)))
+    assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concurrence_pure_closed_form():
-    # for pure states C = 2|c00*c11 - c01*c10|
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
+    # for pure states C = 2|c00*c11 - c01*c10|, here of the dense vector, which
+    # rounds differently (measured up to 7e-16)
+    for post, v in _random_two_atom_states(np.random.default_rng(5), 50):
         expect = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
-        assert concurrence_pure(v) == pytest.approx(expect, abs=1e-15)
+        assert concurrence(post) == pytest.approx(expect, abs=1e-14)
 
 
 def test_concurrence_pure_matches_density_matrix_path():
     rng = np.random.default_rng(11)
-    states = [bell_target("psi_minus"), np.kron([1.0, 0.0], [INV_SQRT2, INV_SQRT2])]
-    for _ in range(50):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        states.append(v / np.linalg.norm(v))
-    for v in states:
+    bell = _bell(PSI, -1.0)
+    product = _state((1.0, 0.0), ((1, 0), (INV_SQRT2, INV_SQRT2)), ((1, 0), (1, 0)))
+    states = [(bell, np.array([0, INV_SQRT2, -INV_SQRT2, 0])), (product, np.array([0.5, 0.5, 0, 0]) * math.sqrt(2))]
+    for post, v in states + _random_two_atom_states(rng, 50):
         # the matrix path resolves its degenerate zero eigenvalues only to ~sqrt(eps)
-        assert concurrence_pure(v) == pytest.approx(concurrence(np.outer(v, v.conj())), abs=5e-8)
+        rho = np.outer(v, v.conj())
+        assert concurrence(post) == pytest.approx(oracles.wootters_concurrence(rho), abs=5e-8)
 
 
 def test_concurrence_pure_validates_input():
-    with pytest.raises(ValueError, match="4 amplitudes"):
-        concurrence_pure(ghz_target(3))
-    with pytest.raises(ValueError, match="normalized"):
-        concurrence_pure(0.5 * bell_target("psi_plus"))
+    ghz = _state((INV_SQRT2, INV_SQRT2), ((1, 0),) * 3, ((0, 1),) * 3)
+    with pytest.raises(ValueError, match="two-atom"):
+        concurrence(ghz)
 
 
 def test_concurrence_mixed_states():
     eye4 = np.eye(4) / 4.0
-    assert concurrence(eye4) == 0.0
-    psi_m = bell_target("psi_minus")
+    assert oracles.wootters_concurrence(eye4) == 0.0
+    psi_m = np.array([0.0, INV_SQRT2, -INV_SQRT2, 0.0])
     proj = np.outer(psi_m, psi_m.conj())
     for p, expect in [(1.0, 1.0), (0.5, 0.25), (1.0 / 3.0, 0.0), (0.2, 0.0)]:
         rho = p * proj + (1 - p) * np.eye(4) / 4.0
-        assert concurrence(rho) == pytest.approx(expect, abs=1e-12)
+        assert oracles.wootters_concurrence(rho) == pytest.approx(expect, abs=1e-12)
 
 
 def test_concurrence_validates_input():
     bad = np.eye(4) / 4.0 + 0.0j
     bad[0, 1] = 0.1  # not Hermitian
     with pytest.raises(ValueError):
-        concurrence(bad)
+        oracles.wootters_concurrence(bad)
     with pytest.raises(ValueError):
-        concurrence(np.eye(4) / 2.0)  # trace 2
+        oracles.wootters_concurrence(np.eye(4) / 2.0)  # trace 2
     neg = np.diag([0.5, 0.75, -0.25, 0.0])
     with pytest.raises(ValueError):
-        concurrence(neg)
+        oracles.wootters_concurrence(neg)
     with pytest.raises(ValueError):
-        concurrence(np.eye(8) / 8.0)
+        oracles.wootters_concurrence(np.eye(8) / 8.0)
 
 
 # --- composition and measurement ---------------------------------------------
 
 
 def test_compose_passive_atoms_has_no_entanglement():
-    vector, leakage = compose(_pairs(PASSIVE, PASSIVE))
+    state, leakage = compose(_pairs(PASSIVE, PASSIVE))
     assert leakage == pytest.approx(0.0, abs=1e-12)
-    prob, post = measure_field(vector, superposition_basis(), 0)
+    prob, post = measure_field(state, superposition_basis(), 0)
     assert prob == pytest.approx(1.0, abs=1e-12)
-    assert concurrence_pure(post) == pytest.approx(0.0, abs=1e-12)
+    assert concurrence(post) == pytest.approx(0.0, abs=1e-12)
     # orthogonal outcome has zero probability -> must refuse to renormalize
     with pytest.raises(MeasurementError):
-        measure_field(vector, superposition_basis(), 1)
+        measure_field(state, superposition_basis(), 1)
 
 
 def test_compose_records_leakage():
     lossy = ((1.0, 0.0), (0.0, math.sqrt(0.98)))
-    vector, leakage = compose(_pairs(lossy, PASSIVE))
+    state, leakage = compose(_pairs(lossy, PASSIVE))
     # only the fock branch of atom 1 lost norm: total deficit = 0.02/2
     assert leakage == pytest.approx(0.01, rel=1e-9)
-    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
+    weights, pairs = state
+    assert np.linalg.norm(oracles.kron_product_state(pairs, weights)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_compose_matches_kron_chain_exactly():
-    rng = np.random.default_rng(3)
-
-    def lossy_pairs(k):
-        v = rng.normal(size=(2, k, 2)) + 1j * rng.normal(size=(2, k, 2))
-        return v / np.linalg.norm(v, axis=2, keepdims=True) * rng.uniform(0.9, 0.999, size=(2, k, 1))
-
-    for k in range(1, entangle.MAX_ATOMS + 1):
-        pairs = lossy_pairs(k)
-        raw_vec = oracles.kron_product_state(pairs, [INV_SQRT2, INV_SQRT2])
-        raw = float(np.linalg.norm(raw_vec) ** 2)
-        vector, leakage = compose(pairs)
-        assert leakage == 1.0 - raw > 0.0
-        np.testing.assert_array_equal(vector, raw_vec / math.sqrt(raw))
+@pytest.mark.parametrize("k", range(2, entangle.MAX_ATOMS + 1))
+def test_scoring_matches_dense_oracle(k):
+    # the two-product scores against the dense 2^k vector of tests/oracles.py
+    # (np.kron chains, a field-row projection, np.tensordot over atom 0 and
+    # Wootters' density-matrix formula); the paths differ only in rounding,
+    # at most 7e-16 over k <= 10 as measured, so the tolerance is 1e-13 absolute
+    tol = 1e-13
+    rng = np.random.default_rng(100 + k)
+    x_basis = superposition_basis()
+    ghz = ((0,) * k, (1,) * k)
+    alternating = (tuple(i % 2 for i in range(k)), tuple(1 - i % 2 for i in range(k)))
+    for _ in range(4):
+        pairs = _lossy_pairs(rng, k)
+        joint = oracles.kron_product_state(pairs, entangle.FIELD)
+        raw = float(np.linalg.norm(joint) ** 2)
+        state, leakage = compose(pairs)
+        assert leakage == pytest.approx(1.0 - raw, abs=tol)
+        for basis in (superposition_basis(), computational_basis()):
+            for outcome in (0, 1):
+                prob, post = measure_field(state, basis, outcome)
+                dense_prob, dense = oracles.project_field(joint / math.sqrt(raw), basis[outcome])
+                assert prob == pytest.approx(dense_prob, abs=tol)
+                for init, flip in (ghz, alternating):
+                    i, f = _index(init), _index(flip)
+                    rel = rng.choice([1, -1]) * np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi))
+                    expect = abs(dense[i] + np.conj(rel) * dense[f]) ** 2 / 2.0
+                    assert fidelity(post, init, flip, rel) == pytest.approx(expect, abs=tol)
+                    expect = (abs(dense[i]) + abs(dense[f])) ** 2 / 2.0
+                    assert fitted_fidelity(post, init, flip) == pytest.approx(expect, abs=tol)
+                if k == 2:
+                    expect = 2.0 * abs(dense[0] * dense[3] - dense[1] * dense[2])
+                    assert concurrence(post) == pytest.approx(expect, abs=tol)
+                    rho = np.outer(dense, dense.conj())
+                    # Wootters resolves a pure state's zero eigenvalues to ~sqrt(eps)
+                    assert concurrence(post) == pytest.approx(oracles.wootters_concurrence(rho), abs=5e-8)
+                    continue
+                # the GHZ collapse: atom 0 measured in the x basis
+                for x_out in (0, 1):
+                    atom_prob, rest = measure_atom(post, 0, x_basis, x_out)
+                    dense_atom_prob, dense_rest = oracles.project_atom(dense, k, 0, x_basis[x_out])
+                    assert atom_prob == pytest.approx(dense_atom_prob, abs=tol)
+                    rel = np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi))
+                    expect = abs(dense_rest[0] + np.conj(rel) * dense_rest[-1]) ** 2 / 2.0
+                    assert fidelity(rest, ghz[0][1:], ghz[1][1:], rel) == pytest.approx(expect, abs=tol)
+                    if k == 3:
+                        v = dense_rest
+                        expect = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
+                        assert concurrence(rest) == pytest.approx(expect, abs=tol)
 
 
 def test_compose_rejects_bad_input():
@@ -200,33 +243,39 @@ def test_compose_rejects_bad_input():
 
 
 def test_compose_entangling_case():
-    vector, _ = compose(_pairs(FLIPPER, FLIPPER))
-    _, post = measure_field(vector, superposition_basis(), 0)
-    assert fidelity(post, bell_target("phi_plus")) == pytest.approx(1.0, abs=1e-12)
-    _, post1 = measure_field(vector, superposition_basis(), 1)
-    assert fidelity(post1, bell_target("phi_minus")) == pytest.approx(1.0, abs=1e-12)
+    state, _ = compose(_pairs(FLIPPER, FLIPPER))
+    _, post = measure_field(state, superposition_basis(), 0)
+    assert fidelity(post, *PHI, 1.0) == pytest.approx(1.0, abs=1e-12)
+    _, post1 = measure_field(state, superposition_basis(), 1)
+    assert fidelity(post1, *PHI, -1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_field_validates_basis():
-    vector, _ = compose(_pairs(FLIPPER))
+    state, _ = compose(_pairs(FLIPPER))
     with pytest.raises(MeasurementError):
-        measure_field(vector, np.array([[1.0, 0.0], [1.0, 0.0]]), 0)
+        measure_field(state, np.array([[1.0, 0.0], [1.0, 0.0]]), 0)
     with pytest.raises(MeasurementError):
-        measure_field(vector, superposition_basis(), 2)
+        measure_field(state, superposition_basis(), 2)
 
 
 def test_measure_atom_collapses_ghz():
-    g = ghz_target(3)
+    # (|+++> + |--->)/sqrt2 as two products
+    g = _state((INV_SQRT2, INV_SQRT2), ((1, 0),) * 3, ((0, 1),) * 3)
     x_basis = superposition_basis()  # same rotation, reused for atoms
-    prob, rest = measure_atom(g, 3, 0, x_basis, 0)
+    prob, rest = measure_atom(g, 0, x_basis, 0)
     assert prob == pytest.approx(0.5, abs=1e-12)
-    assert fidelity(rest, bell_target("phi_plus")) == pytest.approx(1.0, abs=1e-12)
-    prob1, rest1 = measure_atom(g, 3, 0, x_basis, 1)
+    assert fidelity(rest, *PHI, 1.0) == pytest.approx(1.0, abs=1e-12)
+    prob1, rest1 = measure_atom(g, 0, x_basis, 1)
     assert prob1 == pytest.approx(0.5, abs=1e-12)
-    assert fidelity(rest1, bell_target("phi_minus")) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(rest1, *PHI, -1.0) == pytest.approx(1.0, abs=1e-12)
     # z measurement instead kills the coherence
-    _, restz = measure_atom(g, 3, 0, computational_basis(), 0)
-    assert concurrence_pure(restz) == pytest.approx(0.0, abs=1e-12)
+    _, restz = measure_atom(g, 0, computational_basis(), 0)
+    assert concurrence(restz) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(MeasurementError):
+        measure_atom(g, 3, x_basis, 0)
+    for outcome in (2, -1):
+        with pytest.raises(MeasurementError, match="outcome"):
+            measure_atom(g, 0, x_basis, outcome)
 
 
 # --- full scenarios ----------------------------------------------------------

@@ -84,3 +84,11 @@ def test_validate_propagates_the_ladder_once():
     assert traced["spans"].count("cli.validate_point") == 1
     assert traced["spans"].count("ladder.sample_evolution") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
+
+
+def test_ghz_op_records_every_scoring_stage():
+    # a k = 3 GHZ op composes, measures the field and one atom, and scores
+    # fidelities and the two-atom remnant's concurrence, each a traced layer
+    traced = _traced('entangle.run_scenario(params.rubidium_preset(), mode="same", k=3).to_json()')
+    for name in ("compose", "measure_field", "measure_atom", "fidelity", "concurrence"):
+        assert traced["spans"].count(f"entangle.{name}") >= 1, name
