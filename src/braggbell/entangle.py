@@ -115,21 +115,45 @@ def _basis_row(basis: np.ndarray, outcome: int, what: str) -> list[complex]:
     return basis[outcome].conj().tolist()
 
 
-def _renormalized(weights: list, pairs: list, outcome: int) -> tuple[float, tuple]:
-    """(probability, normalized state) of the projected atom state (weights, pairs).
+def _gram_norm2(weights, pairs) -> float:
+    """<state|state> of sum_b weights[b] * (x)_i pairs[b][i].
 
-    The two products need not be orthogonal once the field is measured, so
-    the norm comes from their 2x2 Gram matrix.
+    With A = <a|a>, B = <b|b> and O = <a|b> for the two products, the norm
+    |x|^2 A + |y|^2 B + 2 Re(x* y O) cancels when the products nearly
+    coincide (a rare outcome). It is summed instead as three terms that are
+    never negative, (|x| sqrt(A) - |y| sqrt(B))^2 + 2|x||y| (sqrt(AB) - |O|)
+    + 4|x||y||O| cos^2(arg(x* y O) / 2), with AB - |O|^2 built atom by atom
+    from Lagrange's identity (|p|^2 + |m|^2)(|q|^2 + |n|^2) - |p* q + m* n|^2
+    = |p n - m q|^2, so it keeps its relative accuracy.
     """
     (x, y), (a, b) = weights, pairs
-    overlap = math.prod(
-        (p.conjugate() * q + m.conjugate() * n for (p, m), (q, n) in zip(a, b)), start=1 + 0j
+    big_a = big_b = 1.0
+    overlap = 1 + 0j
+    gap = 0.0  # A*B - |O|^2 over the atoms so far
+    for (p, m), (q, n) in zip(a, b):
+        norm_a, norm_b = abs(p) ** 2 + abs(m) ** 2, abs(q) ** 2 + abs(n) ** 2
+        gap = norm_a * norm_b * gap + abs(p * n - m * q) ** 2 * abs(overlap) ** 2
+        big_a, big_b = big_a * norm_a, big_b * norm_b
+        overlap *= p.conjugate() * q + m.conjugate() * n
+    ax, ay, ao = abs(x), abs(y), abs(overlap)
+    root = math.sqrt(big_a * big_b)
+    psi = cmath.phase(x.conjugate() * y * overlap)
+    return (
+        (ax * math.sqrt(big_a) - ay * math.sqrt(big_b)) ** 2
+        + 2.0 * ax * ay * (gap / (root + ao) if gap else 0.0)
+        + 4.0 * ax * ay * ao * math.cos(0.5 * psi) ** 2
     )
-    prob = (
-        abs(x) ** 2 * math.prod(map(_norm2, a))
-        + abs(y) ** 2 * math.prod(map(_norm2, b))
-        + 2.0 * (x.conjugate() * y * overlap).real
-    )
+
+
+def _check_normalized(state: tuple) -> None:
+    norm = math.sqrt(_gram_norm2(*state))
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"state must be normalized, got norm {norm}")
+
+
+def _renormalized(weights: list, pairs: list, outcome: int) -> tuple[float, tuple]:
+    """(probability, normalized state) of the projected atom state (weights, pairs)."""
+    prob = _gram_norm2(weights, pairs)
     if prob < 1e-14:
         raise MeasurementError(f"outcome {outcome} has zero probability ({prob:.3e})")
     return prob, ([w / math.sqrt(prob) for w in weights], pairs)
@@ -174,12 +198,16 @@ def _amplitude(state: tuple, bits) -> complex:
 
 def fidelity(state: tuple, init_bits, flip_bits, rel: complex) -> float:
     """|<target|state>|^2 of a normalized state, target (|init> + rel |flip>)/sqrt2."""
+    _check_normalized(state)
+    if abs(abs(rel) - 1.0) > 1e-6:
+        raise ValueError(f"target phase factor must have modulus 1, got {abs(rel)}")
     overlap = _amplitude(state, init_bits) + rel.conjugate() * _amplitude(state, flip_bits)
     return abs(overlap) ** 2 / 2.0
 
 
 def fitted_fidelity(state: tuple, init_bits, flip_bits) -> float:
-    """Fidelity of `state` with (|init> + e^{-i phi}|flip>)/sqrt2, maximized over phi."""
+    """Fidelity of a normalized state with (|init> + e^{-i phi}|flip>)/sqrt2, maximized over phi."""
+    _check_normalized(state)
     return (abs(_amplitude(state, init_bits)) + abs(_amplitude(state, flip_bits))) ** 2 / 2.0
 
 
@@ -188,6 +216,7 @@ def concurrence(state: tuple) -> float:
     k = len(state[1][0])
     if k != 2:
         raise ValueError(f"concurrence needs a two-atom state, got {k} atoms")
+    _check_normalized(state)
     c00, c01, c10, c11 = (_amplitude(state, bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1)))
     return 2.0 * abs(c00 * c11 - c01 * c10)
 

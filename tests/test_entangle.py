@@ -65,19 +65,6 @@ def _lossy_pairs(rng, k):
     return v / np.linalg.norm(v, axis=2, keepdims=True) * rng.uniform(0.9, 0.999, size=(2, k, 1))
 
 
-def _random_two_atom_states(rng, count):
-    """(state, dense vector) pairs: random lossy pairs composed and field-projected."""
-    out = []
-    for _ in range(count):
-        pairs = _lossy_pairs(rng, 2)
-        joint = oracles.kron_product_state(pairs, entangle.FIELD)
-        state, _ = compose(pairs)
-        _, post = measure_field(state, superposition_basis(), 0)
-        _, dense = oracles.project_field(joint / np.linalg.norm(joint), superposition_basis()[0])
-        out.append((post, dense))
-    return out
-
-
 # --- scores ------------------------------------------------------------------
 
 
@@ -96,6 +83,14 @@ def test_fidelity_basics():
     assert fitted_fidelity(phased, *PSI) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         fidelity(psi_plus, (0, 1, 0), (1, 0, 1), 1.0)
+    # an unnormalized state or a target phase factor off the unit circle is refused
+    half = _state((0.5 * INV_SQRT2,) * 2, *psi_plus[1])
+    with pytest.raises(ValueError, match="normalized"):
+        fidelity(half, *PSI, 1.0)
+    with pytest.raises(ValueError, match="normalized"):
+        fitted_fidelity(half, *PSI)
+    with pytest.raises(ValueError, match="modulus"):
+        fidelity(psi_plus, *PSI, 0.5)
 
 
 def test_concurrence_pure_states():
@@ -105,29 +100,37 @@ def test_concurrence_pure_states():
     assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
 
 
+def _cos_sin(theta):
+    """cos(theta)|++> + sin(theta)|-->, whose concurrence is |sin(2 theta)|."""
+    return _state((math.cos(theta), math.sin(theta)), ((1, 0), (1, 0)), ((0, 1), (0, 1)))
+
+
 def test_concurrence_pure_closed_form():
-    # for pure states C = 2|c00*c11 - c01*c10|, here of the dense vector, which
-    # rounds differently (measured up to 7e-16)
-    for post, v in _random_two_atom_states(np.random.default_rng(5), 50):
-        expect = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
-        assert concurrence(post) == pytest.approx(expect, abs=1e-14)
+    # for pure states C = 2|c00*c11 - c01*c10|
+    for theta in np.linspace(0.0, math.pi, 13):
+        assert concurrence(_cos_sin(theta)) == pytest.approx(abs(math.sin(2.0 * theta)), abs=1e-15)
+    # non-orthogonal products: (|+>(|+> + |->) + |->|+>)/sqrt3 has C = 2/3
+    skew = _state((1.0 / math.sqrt(3.0),) * 2, ((1, 0), (1, 1)), ((0, 1), (1, 0)))
+    assert concurrence(skew) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_concurrence_pure_matches_density_matrix_path():
-    rng = np.random.default_rng(11)
     bell = _bell(PSI, -1.0)
     product = _state((1.0, 0.0), ((1, 0), (INV_SQRT2, INV_SQRT2)), ((1, 0), (1, 0)))
-    states = [(bell, np.array([0, INV_SQRT2, -INV_SQRT2, 0])), (product, np.array([0.5, 0.5, 0, 0]) * math.sqrt(2))]
-    for post, v in states + _random_two_atom_states(rng, 50):
+    states = [(bell, [0, INV_SQRT2, -INV_SQRT2, 0]), (product, [INV_SQRT2, INV_SQRT2, 0, 0])]
+    states += [(_cos_sin(t), [math.cos(t), 0, 0, math.sin(t)]) for t in (0.3, 1.1, 2.0)]
+    for state, v in states:
         # the matrix path resolves its degenerate zero eigenvalues only to ~sqrt(eps)
-        rho = np.outer(v, v.conj())
-        assert concurrence(post) == pytest.approx(oracles.wootters_concurrence(rho), abs=5e-8)
+        rho = np.outer(v, np.conj(v))
+        assert concurrence(state) == pytest.approx(oracles.wootters_concurrence(rho), abs=5e-8)
 
 
 def test_concurrence_pure_validates_input():
     ghz = _state((INV_SQRT2, INV_SQRT2), ((1, 0),) * 3, ((0, 1),) * 3)
     with pytest.raises(ValueError, match="two-atom"):
         concurrence(ghz)
+    with pytest.raises(ValueError, match="normalized"):
+        concurrence(_state((0.5, 0.5), ((1, 0), (0, 1)), ((0, 1), (1, 0))))
 
 
 def test_concurrence_mixed_states():
@@ -177,28 +180,40 @@ def test_compose_records_leakage():
     assert np.linalg.norm(oracles.kron_product_state(pairs, weights)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("k", range(2, entangle.MAX_ATOMS + 1))
+def _coincident_pairs(rng, k):
+    """Lossy pairs whose Fock branch is the vacuum branch times a phase near 1.
+
+    The two products then nearly coincide, and the superposition outcome 1
+    has a probability near 1e-9.
+    """
+    vacuum = _lossy_pairs(rng, k)[0]
+    return np.stack([vacuum, vacuum * np.exp(1e-4j / k * rng.uniform(0.5, 1.0, size=(k, 1)))])
+
+
+@pytest.mark.parametrize("k", range(1, entangle.MAX_ATOMS + 1))
 def test_scoring_matches_dense_oracle(k):
     # the two-product scores against the dense 2^k vector of tests/oracles.py
     # (np.kron chains, a field-row projection, np.tensordot over atom 0 and
-    # Wootters' density-matrix formula); the paths differ only in rounding,
-    # at most 7e-16 over k <= 10 as measured, so the tolerance is 1e-13 absolute
-    tol = 1e-13
+    # Wootters' density-matrix formula); the paths differ only in rounding.
+    # Both lose accuracy as eps/sqrt(prob) for an outcome of probability
+    # prob, so the tolerance is 1e-13 absolute at prob = 1/2 and grows as
+    # 1/sqrt(prob); measured worst over k <= 10: 8e-16 on the random pairs,
+    # 1.1e-11 on the nearly coincident ones (prob down to 1e-9, tolerance 2e-9)
     rng = np.random.default_rng(100 + k)
     x_basis = superposition_basis()
     ghz = ((0,) * k, (1,) * k)
     alternating = (tuple(i % 2 for i in range(k)), tuple(1 - i % 2 for i in range(k)))
-    for _ in range(4):
-        pairs = _lossy_pairs(rng, k)
+    for pairs in [_lossy_pairs(rng, k) for _ in range(4)] + [_coincident_pairs(rng, k)]:
         joint = oracles.kron_product_state(pairs, entangle.FIELD)
         raw = float(np.linalg.norm(joint) ** 2)
         state, leakage = compose(pairs)
-        assert leakage == pytest.approx(1.0 - raw, abs=tol)
+        assert leakage == pytest.approx(1.0 - raw, abs=1e-13)
         for basis in (superposition_basis(), computational_basis()):
             for outcome in (0, 1):
                 prob, post = measure_field(state, basis, outcome)
                 dense_prob, dense = oracles.project_field(joint / math.sqrt(raw), basis[outcome])
-                assert prob == pytest.approx(dense_prob, abs=tol)
+                tol = 1e-13 / math.sqrt(2.0 * dense_prob)
+                assert prob == pytest.approx(dense_prob, rel=tol)
                 for init, flip in (ghz, alternating):
                     i, f = _index(init), _index(flip)
                     rel = rng.choice([1, -1]) * np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -212,6 +227,7 @@ def test_scoring_matches_dense_oracle(k):
                     rho = np.outer(dense, dense.conj())
                     # Wootters resolves a pure state's zero eigenvalues to ~sqrt(eps)
                     assert concurrence(post) == pytest.approx(oracles.wootters_concurrence(rho), abs=5e-8)
+                if k < 3:
                     continue
                 # the GHZ collapse: atom 0 measured in the x basis
                 for x_out in (0, 1):
