@@ -147,11 +147,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    rate = adiabatic.coupling(n, p.l0, d)
     if args.duration is not None:
         duration = args.duration
     else:
         cycles = args.cycles if args.cycles is not None else 1.0
-        rate = adiabatic.coupling(n, p.l0, d)
         if rate == 0:
             raise UsageError(
                 "cannot convert --cycles to a duration with zero coupling "
@@ -165,15 +165,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     l_range = ladder.default_range(p.l0, args.guard)
     h = ladder.build_hamiltonian(n, p.l0, d, l_range, args.include_stark)
-    st = ladder.initial_state(p.l0, l_range=l_range, n=n)
     if duration == 0:
         times = np.array([0.0])
-        amps = st.amplitudes[np.newaxis, :]
+        amps = ladder.initial_state(h)[np.newaxis, :]
     else:
         times = np.linspace(0.0, duration, args.samples)
-        amps = ladder.sample_evolution(st, h, times)
+        amps = ladder.evolve(h, rate, times)
     pops = np.abs(amps) ** 2
-    csv_text = ladder.format_timeseries_csv(times, d.recoil_frequency, pops, st.orders)
+    csv_text = ladder.format_timeseries_csv(times, d.recoil_frequency, pops, h.orders)
     _emit(csv_text, args.output)
 
     if args.output is not None:
@@ -343,7 +342,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             p, s = _sweep_param(base, args.var, value)
             point = validate_point(p, s=s, samples=args.samples, guard=args.guard)
-        except (params.ParameterError, ValueError, adiabatic.ConvergenceError) as exc:
+        except (ValueError, adiabatic.ConvergenceError) as exc:
             point = {"error": str(exc), "l0": None, "n0": None}
         points.append({"var": args.var, "value": value, **point})
 
@@ -528,12 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except (
-        UsageError,
-        params.ParameterError,
-        entangle.MeasurementError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # UsageError, ParameterError and MeasurementError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

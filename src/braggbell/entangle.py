@@ -279,11 +279,8 @@ def ladder_pairs(
     amplitudes with |+> and |-> swapped, a reversal left to the caller.
     """
     h = ladder.build_hamiltonian(c.n, c.l0, d, l_range, include_stark)
-    ladder.check_resolution(h, c.b_n)
-    st = ladder.initial_state(c.l0, l_range=l_range, n=c.n)
-    amps = ladder.sample_evolution(st, h, times)
-    ladder.check_norm_drift(amps, st, ladder.DEFAULT_TOL)
-    return amps[:, [st.index_of(0), st.index_of(-c.l0)]]
+    amps = ladder.evolve(h, c.b_n, times)
+    return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
 
 
 def run_scenario(

@@ -11,24 +11,29 @@ Bragg-resonant propagation directions); everything else is detuned by
 multiples of w_rec, which is what confines the dynamics to two modes when
 w_rec >> chi*n.
 
-Evolution uses the exact propagator from one eigendecomposition H = V E V^T
-of the (time-independent) generator, for any duration and number of times,
-so norm is conserved to machine precision. Sampling a cycle on an evenly
-spaced grid from zero (np.linspace(0, T, n)) costs that one decomposition
-and phases exp(-iE*t) from two tables of ceil(sqrt(n)) rows, each grid time
-taking the product of one row of each; any other time gets its own row.
+Propagation has one entry point, evolve(h, b_n, times), which checks that
+the flip frequency b_n is resolved, starts the atom at order l = 0 and
+samples its amplitudes at every requested time, then checks the norm. It
+uses the exact propagator from one eigendecomposition H = V E V^T of the
+(time-independent) generator, for any duration and number of times, so norm
+is conserved to machine precision. Sampling a cycle on an evenly spaced grid
+from zero (np.linspace(0, T, n)) costs that one decomposition and phases
+exp(-iE*t) from two tables of ceil(sqrt(n)) rows, each grid time taking the
+product of one row of each; any other time gets its own row.
 
 Truncation is policed, not assumed: with c = V^T C(0),
 max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2, and a bound above
-`edge_threshold` aborts with TruncationError. A branch without coupling (the
+EDGE_THRESHOLD aborts with TruncationError. A branch without coupling (the
 vacuum, n = 0) is already diagonal and is propagated from its diagonal
 without a decomposition.
 
 Resolution is policed too: the flip frequency b_n of the resonant pair is an
 eigenvalue splitting, which the eigen-solver resolves only down to about
-eps*||H||. check_resolution refuses a branch whose |b_n| is within
+eps*||H||. check_resolution refuses a coupled branch whose |b_n| is within
 RESOLUTION_LIMIT*eps*||H||, with ||H|| bounded by Gershgorin's
-max|diagonal| + 2|off_diagonal|, and raises ResolutionError.
+max|diagonal| + 2|off_diagonal|, and raises ResolutionError. A row whose norm
+drifts from the initial one by more than NORM_TOL raises RuntimeError. The
+three thresholds are constants.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -39,7 +44,7 @@ relabelling left to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +52,8 @@ from .params import DerivedParams
 
 DEFAULT_GUARD = 8       # extra orders kept beyond the resonant pair
 MIN_GUARD = 4           # below this the truncation cannot be trusted
-DEFAULT_TOL = 1e-9
-DEFAULT_EDGE_THRESHOLD = 1e-10
+NORM_TOL = 1e-9         # largest |norm(t) - norm(0)| accepted
+EDGE_THRESHOLD = 1e-10  # largest bound on the edge population accepted
 RESOLUTION_LIMIT = 1e3  # |b_n| must exceed this many eps*||H||
 
 
@@ -82,44 +87,6 @@ def _check_range(l_min: int, l_max: int, l0: int) -> None:
 
 
 @dataclass(frozen=True)
-class LadderState:
-    """Complex amplitudes over even ladder orders l_min..l_max (step 2).
-
-    Order l carries momentum P_{l0} + l*hbar*k; `n` is the photon number of
-    the field branch this state evolves under.
-    """
-
-    amplitudes: np.ndarray
-    l_min: int
-    l_max: int
-    l0: int
-    n: int
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        _check_range(self.l_min, self.l_max, self.l0)
-        expected = (self.l_max - self.l_min) // 2 + 1
-        if amps.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} amplitudes for range "
-                f"[{self.l_min}, {self.l_max}], got shape {amps.shape}"
-            )
-
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(self.l_min, self.l_max + 1, 2)
-
-    def index_of(self, l: int) -> int:
-        if l % 2 or not self.l_min <= l <= self.l_max:
-            raise ValueError(f"order {l} outside ladder [{self.l_min}, {self.l_max}]")
-        return (l - self.l_min) // 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
 class LadderHamiltonian:
     """Tridiagonal generator of the ladder equations, rad/s.
 
@@ -147,6 +114,16 @@ class LadderHamiltonian:
     def size(self) -> int:
         return self.diagonal.shape[0]
 
+    @property
+    def orders(self) -> np.ndarray:
+        """Ladder order l of each index."""
+        return np.arange(self.l_min, self.l_max + 1, 2)
+
+    def index_of(self, l: int) -> int:
+        if l % 2 or not self.l_min <= l <= self.l_max:
+            raise ValueError(f"order {l} outside ladder [{self.l_min}, {self.l_max}]")
+        return (l - self.l_min) // 2
+
     def matrix(self) -> np.ndarray:
         """Dense matrix form (real symmetric)."""
         m = np.diag(self.diagonal)
@@ -171,7 +148,6 @@ def build_hamiltonian(
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
     l_min, l_max = l_range if l_range is not None else default_range(l0)
-    _check_range(l_min, l_max, l0)
     orders = np.arange(l_min, l_max + 1, 2)
     diagonal = d.recoil_frequency * orders * (orders + l0)
     if include_stark:
@@ -187,41 +163,23 @@ def build_hamiltonian(
     )
 
 
-def initial_state(
-    l0: int,
-    l_range: tuple[int, int] | None = None,
-    n: int = 1,
-) -> LadderState:
-    """Unit amplitude at ladder index l=0: incidence along P_{l0}."""
-    l_min, l_max = l_range if l_range is not None else default_range(l0)
-    amps = np.zeros((l_max - l_min) // 2 + 1, dtype=np.complex128)
-    amps[(0 - l_min) // 2] = 1.0
-    return LadderState(amplitudes=amps, l_min=l_min, l_max=l_max, l0=l0, n=n)
+def initial_state(h: LadderHamiltonian) -> np.ndarray:
+    """Unit amplitude at order l = 0 of h's ladder: incidence along P_{l0}."""
+    amps = np.zeros(h.size, dtype=np.complex128)
+    amps[h.index_of(0)] = 1.0
+    return amps
 
 
-def _check_compatible(s: LadderState, h: LadderHamiltonian) -> None:
-    if (s.l_min, s.l_max, s.l0) != (h.l_min, h.l_max, h.l0):
-        raise ValueError(
-            f"state range [{s.l_min}, {s.l_max}] l0={s.l0} does not match "
-            f"Hamiltonian [{h.l_min}, {h.l_max}] l0={h.l0}"
-        )
-    if s.n != h.n:
-        raise ValueError(f"state is branch n={s.n}, Hamiltonian is n={h.n}")
-
-
-def sample_evolution(
-    s: LadderState,
-    h: LadderHamiltonian,
-    times: np.ndarray,
-    edge_threshold: float = DEFAULT_EDGE_THRESHOLD,
-) -> np.ndarray:
-    """Amplitudes at each requested time (seconds after the state s).
+def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> np.ndarray:
+    """Amplitudes at each requested time (seconds) from the amplitudes s at t = 0.
 
     Returns an array of shape (len(times), size). Raises TruncationError when
     the time-independent edge bound (module docstring), which also holds
-    between the requested times, exceeds edge_threshold.
+    between the requested times, exceeds EDGE_THRESHOLD.
     """
-    _check_compatible(s, h)
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape != (h.size,):
+        raise ValueError(f"expected {h.size} amplitudes for the ladder, got shape {s.shape}")
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 0):
         raise ValueError("sample times must be >= 0")
@@ -229,13 +187,13 @@ def sample_evolution(
         evals, evecs = h.diagonal, np.eye(h.size)
     else:
         evals, evecs = np.linalg.eigh(h.matrix())
-    coeffs = evecs.T @ s.amplitudes
+    coeffs = evecs.T @ s
     edge = np.sum(np.abs(evecs[[0, -1]] * coeffs), axis=1) ** 2
-    if np.any(edge > edge_threshold):
+    if np.any(edge > EDGE_THRESHOLD):
         worst = float(edge.max())
         raise TruncationError(
             f"boundary population bound {worst:.3e} exceeds edge threshold "
-            f"{edge_threshold:.1e}; ladder range [{h.l_min}, {h.l_max}] is too "
+            f"{EDGE_THRESHOLD:.1e}; ladder range [{h.l_min}, {h.l_max}] is too "
             "narrow for this coupling"
         )
     return _phases(evals, times) * coeffs @ evecs.T
@@ -270,7 +228,12 @@ def _grid_run(times: np.ndarray) -> int:
 
 
 def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
-    """Raise ResolutionError if |b_n| <= RESOLUTION_LIMIT * eps * ||H|| (module docstring)."""
+    """Raise ResolutionError if |b_n| <= RESOLUTION_LIMIT * eps * ||H|| (module docstring).
+
+    A branch without coupling is never decomposed, so it always passes.
+    """
+    if h.off_diagonal == 0.0:
+        return
     h_norm = float(np.max(np.abs(h.diagonal))) + 2.0 * abs(h.off_diagonal)
     limit = RESOLUTION_LIMIT * np.finfo(np.float64).eps * h_norm
     if abs(b_n) <= limit:
@@ -281,35 +244,26 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
         )
 
 
-def check_norm_drift(amplitudes: np.ndarray, s: LadderState, tol: float) -> None:
-    """Raise RuntimeError if a row of `amplitudes` differs in norm from s by > tol."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    drift = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - s.norm()))
-    if drift > tol:
-        raise RuntimeError(f"norm drift {drift:.3e} exceeds tol {tol:.1e}")
+def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
+    """Raise RuntimeError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
+    drift = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s)))
+    if drift > NORM_TOL:
+        raise RuntimeError(f"norm drift {drift:.3e} exceeds tol {NORM_TOL:.1e}")
 
 
-def evolve(
-    s: LadderState,
-    h: LadderHamiltonian,
-    duration: float,
-    tol: float = DEFAULT_TOL,
-    edge_threshold: float = DEFAULT_EDGE_THRESHOLD,
-) -> LadderState:
-    """Propagate the state by `duration` seconds under h.
+def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
+    """Amplitudes of an atom entering at l = 0, at each of `times` (seconds) under h.
 
-    The propagator is exact (eigendecomposition), so the norm-drift contract
-    |norm - 1| <= tol holds with large margin. Only the endpoint is
-    evaluated; the edge bound of sample_evolution covers the whole interval.
+    Shape (len(times), size). b_n is the branch's flip frequency (its sign
+    is not used), which check_resolution checks before anything is
+    propagated; the edge bound and the norm are checked after (module
+    docstring).
     """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    if duration == 0:
-        return s
-    final = sample_evolution(s, h, [duration], edge_threshold=edge_threshold)[0]
-    check_norm_drift(final, s, tol)
-    return replace(s, amplitudes=final)
+    check_resolution(h, b_n)
+    s = initial_state(h)
+    amps = sample_evolution(s, h, times)
+    check_norm_drift(amps, s)
+    return amps
 
 
 def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.ndarray) -> float:

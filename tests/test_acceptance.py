@@ -45,11 +45,10 @@ def _flip_series(p, samples=512, cycles=1.0):
     d = derive(p)
     c = adiabatic.coeffs(p.n0, p.l0, d)
     h = ladder.build_hamiltonian(p.n0, p.l0, d)
-    st = ladder.initial_state(p.l0)
     times = np.linspace(0.0, cycles * TWO_PI / abs(c.b_n), samples)
-    amps = ladder.sample_evolution(st, h, times)
-    p_plus = np.abs(amps[:, st.index_of(0)]) ** 2
-    p_flip = np.abs(amps[:, st.index_of(-p.l0)]) ** 2
+    amps = ladder.evolve(h, c.b_n, times)
+    p_plus = np.abs(amps[:, h.index_of(0)]) ** 2
+    p_flip = np.abs(amps[:, h.index_of(-p.l0)]) ** 2
     final_norm = float(np.linalg.norm(amps[-1]))
     return times, p_plus, p_flip, final_norm, d, c
 
@@ -79,9 +78,8 @@ def test_criterion_2_pendelloesung():
     assert abs(freq - d.chi) / d.chi < 0.02
     # peak at the half-cycle point t = pi/chi
     h = ladder.build_hamiltonian(1, 2, d)
-    st = ladder.initial_state(2)
-    out = ladder.evolve(st, h, math.pi / d.chi)
-    peak = abs(out.amplitudes[out.index_of(-2)]) ** 2
+    out = ladder.evolve(h, c.b_n, [math.pi / d.chi])[0]
+    peak = abs(out[h.index_of(-2)]) ** 2
     assert peak >= 0.99
     assert time.perf_counter() - t0 < 1.0
 

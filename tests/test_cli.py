@@ -152,6 +152,21 @@ def test_simulate_cycles_needs_coupling(capsys):
     assert "duration" in err
 
 
+def test_simulate_refuses_unresolvable_coupling(tmp_path, capsys):
+    # eigh gets the resonant amplitudes here wrong by ~7e-2, so nothing is written
+    out_file = tmp_path / "f"
+    code, out, err = run(
+        capsys, "simulate", "--l0", "10", "--chi-ratio", "0.05", "--cycles", "1",
+        "--output", str(out_file),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: flip frequency |b_n| = ")
+    assert "the smallest splitting the eigen-solver resolves" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- bell / ghz --------------------------------------------------------------
 
 
@@ -402,6 +417,29 @@ def test_ladder_bell_refuses_unresolvable_coupling(capsys):
     assert out == ""
     assert err.startswith("error: flip frequency")
     assert "Traceback" not in err
+
+
+UNRESOLVABLE = ("--chi-ratio", "0.05")  # with l0 = 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--l0", "10", "--cycles", "1", *UNRESOLVABLE],
+        ["validate", "--l0", "10", "--samples", "64", *UNRESOLVABLE],
+        ["bell", "--engine", "ladder", "--set", "l0=10", *UNRESOLVABLE],
+    ],
+    ids=["simulate", "validate", "bell"],
+)
+def test_ladder_commands_refuse_the_same_points(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    reason = err[err.index("flip frequency |b_n| = "):]
+    assert reason == (
+        "flip frequency |b_n| = 3.034e-09 rad/s is not above 7.326e-07 rad/s, the smallest "
+        "splitting the eigen-solver resolves in the l0=10 ladder; lower l0 or raise the "
+        "coupling\n"
+    )
 
 
 def test_coeffs_nonconvergent_shift_is_a_physics_error(capsys):

@@ -26,6 +26,11 @@ def d_rb():
     return derive(rubidium_preset())
 
 
+def _evolve(h, d, times):
+    """The guarded propagation, given the branch's flip frequency from its reduction."""
+    return evolve(h, adiabatic.coeffs(h.n, h.l0, d).b_n, times)
+
+
 def test_default_range_brackets_resonant_pair():
     assert default_range(2) == (-10, 8)
     assert default_range(4) == (-12, 8)
@@ -63,19 +68,29 @@ def test_hamiltonian_matrix_symmetric(d_rb):
 
 
 def test_initial_state_is_delta(d_rb):
-    st = initial_state(2)
-    assert st.norm() == 1.0
-    pops = np.abs(st.amplitudes) ** 2
-    assert pops[st.index_of(0)] == 1.0
-    assert np.all(pops[st.orders != 0] == 0.0)
+    h = build_hamiltonian(1, 2, d_rb)
+    st = initial_state(h)
+    assert st.shape == (h.size,)
+    assert np.linalg.norm(st) == 1.0
+    pops = np.abs(st) ** 2
+    assert pops[h.index_of(0)] == 1.0
+    assert np.all(pops[h.orders != 0] == 0.0)
+
+
+def test_index_of_refuses_orders_off_the_ladder(d_rb):
+    h = build_hamiltonian(1, 2, d_rb, (-6, 4))
+    assert [h.index_of(l) for l in h.orders] == list(range(h.size))
+    assert h.index_of(-2) == h.index_of(0) - 1
+    for l in (-1, 3, -8, 6):  # odd orders are not on the even ladder; the rest are outside it
+        with pytest.raises(ValueError):
+            h.index_of(l)
 
 
 def test_pi_pulse_transfer_frozen(d_rb):
     h = build_hamiltonian(1, 2, d_rb)
-    st = initial_state(2)
     t1 = math.pi / d_rb.chi
-    out = evolve(st, h, t1)
-    assert abs(out.amplitudes[out.index_of(-2)]) ** 2 == pytest.approx(PI_PULSE_TRANSFER, abs=1e-11)
+    out = _evolve(h, d_rb, [t1])[0]
+    assert abs(out[h.index_of(-2)]) ** 2 == pytest.approx(PI_PULSE_TRANSFER, abs=1e-11)
 
 
 def test_propagator_vs_ode_oracle(d_rb):
@@ -86,9 +101,8 @@ def test_propagator_vs_ode_oracle(d_rb):
     times = np.linspace(0.0, t1, 7)[1:]
     ref = oracles.propagate_ode(h_dense, v0, times)
 
-    st = initial_state(2)
     h = build_hamiltonian(1, 2, d_rb)
-    ours = sample_evolution(st, h, times)
+    ours = sample_evolution(initial_state(h), h, times)
     assert np.max(np.abs(np.abs(ours) ** 2 - np.abs(ref) ** 2)) < 5e-11
 
 
@@ -96,13 +110,12 @@ def test_propagator_vs_expm_oracle(d_rb):
     w, chi = d_rb.recoil_frequency, d_rb.chi
     orders, h_dense = oracles.dense_matrix(w, chi, 2, 4, -12, 8)
     v0 = oracles.psi0(orders)
-    st = initial_state(4, n=2)
     h = build_hamiltonian(2, 4, d_rb)
-    for t in (1e-4, 3.7e-3, 0.21):
+    times = (1e-4, 3.7e-3, 0.21)
+    for t, ours in zip(times, _evolve(h, d_rb, times)):
         ref = oracles.propagate_expm(h_dense, v0, t)
-        ours = evolve(st, h, t)
         # amplitudes, not just populations: global phase must match too
-        assert np.max(np.abs(ours.amplitudes - ref)) < 1e-10
+        assert np.max(np.abs(ours - ref)) < 1e-10
 
 
 def test_propagator_vs_rk4_oracle(d_rb):
@@ -111,8 +124,8 @@ def test_propagator_vs_rk4_oracle(d_rb):
     v0 = oracles.psi0(orders)
     t = 2.0e-3
     ref = oracles.propagate_rk4(h_dense, v0, t, steps=40000)
-    out = evolve(initial_state(2), build_hamiltonian(1, 2, d_rb), t)
-    assert np.max(np.abs(out.amplitudes - ref)) < 1e-9
+    out = _evolve(build_hamiltonian(1, 2, d_rb), d_rb, [t])[0]
+    assert np.max(np.abs(out - ref)) < 1e-9
 
 
 def test_norm_conserved_everywhere(d_rb):
@@ -123,29 +136,26 @@ def test_norm_conserved_everywhere(d_rb):
         p = with_regime_ratio(replace(rubidium_preset(), l0=l0), ratio)
         d = derive(p)
         h = build_hamiltonian(1, l0, d)
-        st = initial_state(l0)
         t = rng.uniform(0.0, 4.0 * math.pi / d.chi)
-        out = evolve(st, h, t, tol=1e-9)
-        assert abs(out.norm() - 1.0) < 1e-12
+        out = _evolve(h, d, [t])[0]
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_two_mode_confinement_small_ratio(d_rb):
     # Bragg regime: population stays on {0, -l0} to ~(ratio/2)^2 per neighbor
     h = build_hamiltonian(1, 2, d_rb)
-    st = initial_state(2)
     times = np.linspace(0.0, 2.0 * math.pi / d_rb.chi, 301)
-    amps = sample_evolution(st, h, times)
-    conf = np.sum(np.abs(amps[:, [st.index_of(0), st.index_of(-2)]]) ** 2, axis=1)
+    amps = sample_evolution(initial_state(h), h, times)
+    conf = np.sum(np.abs(amps[:, [h.index_of(0), h.index_of(-2)]]) ** 2, axis=1)
     assert conf.min() > 1.0 - 1e-5
 
 
 def test_vacuum_hamiltonian_is_static(d_rb):
     h = build_hamiltonian(0, 2, d_rb)
-    st = initial_state(2, n=0)
-    out = evolve(st, h, 0.37)
-    assert abs(out.amplitudes[out.index_of(0)]) ** 2 == pytest.approx(1.0, abs=1e-30)
+    out = _evolve(h, d_rb, [0.37])[0]
+    assert abs(out[h.index_of(0)]) ** 2 == pytest.approx(1.0, abs=1e-30)
     # l=0 is also phase-stationary: diagonal element w*l*(l+l0) vanishes there
-    assert out.amplitudes[out.index_of(0)] == pytest.approx(1.0 + 0.0j, abs=1e-14)
+    assert out[h.index_of(0)] == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
 @pytest.mark.parametrize("include_stark", [False, True])
@@ -154,7 +164,7 @@ def test_vacuum_branch_propagates_without_decomposition(d_rb, monkeypatch, inclu
     rng = np.random.default_rng(2)
     amps = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
     amps[[0, -1]] = 0.0  # keep the edge bound quiet
-    st = ladder.LadderState(amps / np.linalg.norm(amps), h.l_min, h.l_max, 4, n=0)
+    st = amps / np.linalg.norm(amps)
     times = np.array([0.0, 1e-4, 3.7e-3, 0.21])
 
     def no_eigh(*args, **kwargs):
@@ -164,8 +174,8 @@ def test_vacuum_branch_propagates_without_decomposition(d_rb, monkeypatch, inclu
     ours = sample_evolution(st, h, times)
     _, h_dense = oracles.dense_matrix(d_rb.recoil_frequency, d_rb.chi, 0, 4, h.l_min, h.l_max)
     for t, row in zip(times, ours):
-        np.testing.assert_array_equal(row, np.exp(-1j * h.diagonal * t) * st.amplitudes)
-        ref = oracles.propagate_expm(h_dense, st.amplitudes, t)
+        np.testing.assert_array_equal(row, np.exp(-1j * h.diagonal * t) * st)
+        ref = oracles.propagate_expm(h_dense, st, t)
         assert np.max(np.abs(row - ref)) < 1e-12
 
 
@@ -184,37 +194,46 @@ def test_resolution_guard_threshold_is_gershgorin_norm(d_rb):
     ladder.check_resolution(build_hamiltonian(1, 6, d), adiabatic.coupling(1, 6, d))
 
 
+@pytest.mark.parametrize("include_stark", [False, True])
+def test_resolution_guard_passes_the_uncoupled_branch(d_rb, include_stark):
+    # the vacuum branch is never decomposed, so it has no splitting to resolve
+    h = build_hamiltonian(0, 10, d_rb, include_stark=include_stark)
+    assert h.off_diagonal == 0.0
+    ladder.check_resolution(h, 0.0)
+    ladder.check_resolution(h, adiabatic.coeffs(0, 10, d_rb).b_n)
+
+
 def test_truncation_error_raised_when_regime_broken():
     p = with_regime_ratio(rubidium_preset(), 1.0)
     d = derive(p)
     h = build_hamiltonian(1, 2, d, (-6, 4))
-    st = initial_state(2, l_range=(-6, 4))
     with pytest.raises(TruncationError):
-        evolve(st, h, 2.0 * math.pi / d.chi)
+        _evolve(h, d, [2.0 * math.pi / d.chi])
 
 
 def test_marginal_ratio_survives_default_guard():
     p = with_regime_ratio(rubidium_preset(), 0.5)
     d = derive(p)
     h = build_hamiltonian(1, 2, d)
-    st = initial_state(2)
-    out = evolve(st, h, math.pi / d.chi)  # no TruncationError with guard=8
-    assert abs(out.norm() - 1.0) < 1e-12
+    out = _evolve(h, d, [math.pi / d.chi])[0]  # no TruncationError with guard=8
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def test_evolve_zero_duration_is_identity(d_rb):
-    st = initial_state(2)
+def test_evolve_at_time_zero_is_the_initial_state(d_rb):
     h = build_hamiltonian(1, 2, d_rb)
-    assert evolve(st, h, 0.0) is st
+    np.testing.assert_allclose(_evolve(h, d_rb, [0.0])[0], initial_state(h), rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        evolve(st, h, -1.0)
+        _evolve(h, d_rb, [-1.0])
 
 
-def test_state_hamiltonian_compatibility(d_rb):
-    st = initial_state(2, l_range=(-10, 8))
+def test_sample_evolution_refuses_wrong_length_and_negative_times(d_rb):
     h = build_hamiltonian(1, 2, d_rb, (-12, 8))
-    with pytest.raises(ValueError):
-        evolve(st, h, 1e-3)
+    st = initial_state(build_hamiltonian(1, 2, d_rb, (-10, 8)))  # another ladder's state
+    for wrong in (st, np.ones(3), np.ones((1, h.size))):
+        with pytest.raises(ValueError, match="amplitudes for the ladder"):
+            sample_evolution(wrong, h, [1e-3])
+    with pytest.raises(ValueError, match=">= 0"):
+        sample_evolution(initial_state(h), h, [1e-3, -1e-3])
 
 
 def test_extract_flip_frequency_synthetic():
@@ -251,35 +270,24 @@ def test_closed_form_slope_is_the_polyfit_slope():
 
 def test_measured_frequency_matches_coupling(d_rb):
     h = build_hamiltonian(1, 2, d_rb)
-    st = initial_state(2)
     times = np.linspace(0.0, 2.0 * math.pi / d_rb.chi, 512)
-    amps = sample_evolution(st, h, times)
-    p_plus = np.abs(amps[:, st.index_of(0)]) ** 2
-    p_flip = np.abs(amps[:, st.index_of(-2)]) ** 2
+    amps = _evolve(h, d_rb, times)
+    p_plus = np.abs(amps[:, h.index_of(0)]) ** 2
+    p_flip = np.abs(amps[:, h.index_of(-2)]) ** 2
     freq = extract_flip_frequency(times, p_plus, p_flip)
     assert freq == pytest.approx(d_rb.chi, rel=1e-4)
 
 
 def test_timeseries_csv_shape(d_rb):
-    st = initial_state(2, l_range=(-6, 4))
     h = build_hamiltonian(1, 2, d_rb, (-6, 4))
     times = np.linspace(0.0, 1e-3, 4)
-    amps = sample_evolution(st, h, times)
-    text = ladder.format_timeseries_csv(times, d_rb.recoil_frequency, np.abs(amps) ** 2, st.orders)
+    amps = sample_evolution(initial_state(h), h, times)
+    text = ladder.format_timeseries_csv(times, d_rb.recoil_frequency, np.abs(amps) ** 2, h.orders)
     lines = text.strip().split("\n")
     assert lines[0] == "t_s,tau,p_-6,p_-4,p_-2,p_0,p_2,p_4"
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
-
-
-def test_ladder_state_validation(d_rb):
-    with pytest.raises(ValueError):
-        ladder.LadderState(np.ones(3), l_min=-6, l_max=4, l0=2, n=1)  # wrong length
-    st = initial_state(2)
-    assert st.index_of(-2) == st.index_of(0) - 1
-    with pytest.raises(ValueError):
-        st.index_of(-1)  # odd order not on the even ladder
 
 
 def _cycle_ladder(l0, ratio):
@@ -308,7 +316,7 @@ def test_phase_table_matches_60_digit_exponential(l0, ratio):
 
     h, cycle = _cycle_ladder(l0, ratio)
     evals = np.linalg.eigh(h.matrix())[0]
-    st = initial_state(l0)
+    st = initial_state(h)
     reference = {}  # exp(-i*E*t) at 60 digits, per float t
     worst_et = 0.0
     for times, run in _phase_grids(cycle):
@@ -324,6 +332,6 @@ def test_phase_table_matches_60_digit_exponential(l0, ratio):
             err = np.abs(row - reference[t])
             assert np.all(err <= 4.0 * np.finfo(float).eps * (1.0 + et)), (t, err.max())
         amps = sample_evolution(st, h, times)
-        assert np.max(np.abs(np.linalg.norm(amps, axis=1) - st.norm())) <= 1e-12
+        assert np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)) <= 1e-12
     if l0 == 8:
         assert worst_et > 1e11  # the tables are exercised at large phases

@@ -76,6 +76,8 @@ def test_tracer_installs_on_the_package_and_records_a_ladder_op():
     # the ladder engine propagates the Fock branch only
     assert traced["spans"].count("ladder.sample_evolution") == 1
     assert traced["spans"].count("entangle.run_scenario") == 1
+    # ... through the one guarded entry point
+    assert traced["spans"].count("ladder.evolve") == 1
 
 
 def test_validate_propagates_the_ladder_once():
@@ -84,6 +86,7 @@ def test_validate_propagates_the_ladder_once():
     assert traced["spans"].count("cli.validate_point") == 1
     assert traced["spans"].count("ladder.sample_evolution") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
+    assert traced["spans"].count("ladder.evolve") == 1
 
 
 def test_ghz_op_records_every_scoring_stage():
