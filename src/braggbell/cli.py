@@ -100,12 +100,11 @@ def cmd_preset(args: argparse.Namespace) -> int:
     if args.action == "list":
         _emit("\n".join(sorted(params.PRESETS)) + "\n", args.output)
         return EXIT_OK
-    name = args.name if args.name is not None else args.preset
-    p = params.get_preset(name)
+    p = params.get_preset(args.name)
     d = params.derive(p)
     verdict = params.validate_bragg_regime(d, p.n0)
     payload = {
-        "name": name,
+        "name": args.name,
         "physical": params.physical_dict(p),
         "derived": _derived_dict(d),
         "regime_verdict": verdict.value,
@@ -284,8 +283,8 @@ def validate_point(
     if bell_error is not None:
         report.update(bell_fidelity=None, bell_error=bell_error)
         return report
-    # opposite incidence: |+-> in, |-+> flipped; the mirror atom's pair is reversed
-    state, _ = entangle.compose(np.array([[(1, 0), (0, 1)], [pairs[-1], pairs[-1, ::-1]]]))
+    # opposite incidence: |+-> in, |-+> flipped
+    state, _ = entangle.prepare([pairs[-1].tolist()] * 2, (0, 1))
     _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
     report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
     return report
@@ -299,12 +298,8 @@ def _check_samples(samples: int) -> None:
 def cmd_validate(args: argparse.Namespace) -> int:
     _check_samples(args.samples)
     p = _physical(args)
-    if args.l0 is not None or args.n is not None:
-        p = replace(
-            p,
-            l0=args.l0 if args.l0 is not None else p.l0,
-            n0=args.n if args.n is not None else p.n0,
-        )
+    if args.l0 is not None:
+        p = replace(p, l0=args.l0)
     report = validate_point(p, s=args.s, samples=args.samples, guard=args.guard)
     _emit(_json_text(report), args.output)
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
@@ -394,6 +389,10 @@ def _parse_value_list(var: str, text: str):
         raise UsageError(f"bad value list for {var}: {text!r}") from exc
 
 
+def _add_output(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--output", default=None, help="write to file instead of stdout")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", default="rubidium", help="named parameter set")
     sub.add_argument(
@@ -415,7 +414,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="rescale the coupling g so that |chi*n0/w_rec| equals this",
     )
-    sub.add_argument("--output", default=None, help="write to file instead of stdout")
+    _add_output(sub)
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -449,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_preset = sub.add_parser("preset", help="list presets or show one resolved")
     p_preset.add_argument("action", choices=("list", "show"))
-    p_preset.add_argument("name", nargs="?", default=None)
-    _add_common(p_preset)
+    p_preset.add_argument("name", nargs="?", default="rubidium")
+    _add_output(p_preset)
 
     p_coeffs = sub.add_parser("coeffs", help="two-level coefficient table (CSV)")
     p_coeffs.add_argument("--l0", default=None, help="comma list of Bragg orders")
@@ -481,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="ladder vs closed-form comparison (JSON)")
     p_val.add_argument("--l0", type=int, default=None)
-    p_val.add_argument("--n", type=int, default=None)
     p_val.add_argument("--s", type=int, default=1)
     p_val.add_argument("--samples", type=int, default=512)
     p_val.add_argument("--guard", type=int, default=ladder.DEFAULT_GUARD)

@@ -26,11 +26,13 @@ by the sign of b_n and the pulse multiple s, on every flipped amplitude, on
 top of the level-shift phase e^{-i a_n t} and, with the Stark term, the
 Fock-branch phase e^{+i chi n0 t}. The scheduled target takes its phase from
 the same closed-form Fock-branch pairs that the adiabatic engine prepares,
-so one solve per atom serves both. The vacuum branch (a = b = 0, no Stark
-shift at n = 0) keeps its initial amplitudes in both engines; the ladder
-engine propagates the Fock branch only. Reports carry the measured phase and
-this scheduled phase (phase_reference_rad) side by side; for the adiabatic
-engine they agree exactly, up to the sign that the *_minus kinds carry.
+so one solve per atom serves both. Both engines give each atom's Fock-branch
+pair as (kept, flipped), for an atom entering on |+>; `prepare` reverses a
+mirror atom's pair (one entering on |->) and adds the vacuum branch (a = b =
+0, no Stark shift at n = 0), which keeps the initial amplitudes. Reports carry
+the measured phase and this scheduled phase (phase_reference_rad) side by
+side; for the adiabatic engine they agree exactly, up to the sign that the
+*_minus kinds carry.
 """
 
 from __future__ import annotations
@@ -91,6 +93,19 @@ def compose(pairs: np.ndarray) -> tuple[tuple, float]:
     if raw <= 0.0:
         raise ValueError("joint state has zero norm")
     return ([f / math.sqrt(raw) for f in FIELD], pairs), max(0.0, 1.0 - raw)
+
+
+def prepare(fock, init_bits) -> tuple[tuple, float]:
+    """compose of atoms entering on init_bits, with Fock-branch pairs `fock`.
+
+    fock[i] is atom i's (kept, flipped) pair: the amplitude left in the mode
+    it entered on, then the one in the other mode. A mirror atom (bit 1) has
+    its pair reversed into (c_plus, c_minus) order; the vacuum branch keeps
+    each atom in its initial mode.
+    """
+    vacuum = [(1, 0) if q == 0 else (0, 1) for q in init_bits]
+    fock = [pair if q == 0 else pair[::-1] for pair, q in zip(fock, init_bits, strict=True)]
+    return compose([vacuum, fock])
 
 
 def superposition_basis() -> np.ndarray:
@@ -227,6 +242,7 @@ _BASES = {
     "superposition": (("plus", "minus"), superposition_basis),
     "computational": (("vacuum", "fock"), computational_basis),
 }
+_SIGN_NAMES = {1: "plus", -1: "minus"}
 
 
 @dataclass(frozen=True)
@@ -259,11 +275,6 @@ class EntanglementReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _flip_kind(kind: str) -> str:
-    stem, sign = kind.rsplit("_", 1)
-    return f"{stem}_{'minus' if sign == 'plus' else 'plus'}"
-
-
 def ladder_pairs(
     c: adiabatic.TwoLevelCoeffs,
     d: DerivedParams,
@@ -271,16 +282,26 @@ def ladder_pairs(
     l_range: tuple[int, int] | None = None,
     include_stark: bool = False,
 ) -> np.ndarray:
-    """Fock-branch (c_plus, c_minus) at each of `times` from one ladder propagation.
+    """Fock-branch (kept, flipped) at each of `times` from one ladder propagation.
 
-    Shape (len(times), 2), for an atom entering on +P_{l0}. c is the Fock
-    branch's reduction, whose b_n the resolution guard checks; l_range sets
-    the truncation (default ladder.default_range). A mirror atom has the same
-    amplitudes with |+> and |-> swapped, a reversal left to the caller.
+    Shape (len(times), 2): the (c_plus, c_minus) of an atom entering on
+    +P_{l0}. c is the Fock branch's reduction, whose b_n the resolution guard
+    checks; l_range sets the truncation (default ladder.default_range). A
+    mirror atom has the same (kept, flipped) pair, which `prepare` reverses.
     """
     h = ladder.build_hamiltonian(c.n, c.l0, d, l_range, include_stark)
     amps = ladder.evolve(h, c.b_n, times)
     return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
+
+
+def _grade(prob: float, post: tuple, init_bits, flip_bits, rel: complex | None) -> dict:
+    """Scores of one outcome's atom state; rel None fits the target phase."""
+    if rel is None:
+        fid = fitted_fidelity(post, init_bits, flip_bits)
+    else:
+        fid = fidelity(post, init_bits, flip_bits, rel)
+    conc = concurrence(post) if len(init_bits) == 2 else None
+    return {"probability": prob, "fidelity": fid, "concurrence": conc}
 
 
 def run_scenario(
@@ -332,65 +353,55 @@ def run_scenario(
     # opposite: |+-> in, |-+> flipped; same: |+...+> in, |-...-> flipped
     init_bits = [0, 1] if mode == "opposite" else [0] * k
     flip_bits = [1 - q for q in init_bits]
-    inits = np.eye(2, dtype=np.complex128)[init_bits]
     # one closed-form solve per atom's Fock branch serves the adiabatic engine
-    # and the scheduled target of either engine; a uniform -chi*n shift of the
-    # Fock-branch diagonal is the global phase exp(+i chi n t) there
-    stark_rate = d.chi * p.n0 if include_stark else 0.0
-    sols = [adiabatic.solve(init, c, t) for init, t in zip(inits, times)]
-    closed_form = np.array([(sol.c_plus, sol.c_minus) for sol in sols])
-    closed_form *= np.exp(1j * stark_rate * np.array(times))[:, None]
+    # and the scheduled target of either engine
+    sols = [adiabatic.solve((1, 0), c, t) for t in times]
+    closed_form = [(sol.c_plus, sol.c_minus) for sol in sols]
+    if include_stark:
+        # a uniform -chi*n shift of the Fock-branch diagonal is the global
+        # phase exp(+i chi n t) there; numpy's vectorised multiply (fused
+        # where the CPU can) sets the last digit of the Stark reports
+        stark = np.exp(1j * (d.chi * p.n0) * np.array(times))[:, None]
+        closed_form = (np.array(closed_form) * stark).tolist()
     if engine == "adiabatic":
         fock = closed_form
     else:
-        pairs = ladder_pairs(c, d, times, include_stark=include_stark)
-        fock = np.where(np.array(init_bits)[:, None] == 0, pairs, pairs[:, ::-1])
-    # the vacuum branch (a = b = 0) keeps its initial amplitudes
-    state, leakage = compose(np.stack([inits, fock]))
+        fock = ladder_pairs(c, d, times, include_stark=include_stark).tolist()
+    state, leakage = prepare(fock, init_bits)
     vacuum, fock_branch = state[1]
 
     # scheduled target: family from the preparation mode, sign from r parity,
-    # phase from the closed-form flip coefficients
-    sign_name = "plus" if r % 2 == 0 else "minus"
+    # phase from the closed-form flipped amplitudes
+    sign = 1 - 2 * (r % 2)
     if k == 2:
-        scenario = f"bell-{mode}"
-        kind = f"{'psi' if mode == 'opposite' else 'phi'}_{sign_name}"
+        scenario, family = f"bell-{mode}", "psi" if mode == "opposite" else "phi"
     else:
-        scenario = "ghz"
-        kind = f"ghz_{sign_name}"
-
-    # each atom's flipped amplitude is the one its initial state leaves at zero
-    f_pred = math.prod(closed_form[inits == 0], start=1.0 + 0.0j)
-    sign = 1.0 if r % 2 == 0 else -1.0
-    target_phase = -float(np.angle(sign * f_pred))
+        scenario, family = "ghz", "ghz"
+    kind = f"{family}_{_SIGN_NAMES[sign]}"
+    target_phase = -float(np.angle(sign * math.prod((f for _, f in closed_form), start=1 + 0j)))
+    target = cmath.exp(-1j * target_phase)
 
     # both branch weights are FIELD over the same norm
     flipped, kept = _product(fock_branch, flip_bits), _product(vacuum, init_bits)
     phase_measured = -cmath.phase(flipped * kept.conjugate())
 
+    # the second outcome of either basis carries the opposite sign
     labels, basis_of = _BASES[basis]
-    basis_mat = basis_of()
-    outcomes: dict[str, dict] = {}
-    probs: dict[str, float] = {}
-    collapse: dict | None = None
-    for idx, label in enumerate(labels):
-        prob, post = measure_field(state, basis_mat, idx)
-        out_kind = kind if idx == 0 else _flip_kind(kind)
-        if fit_phase:
-            fid = fitted_fidelity(post, init_bits, flip_bits)
-        else:
-            rel = (1 if out_kind.endswith("plus") else -1) * cmath.exp(-1j * target_phase)
-            fid = fidelity(post, init_bits, flip_bits, rel)
-        conc = concurrence(post) if k == 2 else None
+    outcomes, collapse = {}, None
+    for idx, (label, out_sign) in enumerate(zip(labels, (sign, -sign))):
+        prob, post = measure_field(state, basis_of(), idx)
+        rel = None if fit_phase else out_sign * target
         outcomes[label] = {
-            "probability": prob,
-            "fidelity": fid,
-            "concurrence": conc,
-            "kind": out_kind,
+            **_grade(prob, post, init_bits, flip_bits, rel),
+            "kind": f"{family}_{_SIGN_NAMES[out_sign]}",
         }
-        probs[label] = prob
         if k >= 3 and idx == selected_outcome:
-            collapse = _ghz_collapse(post, out_kind, target_phase)
+            # reading atom 0 in (|+> +- |->)/sqrt2 leaves a (k-1)-atom GHZ state
+            collapse = {}
+            for x, (x_label, x_sign) in enumerate((("x_plus", 1), ("x_minus", -1))):
+                x_prob, rest = measure_atom(post, 0, superposition_basis(), x)
+                rel = x_sign * out_sign * target
+                collapse[x_label] = _grade(x_prob, rest, [0] * (k - 1), [1] * (k - 1), rel)
 
     selected_label = labels[selected_outcome]
     selected = outcomes[selected_label]
@@ -426,26 +437,10 @@ def run_scenario(
         phase_measured_rad=phase_measured,
         phase_reference_rad=target_phase,
         leakage=leakage,
-        outcome_probabilities=probs,
+        outcome_probabilities={label: out["probability"] for label, out in outcomes.items()},
         outcomes=outcomes,
         vacuum_deviation=vacuum_deviation,
         verdict=verdict.value,
         selected_outcome=selected_label,
         ghz_collapse=collapse,
     )
-
-
-def _ghz_collapse(post: tuple, kind: str, phase: float) -> dict:
-    """Measure atom 0 in the (|+> +- |->)/sqrt2 basis; grade the remnant."""
-    out: dict[str, dict] = {}
-    sign = 1 if kind.endswith("plus") else -1
-    for idx, label in enumerate(("x_plus", "x_minus")):
-        prob, rest = measure_atom(post, 0, superposition_basis(), idx)
-        k = len(rest[1][0])
-        rel = (sign if idx == 0 else -sign) * cmath.exp(-1j * phase)
-        out[label] = {
-            "probability": prob,
-            "fidelity": fidelity(rest, [0] * k, [1] * k, rel),
-            "concurrence": concurrence(rest) if k == 2 else None,
-        }
-    return out

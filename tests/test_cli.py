@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import braggbell
 import oracles
-from braggbell import cli, ladder, params
+from braggbell import cli, entangle, ladder, params
 from braggbell.cli import main
 
 
@@ -44,6 +45,27 @@ def test_preset_show_unknown(capsys):
     code, _, err = run(capsys, "preset", "show", "cesium")
     assert code == 1
     assert "unknown preset" in err
+
+
+def test_preset_default_name_is_rubidium(capsys):
+    assert run(capsys, "preset", "show") == run(capsys, "preset", "show", "rubidium")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["show", "--set", "n0=5"],
+        ["show", "--chi-ratio", "3"],
+        ["show", "--preset", "rubidium"],
+        ["list", "--config", "/nonexistent"],
+    ],
+)
+def test_preset_refuses_parameter_flags(capsys, argv):
+    # preset prints a named preset as stored; it takes no overrides to ignore
+    code, out, err = run(capsys, "preset", *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def _resonant_pair(n, l0):
@@ -288,6 +310,24 @@ def test_validate_l0_4_shift_block(capsys):
     # b_n < 0 at l0=4; validate reports the flip rate, which the ladder shows
     assert rep["b_rad_s"] == pytest.approx(splitting, rel=1e-8)
     assert rep["freq_ratio"] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_validate_has_no_photon_number_flag(capsys):
+    # --set n0=N sets the photon number; --chi-ratio then rescales g for it
+    code, out, err = run(capsys, "validate", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --n" in err
+
+
+@pytest.mark.parametrize("l0", [2, 4, 6])
+def test_validate_bell_fidelity_is_the_ladder_scenario(l0):
+    # both build the opposite-incidence state through entangle.prepare from the
+    # ladder's pair at t1; validate reads it off its sampled-cycle propagation
+    p = params.with_regime_ratio(replace(params.rubidium_preset(), l0=l0), 0.02)
+    point = cli.validate_point(p, samples=64)
+    rep = entangle.run_scenario(p, engine="ladder", fit_phase=True)
+    assert point["bell_fidelity"] == pytest.approx(rep.fidelity, rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("guard", [6, 20])

@@ -243,6 +243,20 @@ def test_scoring_matches_dense_oracle(k):
                         assert concurrence(rest) == pytest.approx(expect, abs=tol)
 
 
+def test_prepare_is_compose_with_the_mirror_pairs_reversed():
+    # fock pairs in (kept, flipped) order; a mirror atom (bit 1) enters on |->
+    rng = np.random.default_rng(7)
+    bits = (0, 1, 1, 0)
+    fock = _lossy_pairs(rng, len(bits))[1]
+    explicit = np.array([
+        [(1, 0) if q == 0 else (0, 1) for q in bits],
+        [pair if q == 0 else pair[::-1] for pair, q in zip(fock, bits)],
+    ])
+    assert entangle.prepare(fock.tolist(), bits) == compose(explicit)
+    with pytest.raises(ValueError):
+        entangle.prepare(fock.tolist(), bits[:3])
+
+
 def test_compose_rejects_bad_input():
     bad_shapes = [
         np.ones((2, 2)),  # no atom axis
@@ -493,6 +507,17 @@ def test_ghz_adiabatic_exact(rb):
         if k == 3:
             for o in rep.ghz_collapse.values():
                 assert o["concurrence"] > 1.0 - 1e-12
+    # the collapse of the selected field outcome, whose sign is the r parity
+    # times that outcome's, graded against x_plus/x_minus's own signs
+    for k in (3, 4):
+        for r in (0, 1):
+            for outcome in (0, 1):
+                rep = run_scenario(rb, mode="same", k=k, r=r, selected_outcome=outcome)
+                assert rep.target_kind == ("ghz_plus" if r == 0 else "ghz_minus")
+                assert rep.selected_outcome == ("plus", "minus")[outcome]
+                for o in rep.ghz_collapse.values():
+                    assert o["probability"] == pytest.approx(0.5, abs=1e-12)
+                    assert o["fidelity"] > 1.0 - 1e-12
 
 
 def test_ghz_ladder(rb):

@@ -87,6 +87,17 @@ def test_validate_propagates_the_ladder_once():
     assert traced["spans"].count("ladder.sample_evolution") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
     assert traced["spans"].count("ladder.evolve") == 1
+    # ... and builds its Bell state once, through entangle.prepare
+    assert traced["spans"].count("entangle.compose") == 1
+
+
+def test_adiabatic_bell_op_solves_once_per_atom():
+    traced = _traced('entangle.run_scenario(params.rubidium_preset()).to_json()')
+    # one closed-form solve per atom serves the state and the target phase
+    assert traced["spans"].count("adiabatic.solve") == 2
+    assert traced["spans"].count("entangle.compose") == 1
+    assert traced["spans"].count("entangle.measure_field") == 2
+    assert traced["spans"].count("entangle.measure_atom") == 0
 
 
 def test_ghz_op_records_every_scoring_stage():
