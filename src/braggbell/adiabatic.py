@@ -7,7 +7,7 @@ amplitudes with a common level shift a_n and a signed coupling b_n:
     i dc-/dt = a_n c- - (b_n/2) c+.
 
 Both come from one Brillouin-Wigner partition of the ladder Hamiltonian of
-`ladder.build_hamiltonian` on the `ladder.default_range` grid (Loewdin, J.
+`ladder.build_hamiltonian` on the `params.default_range` grid (Loewdin, J.
 Chem. Phys. 19, 1396 (1951)): the effective 2x2 at energy E has diagonal
 self-energy alpha(E) and off-diagonal beta(E). The shift solves a = alpha(a),
 and b = -2*beta(a)/(1 - alpha'(a)) is the splitting with the weight that the
@@ -28,7 +28,8 @@ inside one field branch; it only becomes observable between branches.
 solve() is the exact unitary propagator exp(-i(a*I - (b/2)*sigma_x)t): the
 cosine/sine population content matches the textbook flip formulas while the
 phases carry the factor i on the sine terms and the full e^{-i a t} that
-unitarity requires.
+unitarity requires. The module needs only the standard library; it imports
+neither `ladder` nor numpy.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import ladder
-from .params import DerivedParams
+from .params import DerivedParams, PhysicsError, default_range
 
 MAX_ITERATIONS = 100  # a = alpha(a) converges in a handful inside the Bragg regime
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(PhysicsError):
     """The level shift a = alpha(a) did not converge; the coupling is far too strong."""
 
 
@@ -97,7 +97,7 @@ def _self_energies(e: float, outer: list[float], middle: list[float], v: float):
 
 def coeffs(n: int, l0: int, d: DerivedParams) -> TwoLevelCoeffs:
     """a_n and b_n from the partition of the n-photon ladder (module docstring)."""
-    _, l_max = ladder.default_range(l0)
+    _, l_max = default_range(l0)
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
     v = -d.chi * n / 2.0

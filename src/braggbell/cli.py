@@ -10,10 +10,15 @@ pi_pulse_s, `validate`'s b_rad_s and flip cycle, `simulate --cycles`) are the
 flip rate |b_n| of the two-level reduction in `adiabatic`; the sign of b_n
 only enters the scenario reports through the two-level propagator.
 
-Exit codes: 0 success, 1 usage/config error, 2 physics error (regime
-violation, ladder truncation, a coupling too weak to resolve, a level shift
-that does not converge), 3 I/O error. A sweep reports a point that fails
-with a usage or physics error as an `error` row and still exits 0.
+Exit codes: 0 success, 1 usage/config error, 2 physics error (a
+params.PhysicsError: regime violation, ladder truncation, a coupling too weak
+to resolve, a level shift that does not converge), 3 I/O error. A sweep
+reports a point that fails with a usage or physics error as an `error` row
+and still exits 0.
+
+Only the commands that propagate the ladder load it, and numpy with it:
+`simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,
+`coeffs` and the default adiabatic `bell`/`ghz` run on the standard library.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import adiabatic, entangle, ladder, params
+from . import adiabatic, entangle, params
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,6 +127,10 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import ladder
+
     _check_samples(args.samples)
     p = _physical(args)
     if args.l0 is not None:
@@ -162,7 +169,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not math.isfinite(duration):
         raise UsageError(f"duration must be finite, got {duration}")
 
-    l_range = ladder.default_range(p.l0, args.guard)
+    l_range = params.default_range(p.l0, args.guard)
     h = ladder.build_hamiltonian(n, p.l0, d, l_range, args.include_stark)
     if duration == 0:
         times = np.array([0.0])
@@ -221,7 +228,7 @@ def cmd_ghz(args: argparse.Namespace) -> int:
 
 
 def validate_point(
-    p: params.PhysicalParams, s: int = 1, samples: int = 512, guard: int = ladder.DEFAULT_GUARD
+    p: params.PhysicalParams, s: int = 1, samples: int = 512, guard: int = params.DEFAULT_GUARD
 ) -> dict:
     """Ladder-vs-two-level comparison over one population-flip cycle.
 
@@ -230,6 +237,10 @@ def validate_point(
     pointwise population deviation, two-mode confinement and leakage, and a
     phase-agnostic Bell fidelity.
     """
+    import numpy as np
+
+    from . import ladder
+
     d = params.derive(p)
     verdict = params.validate_bragg_regime(d, p.n0)
     c = adiabatic.coeffs(p.n0, p.l0, d)
@@ -254,7 +265,7 @@ def validate_point(
         t1, bell_error = [], str(exc)
     try:
         pairs = entangle.ladder_pairs(
-            c, d, np.append(times, t1), ladder.default_range(p.l0, guard)
+            c, d, np.append(times, t1), params.default_range(p.l0, guard)
         )
     except ladder.ResolutionError as exc:
         report["error"] = f"ladder resolution: {exc}"
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cycles", type=float, default=None, help="duration in units of 2*pi/B_n"
     )
     p_sim.add_argument("--samples", type=int, default=201)
-    p_sim.add_argument("--guard", type=int, default=ladder.DEFAULT_GUARD)
+    p_sim.add_argument("--guard", type=int, default=params.DEFAULT_GUARD)
     p_sim.add_argument("--include-stark", action="store_true")
     _add_common(p_sim)
 
@@ -482,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--l0", type=int, default=None)
     p_val.add_argument("--s", type=int, default=1)
     p_val.add_argument("--samples", type=int, default=512)
-    p_val.add_argument("--guard", type=int, default=ladder.DEFAULT_GUARD)
+    p_val.add_argument("--guard", type=int, default=params.DEFAULT_GUARD)
     _add_common(p_val)
 
     p_sweep = sub.add_parser("sweep", help="validate over a parameter range (CSV/JSON)")
@@ -490,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated points")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--samples", type=int, default=512)
-    p_sweep.add_argument("--guard", type=int, default=ladder.DEFAULT_GUARD)
+    p_sweep.add_argument("--guard", type=int, default=params.DEFAULT_GUARD)
     _add_common(p_sweep)
 
     return parser
@@ -517,12 +528,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _HANDLERS[args.command](args)
-    except (
-        entangle.RegimeError,
-        ladder.TruncationError,
-        ladder.ResolutionError,
-        adiabatic.ConvergenceError,
-    ) as exc:
+    except params.PhysicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except ValueError as exc:  # UsageError, ParameterError and MeasurementError too

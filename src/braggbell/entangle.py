@@ -33,6 +33,12 @@ mirror atom's pair (one entering on |->) and adds the vacuum branch (a = b =
 the measured phase and this scheduled phase (phase_reference_rad) side by
 side; for the adiabatic engine they agree exactly, up to the sign that the
 *_minus kinds carry.
+
+The module is plain Python (cmath and math): a basis is a pair of rows, and
+superposition_basis/computational_basis return tuples of them; lists,
+tuples and ndarrays are all accepted where a basis or pairs are taken. Only
+the ladder engine loads `ladder`, and with it numpy, when ladder_pairs is
+called.
 """
 
 from __future__ import annotations
@@ -42,12 +48,11 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from . import adiabatic, ladder
+from . import adiabatic
 from .params import (
     DerivedParams,
     PhysicalParams,
+    PhysicsError,
     RegimeVerdict,
     derive,
     physical_dict,
@@ -61,30 +66,35 @@ class MeasurementError(ValueError):
     """Measurement request is ill-posed (bad basis or zero-probability outcome)."""
 
 
-class RegimeError(RuntimeError):
+class RegimeError(PhysicsError):
     """Requested run sits outside the Bragg regime."""
 
 
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # the cavity field (|0> + |n0>)/sqrt2, one amplitude per branch (0 vacuum, 1 Fock)
-FIELD = (1.0 / math.sqrt(2.0),) * 2
+FIELD = (INV_SQRT2,) * 2
 
 
 def _norm2(pair) -> float:
     return abs(pair[0]) ** 2 + abs(pair[1]) ** 2
 
 
-def compose(pairs: np.ndarray) -> tuple[tuple, float]:
+def compose(pairs) -> tuple[tuple, float]:
     """Joint state of FIELD and k atoms as a product over atoms per branch.
 
-    pairs[b, i] is atom i's (c_plus, c_minus) in field branch b. Returns the
-    normalized state (weights, pairs), its weights FIELD over the norm, and
-    the leakage: the probability that fell outside the two-mode subspaces,
-    where an atom's branch norm is below one.
+    pairs[b][i] is atom i's (c_plus, c_minus) in field branch b, nested
+    sequences or an array of shape (2, k, 2). Returns the normalized state
+    (weights, pairs), its weights FIELD over the norm, and the leakage: the
+    probability that fell outside the two-mode subspaces, where an atom's
+    branch norm is below one.
     """
-    arr = np.asarray(pairs, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[::2] != (2, 2) or not 1 <= arr.shape[1] <= MAX_ATOMS:
-        raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2), got {arr.shape}")
-    pairs = arr.tolist()
+    try:  # unpacking refuses a third branch or a third qubit level
+        vacuum, fock = pairs = [[(complex(p), complex(m)) for p, m in branch] for branch in pairs]
+        shaped = len(vacuum) == len(fock) and 1 <= len(vacuum) <= MAX_ATOMS
+    except (TypeError, ValueError):
+        shaped = False
+    if not shaped:
+        raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2)")
     norms = [[_norm2(pair) for pair in branch] for branch in pairs]
     if max(map(max, norms)) > 1.0 + 1e-9:
         raise ValueError("an atom's branch norm exceeds 1")
@@ -108,26 +118,30 @@ def prepare(fock, init_bits) -> tuple[tuple, float]:
     return compose([vacuum, fock])
 
 
-def superposition_basis() -> np.ndarray:
+def superposition_basis() -> tuple:
     """Field basis {(|0> + |n0>)/sqrt2, (|0> - |n0>)/sqrt2} as rows."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
 
 
-def computational_basis() -> np.ndarray:
+def computational_basis() -> tuple:
     """Field basis {|0>, |n0>} as rows."""
-    return np.eye(2)
+    return ((1.0, 0.0), (0.0, 1.0))
 
 
-def _basis_row(basis: np.ndarray, outcome: int, what: str) -> list[complex]:
+def _basis_row(basis, outcome: int, what: str) -> list[complex]:
     """Conjugated row `outcome` of a 2x2 basis whose rows are orthonormal within 1e-12."""
-    basis = np.asarray(basis, dtype=np.complex128)
-    if basis.shape != (2, 2):
-        raise MeasurementError(f"{what} basis must be 2x2, got {basis.shape}")
-    if np.max(np.abs(basis @ basis.conj().T - np.eye(2))) > 1e-12:
+    try:
+        (u0, u1), (v0, v1) = rows = [(complex(x), complex(y)) for x, y in basis]
+    except (TypeError, ValueError):
+        raise MeasurementError(f"{what} basis must be 2x2: two rows of two numbers") from None
+    # the entries of rows @ rows^H - I; `<=` is False for a nan, which fails too
+    gram = (abs(u0) ** 2 + abs(u1) ** 2 - 1, abs(v0) ** 2 + abs(v1) ** 2 - 1,
+            abs(u0 * v0.conjugate() + u1 * v1.conjugate()))
+    if not all(abs(g) <= 1e-12 for g in gram):
         raise MeasurementError(f"{what} basis is not orthonormal within 1e-12")
     if outcome not in (0, 1):
         raise MeasurementError(f"outcome must be 0 or 1, got {outcome}")
-    return basis[outcome].conj().tolist()
+    return [x.conjugate() for x in rows[outcome]]
 
 
 def _gram_norm2(weights, pairs) -> float:
@@ -174,7 +188,7 @@ def _renormalized(weights: list, pairs: list, outcome: int) -> tuple[float, tupl
     return prob, ([w / math.sqrt(prob) for w in weights], pairs)
 
 
-def measure_field(state: tuple, basis: np.ndarray, outcome: int) -> tuple[float, tuple]:
+def measure_field(state: tuple, basis, outcome: int) -> tuple[float, tuple]:
     """Born-rule projection of compose's state onto field basis row `outcome`.
 
     Returns (probability, renormalized atom state).
@@ -185,7 +199,7 @@ def measure_field(state: tuple, basis: np.ndarray, outcome: int) -> tuple[float,
 
 
 def measure_atom(
-    state: tuple, atom_index: int, basis: np.ndarray, outcome: int
+    state: tuple, atom_index: int, basis, outcome: int
 ) -> tuple[float, tuple]:
     """Project one atom of a state onto basis row `outcome`; the rest remain."""
     v_plus, v_minus = _basis_row(basis, outcome, "atom")
@@ -281,14 +295,17 @@ def ladder_pairs(
     times,
     l_range: tuple[int, int] | None = None,
     include_stark: bool = False,
-) -> np.ndarray:
+):
     """Fock-branch (kept, flipped) at each of `times` from one ladder propagation.
 
-    Shape (len(times), 2): the (c_plus, c_minus) of an atom entering on
-    +P_{l0}. c is the Fock branch's reduction, whose b_n the resolution guard
-    checks; l_range sets the truncation (default ladder.default_range). A
-    mirror atom has the same (kept, flipped) pair, which `prepare` reverses.
+    An ndarray of shape (len(times), 2): the (c_plus, c_minus) of an atom
+    entering on +P_{l0}. c is the Fock branch's reduction, whose b_n the
+    resolution guard checks; l_range sets the truncation (default
+    params.default_range). A mirror atom has the same (kept, flipped) pair,
+    which `prepare` reverses. Loads `ladder`, and with it numpy, on first use.
     """
+    from . import ladder
+
     h = ladder.build_hamiltonian(c.n, c.l0, d, l_range, include_stark)
     amps = ladder.evolve(h, c.b_n, times)
     return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
@@ -359,10 +376,9 @@ def run_scenario(
     closed_form = [(sol.c_plus, sol.c_minus) for sol in sols]
     if include_stark:
         # a uniform -chi*n shift of the Fock-branch diagonal is the global
-        # phase exp(+i chi n t) there; numpy's vectorised multiply (fused
-        # where the CPU can) sets the last digit of the Stark reports
-        stark = np.exp(1j * (d.chi * p.n0) * np.array(times))[:, None]
-        closed_form = (np.array(closed_form) * stark).tolist()
+        # phase exp(+i chi n t) there
+        stark = [cmath.exp(1j * (d.chi * p.n0) * t) for t in times]
+        closed_form = [(kp * f, fl * f) for (kp, fl), f in zip(closed_form, stark)]
     if engine == "adiabatic":
         fock = closed_form
     else:
@@ -378,7 +394,7 @@ def run_scenario(
     else:
         scenario, family = "ghz", "ghz"
     kind = f"{family}_{_SIGN_NAMES[sign]}"
-    target_phase = -float(np.angle(sign * math.prod((f for _, f in closed_form), start=1 + 0j)))
+    target_phase = -cmath.phase(sign * math.prod((f for _, f in closed_form), start=1 + 0j))
     target = cmath.exp(-1j * target_phase)
 
     # both branch weights are FIELD over the same norm

@@ -33,7 +33,9 @@ eps*||H||. check_resolution refuses a coupled branch whose |b_n| is within
 RESOLUTION_LIMIT*eps*||H||, with ||H|| bounded by Gershgorin's
 max|diagonal| + 2|off_diagonal|, and raises ResolutionError. A row whose norm
 drifts from the initial one by more than NORM_TOL raises RuntimeError. The
-three thresholds are constants.
+three thresholds are constants. The default range (params.default_range)
+and its check come from `params`, which the two-level engine and the CLI
+use without loading this module or numpy.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -48,42 +50,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedParams
+from .params import DerivedParams, PhysicsError, check_range, default_range
 
-DEFAULT_GUARD = 8       # extra orders kept beyond the resonant pair
-MIN_GUARD = 4           # below this the truncation cannot be trusted
 NORM_TOL = 1e-9         # largest |norm(t) - norm(0)| accepted
 EDGE_THRESHOLD = 1e-10  # largest bound on the edge population accepted
 RESOLUTION_LIMIT = 1e3  # |b_n| must exceed this many eps*||H||
 
 
-class TruncationError(RuntimeError):
+class TruncationError(PhysicsError):
     """Population reached the ladder boundary; widen the range or fix the regime."""
 
 
-class ResolutionError(RuntimeError):
+class ResolutionError(PhysicsError):
     """The flip frequency is below what the eigen-solver resolves for this ladder."""
-
-
-def default_range(l0: int, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
-    """Symmetric-guard ladder range bracketing both resonant orders."""
-    if guard < MIN_GUARD:
-        raise ValueError(f"guard must be >= {MIN_GUARD}, got {guard}")
-    guard += guard % 2
-    _check_range(-l0 - guard, guard, l0)
-    return (-l0 - guard, guard)
-
-
-def _check_range(l_min: int, l_max: int, l0: int) -> None:
-    if l0 < 2 or l0 % 2:
-        raise ValueError(f"l0 must be a positive even integer, got {l0}")
-    if l_min % 2 or l_max % 2:
-        raise ValueError(f"ladder range [{l_min}, {l_max}] must have even endpoints")
-    if l_min > -l0 - MIN_GUARD or l_max < MIN_GUARD:
-        raise ValueError(
-            f"ladder range [{l_min}, {l_max}] must bracket the resonant orders "
-            f"[-{l0}, 0] with a guard of at least {MIN_GUARD}"
-        )
 
 
 @dataclass(frozen=True)
@@ -105,7 +84,7 @@ class LadderHamiltonian:
     def __post_init__(self):
         diag = np.array(self.diagonal, dtype=np.float64)
         object.__setattr__(self, "diagonal", diag)
-        _check_range(self.l_min, self.l_max, self.l0)
+        check_range(self.l_min, self.l_max, self.l0)
         expected = (self.l_max - self.l_min) // 2 + 1
         if diag.shape != (expected,):
             raise ValueError(f"diagonal shape {diag.shape}, expected ({expected},)")

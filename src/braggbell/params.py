@@ -4,6 +4,10 @@ All angular frequencies are rad/s, lengths in m, masses in kg. The one
 derived scale hierarchy that matters: the recoil frequency w_rec = hbar k^2/2M
 must dominate the effective Rabi frequency chi*n = |g|^2 n / 2*detuning for
 the two-mode (Bragg) regime to hold.
+
+The truncated ladder range (default_range and its check) and PhysicsError,
+the base of every error the CLI reports with exit 2, live here too, so that
+the two-level engine and the CLI need neither `ladder` nor numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +22,10 @@ HBAR = 1.054571817e-34  # J*s (CODATA 2018)
 
 class ParameterError(ValueError):
     """Invalid physical parameter or configuration input."""
+
+
+class PhysicsError(RuntimeError):
+    """The physics refuses the request: regime, truncation, resolution or convergence."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,34 @@ def with_regime_ratio(p: PhysicalParams, ratio: float) -> PhysicalParams:
     d = derive(p)
     g = math.sqrt(2.0 * abs(p.detuning) * d.recoil_frequency * ratio / p.n0)
     return replace(p, coupling_g=g)
+
+
+# --- ladder range ------------------------------------------------------------
+
+DEFAULT_GUARD = 8  # extra orders kept beyond the resonant pair
+MIN_GUARD = 4      # below this the truncation cannot be trusted
+
+
+def default_range(l0: int, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
+    """Symmetric-guard ladder range bracketing both resonant orders."""
+    if guard < MIN_GUARD:
+        raise ValueError(f"guard must be >= {MIN_GUARD}, got {guard}")
+    guard += guard % 2
+    check_range(-l0 - guard, guard, l0)
+    return (-l0 - guard, guard)
+
+
+def check_range(l_min: int, l_max: int, l0: int) -> None:
+    """Raise ValueError unless [l_min, l_max] is an even range guarding [-l0, 0]."""
+    if l0 < 2 or l0 % 2:
+        raise ValueError(f"l0 must be a positive even integer, got {l0}")
+    if l_min % 2 or l_max % 2:
+        raise ValueError(f"ladder range [{l_min}, {l_max}] must have even endpoints")
+    if l_min > -l0 - MIN_GUARD or l_max < MIN_GUARD:
+        raise ValueError(
+            f"ladder range [{l_min}, {l_max}] must bracket the resonant orders "
+            f"[-{l0}, 0] with a guard of at least {MIN_GUARD}"
+        )
 
 
 # --- flat key=value configuration -------------------------------------------

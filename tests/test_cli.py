@@ -13,7 +13,7 @@ import pytest
 
 import braggbell
 import oracles
-from braggbell import cli, entangle, ladder, params
+from braggbell import adiabatic, cli, entangle, ladder, params
 from braggbell.cli import main
 
 
@@ -595,6 +595,66 @@ def test_cli_import_does_not_load_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# Imports the numpy-free modules, runs each command in-process and prints
+# whether numpy was loaded before the first command and after each one.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import braggbell.adiabatic, braggbell.cli, braggbell.entangle, braggbell.params
+loaded = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = braggbell.cli.main(argv)
+    loaded[" ".join(argv)] = (code, "numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+NUMPY_FREE_COMMANDS = (
+    ("preset", "list"),
+    ("preset", "show"),
+    ("coeffs", "--l0", "2,4,6", "--n", "1,2"),
+    ("bell",),
+    ("bell", "--include-stark"),
+    ("bell", "--basis", "computational", "--fit-phase", "--outcome", "1"),
+    ("ghz", "--k", "4"),
+)
+
+
+def test_numpy_loads_only_for_the_ladder():
+    src = str(Path(braggbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != params.ENV_CONFIG_VAR}
+    commands = [*NUMPY_FREE_COMMANDS, ("bell", "--engine", "ladder")]
+    res = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)], capture_output=True,
+        text=True, env=dict(env, PYTHONPATH=path), timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout)
+    assert loaded.pop("import") is False
+    # the ladder engine loads numpy, so the probe can see it
+    assert loaded.pop("bell --engine ladder") == [0, True]
+    assert loaded == {" ".join(argv): [0, False] for argv in NUMPY_FREE_COMMANDS}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [entangle.RegimeError, ladder.TruncationError, ladder.ResolutionError,
+     adiabatic.ConvergenceError],
+)
+def test_every_physics_error_exits_2(capsys, monkeypatch, error):
+    assert issubclass(error, params.PhysicsError)
+
+    def fail(args):
+        raise error("raised inside the handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "coeffs", fail)
+    code, out, err = run(capsys, "coeffs")
+    assert code == 2
+    assert out == ""
+    assert err == "error: raised inside the handler\n"
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -288,6 +288,54 @@ def test_measure_field_validates_basis():
         measure_field(state, superposition_basis(), 2)
 
 
+BAD_BASES = [
+    [[1.0, 0.0]],  # one row
+    [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],  # three rows
+    [[1.0, 0.0], [0.0]],  # ragged
+    [[1.0, 0.0, 0.0], [0.0, 1.0]],  # ragged the other way
+    [[1.0, 1e-11], [0.0, 1.0]],  # 1e-11 off orthonormal
+    [[1.0, 0.0], [0.0, 1.0 + 1e-11]],
+    [[1.0, 0.0], [0.0, float("nan")]],
+    [1.0, 0.0],  # no rows
+    "xy",
+]
+
+
+@pytest.mark.parametrize("basis", BAD_BASES)
+def test_bad_basis_is_a_measurement_error(basis):
+    state, _ = compose(_pairs(FLIPPER, FLIPPER))
+    with pytest.raises(MeasurementError):
+        measure_field(state, basis, 0)
+    with pytest.raises(MeasurementError):
+        measure_atom(state, 0, basis, 0)
+
+
+def test_basis_may_be_lists_tuples_or_arrays():
+    state, _ = compose(_pairs(FLIPPER, FLIPPER))
+    rows = superposition_basis()
+    assert rows == ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+    assert computational_basis() == ((1.0, 0.0), (0.0, 1.0))
+    for outcome in (0, 1):
+        field = measure_field(state, rows, outcome)
+        atom = measure_atom(field[1], 0, rows, outcome)
+        for basis in ([list(row) for row in rows], np.array(rows), np.array(rows, dtype=complex)):
+            assert measure_field(state, basis, outcome) == field
+            assert measure_atom(field[1], 0, basis, outcome) == atom
+
+
+def test_compose_rejects_ragged_lists():
+    ragged = [
+        [[(1, 0), (1, 0)], [(1, 0)]],  # k differs between branches
+        [[(1, 0)], [(1, 0, 0)]],  # a three-level qubit
+        [[(1, 0)], [1.0]],  # a number where a pair belongs
+        [[(1, 0)]],  # one branch
+        [[(1, "x")], [(1, 0)]],  # not a number
+    ]
+    for pairs in ragged:
+        with pytest.raises(ValueError, match="shape"):
+            compose(pairs)
+
+
 def test_measure_atom_collapses_ghz():
     # (|+++> + |--->)/sqrt2 as two products
     g = _state((INV_SQRT2, INV_SQRT2), ((1, 0),) * 3, ((0, 1),) * 3)
