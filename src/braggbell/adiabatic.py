@@ -169,15 +169,3 @@ def pulse_times(c: TwoLevelCoeffs, s: int, offset_r: int = 0) -> tuple[float, fl
         raise ValueError(f"offset_r = {offset_r} makes the second time negative")
     return t1, t2
 
-
-def format_coeffs_csv(rows: list[TwoLevelCoeffs]) -> str:
-    """CSV table of coefficients: n, l0, a_n, |b_n| and the s=1 flip time."""
-    lines = ["n,l0,a_n_rad_s,b_n_rad_s,pi_pulse_s"]
-    for c in rows:
-        rate = abs(c.b_n)
-        pi_pulse = math.pi / rate if rate > 0 else math.inf
-        lines.append(
-            f"{c.n},{c.l0},{format(c.a_n, '.15g')},"
-            f"{format(rate, '.15g')},{format(pi_pulse, '.15g')}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,12 @@
 """Command-line front end: presets, coefficient tables, time series, scenarios.
 
 All data files are deterministic (no timestamps, fixed float formatting), so
-repeated identical invocations are byte-identical. Run provenance that is not
-data (resolved parameters, ranges) goes to a `.meta.json` sidecar next to the
-CSV, which is itself deterministic.
+repeated identical invocations are byte-identical. Every CSV table is written
+by _csv_text, whose one cell rule is: None blank, str as is, int in full,
+float as %.15g. Run provenance that is not data (resolved parameters, the
+ladder range) goes to a `.meta.json` sidecar next to the CSV, which is itself
+deterministic. The ladder range is set by --guard, the number of orders kept
+beyond the resonant pair (params.default_range).
 
 Rates that are printed or turned into durations (`coeffs`'s b_n_rad_s and
 pi_pulse_s, `validate`'s b_rad_s and flip cycle, `simulate --cycles`) are the
@@ -12,9 +15,9 @@ only enters the scenario reports through the two-level propagator.
 
 Exit codes: 0 success, 1 usage/config error, 2 physics error (a
 params.PhysicsError: regime violation, ladder truncation, a coupling too weak
-to resolve, a level shift that does not converge), 3 I/O error. A sweep
-reports a point that fails with a usage or physics error as an `error` row
-and still exits 0.
+to resolve, a level shift that does not converge, a norm drift), 3 I/O
+error. A sweep reports a point that fails with a usage or physics error (an
+even s, an odd l0, ...) as an `error` row and still exits 0.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,
@@ -80,6 +83,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".15g")
+    return "" if v is None else str(v)
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows of cells (module docstring for the cell rule)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -121,8 +139,12 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     d = params.derive(p)
     l0_list = _parse_int_list(args.l0) if args.l0 else [p.l0]
     n_list = _parse_int_list(args.n) if args.n else [p.n0]
-    rows = [adiabatic.coeffs(n, l0, d) for l0 in l0_list for n in n_list]
-    _emit(adiabatic.format_coeffs_csv(rows), args.output)
+    rows = []
+    for c in (adiabatic.coeffs(n, l0, d) for l0 in l0_list for n in n_list):
+        rate = abs(c.b_n)
+        rows.append((c.n, c.l0, c.a_n, rate, math.pi / rate if rate > 0 else math.inf))
+    header = ("n", "l0", "a_n_rad_s", "b_n_rad_s", "pi_pulse_s")
+    _emit(_csv_text(header, rows), args.output)
     return EXIT_OK
 
 
@@ -169,17 +191,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not math.isfinite(duration):
         raise UsageError(f"duration must be finite, got {duration}")
 
-    l_range = params.default_range(p.l0, args.guard)
-    h = ladder.build_hamiltonian(n, p.l0, d, l_range, args.include_stark)
+    h = ladder.build_hamiltonian(n, p.l0, d, args.guard, args.include_stark)
     if duration == 0:
         times = np.array([0.0])
         amps = ladder.initial_state(h)[np.newaxis, :]
     else:
         times = np.linspace(0.0, duration, args.samples)
         amps = ladder.evolve(h, rate, times)
-    pops = np.abs(amps) ** 2
-    csv_text = ladder.format_timeseries_csv(times, d.recoil_frequency, pops, h.orders)
-    _emit(csv_text, args.output)
+    header = ["t_s", "tau", *(f"p_{l}" for l in h.orders.tolist())]
+    rows = np.column_stack([times, d.recoil_frequency * times, np.abs(amps) ** 2])
+    _emit(_csv_text(header, rows.tolist()), args.output)
 
     if args.output is not None:
         meta = {
@@ -188,7 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "derived": _derived_dict(d),
             "photon_number": int(n),
             "regime_verdict": verdict.value,
-            "l_range": list(l_range),
+            "l_range": [h.l_min, h.l_max],
             "duration_s": float(duration),
             "samples": int(len(times)),
             "include_stark": bool(args.include_stark),
@@ -235,7 +256,8 @@ def validate_point(
     Keys: regime verdict, shift a_n and flip rate |b_n| of the two-level
     reduction and the frequency actually measured in the ladder data, max
     pointwise population deviation, two-mode confinement and leakage, and a
-    phase-agnostic Bell fidelity.
+    phase-agnostic Bell fidelity at t1 = s*pi/|b_n|; an even s raises
+    ValueError, as it does for `bell`.
     """
     import numpy as np
 
@@ -257,16 +279,11 @@ def validate_point(
         report["error"] = "zero coupling (n=0); nothing to compare"
         return report
 
+    t1, _ = adiabatic.pulse_times(c, s)
     times = np.linspace(0.0, 2.0 * math.pi / rate, samples)
     # one propagation serves the cycle's samples and the Bell fidelity at t1
     try:
-        t1, bell_error = [adiabatic.pulse_times(c, s)[0]], None
-    except ValueError as exc:
-        t1, bell_error = [], str(exc)
-    try:
-        pairs = entangle.ladder_pairs(
-            c, d, np.append(times, t1), params.default_range(p.l0, guard)
-        )
+        pairs = entangle.ladder_pairs(c, d, np.append(times, t1), guard)
     except ladder.ResolutionError as exc:
         report["error"] = f"ladder resolution: {exc}"
         return report
@@ -290,10 +307,6 @@ def validate_point(
             "max_leakage": float(np.max(1.0 - two_mode)),
         }
     )
-
-    if bell_error is not None:
-        report.update(bell_fidelity=None, bell_error=bell_error)
-        return report
     # opposite incidence: |+-> in, |-+> flipped
     state, _ = entangle.prepare([pairs[-1].tolist()] * 2, (0, 1))
     _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
@@ -348,7 +361,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             p, s = _sweep_param(base, args.var, value)
             point = validate_point(p, s=s, samples=args.samples, guard=args.guard)
-        except (ValueError, adiabatic.ConvergenceError) as exc:
+        except (ValueError, params.PhysicsError) as exc:
             point = {"error": str(exc), "l0": None, "n0": None}
         points.append({"var": args.var, "value": value, **point})
 
@@ -356,23 +369,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit(_json_text(points), args.output)
         return EXIT_OK
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for point in points:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            v = point.get(col)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, str):
-                cells.append(v)
-            elif col in ("l0", "n0"):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format(float(v), ".15g"))
-        writer.writerow(cells)
-    _emit(buf.getvalue(), args.output)
+    rows = ([point.get(col) for col in SWEEP_COLUMNS] for point in points)
+    _emit(_csv_text(SWEEP_COLUMNS, rows), args.output)
     return EXIT_OK
 
 

@@ -50,6 +50,7 @@ from dataclasses import dataclass, fields
 
 from . import adiabatic
 from .params import (
+    DEFAULT_GUARD,
     DerivedParams,
     PhysicalParams,
     PhysicsError,
@@ -293,20 +294,21 @@ def ladder_pairs(
     c: adiabatic.TwoLevelCoeffs,
     d: DerivedParams,
     times,
-    l_range: tuple[int, int] | None = None,
+    guard: int = DEFAULT_GUARD,
     include_stark: bool = False,
 ):
     """Fock-branch (kept, flipped) at each of `times` from one ladder propagation.
 
     An ndarray of shape (len(times), 2): the (c_plus, c_minus) of an atom
     entering on +P_{l0}. c is the Fock branch's reduction, whose b_n the
-    resolution guard checks; l_range sets the truncation (default
-    params.default_range). A mirror atom has the same (kept, flipped) pair,
-    which `prepare` reverses. Loads `ladder`, and with it numpy, on first use.
+    resolution guard checks; the ladder keeps `guard` orders beyond the
+    resonant pair (params.default_range). A mirror atom has the same (kept,
+    flipped) pair, which `prepare` reverses. Loads `ladder`, and with it
+    numpy, on first use.
     """
     from . import ladder
 
-    h = ladder.build_hamiltonian(c.n, c.l0, d, l_range, include_stark)
+    h = ladder.build_hamiltonian(c.n, c.l0, d, guard, include_stark)
     amps = ladder.evolve(h, c.b_n, times)
     return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
 

@@ -32,10 +32,10 @@ eigenvalue splitting, which the eigen-solver resolves only down to about
 eps*||H||. check_resolution refuses a coupled branch whose |b_n| is within
 RESOLUTION_LIMIT*eps*||H||, with ||H|| bounded by Gershgorin's
 max|diagonal| + 2|off_diagonal|, and raises ResolutionError. A row whose norm
-drifts from the initial one by more than NORM_TOL raises RuntimeError. The
-three thresholds are constants. The default range (params.default_range)
-and its check come from `params`, which the two-level engine and the CLI
-use without loading this module or numpy.
+drifts from the initial one by more than NORM_TOL raises NormDriftError. The
+three thresholds are constants. The ladder's range is set by one integer,
+the guard, through params.default_range, which the two-level engine and the
+CLI use without loading this module or numpy.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedParams, PhysicsError, check_range, default_range
+from .params import DEFAULT_GUARD, DerivedParams, PhysicsError, default_range
 
 NORM_TOL = 1e-9         # largest |norm(t) - norm(0)| accepted
 EDGE_THRESHOLD = 1e-10  # largest bound on the edge population accepted
@@ -63,6 +63,10 @@ class TruncationError(PhysicsError):
 
 class ResolutionError(PhysicsError):
     """The flip frequency is below what the eigen-solver resolves for this ladder."""
+
+
+class NormDriftError(PhysicsError):
+    """The propagation did not conserve the norm to within NORM_TOL."""
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,6 @@ class LadderHamiltonian:
     l0: int
     n: int
     include_stark: bool = False
-
-    def __post_init__(self):
-        diag = np.array(self.diagonal, dtype=np.float64)
-        object.__setattr__(self, "diagonal", diag)
-        check_range(self.l_min, self.l_max, self.l0)
-        expected = (self.l_max - self.l_min) // 2 + 1
-        if diag.shape != (expected,):
-            raise ValueError(f"diagonal shape {diag.shape}, expected ({expected},)")
 
     @property
     def size(self) -> int:
@@ -115,10 +111,11 @@ def build_hamiltonian(
     n: int,
     l0: int,
     d: DerivedParams,
-    l_range: tuple[int, int] | None = None,
+    guard: int = DEFAULT_GUARD,
     include_stark: bool = False,
 ) -> LadderHamiltonian:
-    """Assemble the ladder generator for a branch with n photons.
+    """Assemble the ladder generator for a branch with n photons on the
+    params.default_range(l0, guard) grid.
 
     With include_stark the constant -chi*n light shift (dropped from the rate
     equations because it is common to every order) is kept on the diagonal;
@@ -126,7 +123,7 @@ def build_hamiltonian(
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    l_min, l_max = l_range if l_range is not None else default_range(l0)
+    l_min, l_max = default_range(l0, guard)
     orders = np.arange(l_min, l_max + 1, 2)
     diagonal = d.recoil_frequency * orders * (orders + l0)
     if include_stark:
@@ -224,10 +221,10 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
 
 
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
-    """Raise RuntimeError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
+    """Raise NormDriftError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
     drift = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s)))
     if drift > NORM_TOL:
-        raise RuntimeError(f"norm drift {drift:.3e} exceeds tol {NORM_TOL:.1e}")
+        raise NormDriftError(f"norm drift {drift:.3e} exceeds tol {NORM_TOL:.1e}")
 
 
 def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
@@ -261,20 +258,3 @@ def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.nda
     tc = times - times.mean()
     slope = tc @ (angle - angle.mean()) / (tc @ tc)
     return float(abs(slope))
-
-
-def format_timeseries_csv(
-    times: np.ndarray, recoil_frequency: float, pops: np.ndarray, orders: np.ndarray
-) -> str:
-    """CSV text: columns t_s, tau (= w_rec*t), then p_<l> per ladder order."""
-    header = "t_s,tau," + ",".join(f"p_{int(l)}" for l in orders)
-    lines = [header]
-    for t, row in zip(times, pops):
-        cells = [_fmt(t), _fmt(recoil_frequency * t)]
-        cells.extend(_fmt(p) for p in row)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")

@@ -5,9 +5,11 @@ derived scale hierarchy that matters: the recoil frequency w_rec = hbar k^2/2M
 must dominate the effective Rabi frequency chi*n = |g|^2 n / 2*detuning for
 the two-mode (Bragg) regime to hold.
 
-The truncated ladder range (default_range and its check) and PhysicsError,
-the base of every error the CLI reports with exit 2, live here too, so that
-the two-level engine and the CLI need neither `ladder` nor numpy.
+The truncated ladder range and PhysicsError, the base of every error the CLI
+reports with exit 2, live here too, so that the two-level engine and the CLI
+need neither `ladder` nor numpy. A range is one integer, the guard: the
+number of orders kept beyond the resonant pair, which default_range turns
+into the ladder's (l_min, l_max).
 """
 
 from __future__ import annotations
@@ -169,25 +171,14 @@ MIN_GUARD = 4      # below this the truncation cannot be trusted
 
 
 def default_range(l0: int, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
-    """Symmetric-guard ladder range bracketing both resonant orders."""
+    """(l_min, l_max) = (-l0 - guard, guard), guard rounded up to even: the
+    ladder range, which brackets the resonant orders [-l0, 0] symmetrically."""
     if guard < MIN_GUARD:
         raise ValueError(f"guard must be >= {MIN_GUARD}, got {guard}")
-    guard += guard % 2
-    check_range(-l0 - guard, guard, l0)
-    return (-l0 - guard, guard)
-
-
-def check_range(l_min: int, l_max: int, l0: int) -> None:
-    """Raise ValueError unless [l_min, l_max] is an even range guarding [-l0, 0]."""
     if l0 < 2 or l0 % 2:
         raise ValueError(f"l0 must be a positive even integer, got {l0}")
-    if l_min % 2 or l_max % 2:
-        raise ValueError(f"ladder range [{l_min}, {l_max}] must have even endpoints")
-    if l_min > -l0 - MIN_GUARD or l_max < MIN_GUARD:
-        raise ValueError(
-            f"ladder range [{l_min}, {l_max}] must bracket the resonant orders "
-            f"[-{l0}, 0] with a guard of at least {MIN_GUARD}"
-        )
+    guard += guard % 2
+    return (-l0 - guard, guard)
 
 
 # --- flat key=value configuration -------------------------------------------

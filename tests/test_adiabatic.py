@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from braggbell import adiabatic, ladder
+from braggbell import adiabatic, cli, ladder
 from braggbell.adiabatic import coeffs, coupling, level_shift, pulse_times, solve
 from braggbell.params import derive, rubidium_preset, with_regime_ratio
 
@@ -235,13 +235,12 @@ def test_shift_to_coupling_ratio_is_a_third_for_l0_4():
         assert c.a_n / abs(c.b_n) == pytest.approx(1.0 / 3.0, rel=ratio**2)
 
 
-def test_coeffs_csv_format(d_rb):
-    rows = [coeffs(1, 2, d_rb), coeffs(1, 4, d_rb), coeffs(0, 2, d_rb)]
-    text = adiabatic.format_coeffs_csv(rows)
-    lines = text.strip().split("\n")
+def test_coeffs_csv_format(d_rb, capsys):
+    assert cli.main(["coeffs", "--l0", "2,4", "--n", "1,0"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,l0,a_n_rad_s,b_n_rad_s,pi_pulse_s"
-    for line, c in zip(lines[1:3], rows):
+    for line, c in zip(lines[1::2], [coeffs(1, 2, d_rb), coeffs(1, 4, d_rb)]):
         rate = abs(c.b_n)  # b_n < 0 at l0=4: the table lists the flip rate
         cells = [format(x, ".15g") for x in (c.a_n, rate, math.pi / rate)]
         assert line == ",".join([str(c.n), str(c.l0), *cells])
-    assert lines[3] == "0,2,0,0,inf"
+    assert lines[2::2] == ["0,2,0,0,inf", "0,4,0,0,inf"]

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -244,6 +245,13 @@ def test_bell_rejects_even_s(capsys):
     assert "odd" in err
 
 
+def test_validate_rejects_even_s(capsys):
+    code, out, err = run(capsys, "validate", "--s", "2", "--samples", "32")
+    assert code == 1
+    assert out == ""
+    assert err == "error: s must be a positive odd integer, got 2\n"
+
+
 def test_bell_regime_violation(capsys):
     code, _, err = run(capsys, "bell", "--chi-ratio", "0.5")
     assert code == 2
@@ -424,6 +432,35 @@ def test_sweep_csv_error_column_keeps_the_reason(capsys):
     assert rows[1]["error"] == "l0 must be a positive even integer, got 3"
     assert rows[0]["error"] == rows[2]["error"] == ""
     assert float(rows[2]["b_rad_s"]) > 0
+
+
+def test_sweep_even_s_becomes_error_row(capsys):
+    code, out, _ = run(capsys, "sweep", "--var", "s", "--values", "1,2,3", "--samples", "32")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["value"] for row in rows] == ["1", "2", "3"]
+    assert rows[1]["error"] == "s must be a positive odd integer, got 2"
+    assert rows[1]["bell_fidelity"] == rows[1]["b_rad_s"] == ""
+    assert rows[0]["error"] == rows[2]["error"] == ""
+    assert float(rows[0]["bell_fidelity"]) > 0.99 and float(rows[2]["bell_fidelity"]) > 0.99
+
+
+def test_norm_drift_is_a_physics_error(capsys, monkeypatch):
+    # no real propagation drifts by 1e-9; a zero tolerance makes every one refuse
+    monkeypatch.setattr(ladder, "NORM_TOL", 0.0)
+    code, out, err = run(capsys, "bell", "--engine", "ladder")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: norm drift ")
+    assert "Traceback" not in err
+    code, out, _ = run(
+        capsys, "sweep", "--var", "chi_ratio", "--values", "0.01,0.02", "--format", "json",
+        "--samples", "32",
+    )
+    assert code == 0
+    points = json.loads(out)
+    assert [pt["value"] for pt in points] == [0.01, 0.02]
+    assert all(pt["error"].startswith("norm drift ") for pt in points)
 
 
 @pytest.mark.parametrize("l0, ratio", [("8", "0.005"), ("10", "0.02"), ("12", "0.02")])
@@ -641,7 +678,7 @@ def test_numpy_loads_only_for_the_ladder():
 @pytest.mark.parametrize(
     "error",
     [entangle.RegimeError, ladder.TruncationError, ladder.ResolutionError,
-     adiabatic.ConvergenceError],
+     ladder.NormDriftError, adiabatic.ConvergenceError],
 )
 def test_every_physics_error_exits_2(capsys, monkeypatch, error):
     assert issubclass(error, params.PhysicsError)
@@ -655,6 +692,23 @@ def test_every_physics_error_exits_2(capsys, monkeypatch, error):
     assert out == ""
     assert err == "error: raised inside the handler\n"
     assert "Traceback" not in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `braggbell ...` lines of README's CLI block, without the program name."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("braggbell ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)  # simulate writes its --output here
+    monkeypatch.delenv(params.ENV_CONFIG_VAR, raising=False)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from braggbell import adiabatic, ladder
+from braggbell import adiabatic, cli, ladder
 from braggbell.ladder import (
     TruncationError,
     build_hamiltonian,
@@ -37,8 +37,8 @@ def test_default_range_brackets_resonant_pair():
     assert default_range(2, guard=4) == (-6, 4)
     with pytest.raises(ValueError):
         default_range(2, guard=3)  # below the minimum guard
-    with pytest.raises(ValueError):
-        ladder.build_hamiltonian(1, 2, derive(rubidium_preset()), (-2, 0))
+    with pytest.raises(ValueError, match="l0 must be a positive even integer"):
+        default_range(3)
 
 
 def test_hamiltonian_elements(d_rb):
@@ -78,7 +78,7 @@ def test_initial_state_is_delta(d_rb):
 
 
 def test_index_of_refuses_orders_off_the_ladder(d_rb):
-    h = build_hamiltonian(1, 2, d_rb, (-6, 4))
+    h = build_hamiltonian(1, 2, d_rb, guard=4)
     assert [h.index_of(l) for l in h.orders] == list(range(h.size))
     assert h.index_of(-2) == h.index_of(0) - 1
     for l in (-1, 3, -8, 6):  # odd orders are not on the even ladder; the rest are outside it
@@ -206,7 +206,7 @@ def test_resolution_guard_passes_the_uncoupled_branch(d_rb, include_stark):
 def test_truncation_error_raised_when_regime_broken():
     p = with_regime_ratio(rubidium_preset(), 1.0)
     d = derive(p)
-    h = build_hamiltonian(1, 2, d, (-6, 4))
+    h = build_hamiltonian(1, 2, d, guard=4)
     with pytest.raises(TruncationError):
         _evolve(h, d, [2.0 * math.pi / d.chi])
 
@@ -227,8 +227,8 @@ def test_evolve_at_time_zero_is_the_initial_state(d_rb):
 
 
 def test_sample_evolution_refuses_wrong_length_and_negative_times(d_rb):
-    h = build_hamiltonian(1, 2, d_rb, (-12, 8))
-    st = initial_state(build_hamiltonian(1, 2, d_rb, (-10, 8)))  # another ladder's state
+    h = build_hamiltonian(1, 2, d_rb, guard=10)
+    st = initial_state(build_hamiltonian(1, 2, d_rb, guard=8))  # another ladder's state
     for wrong in (st, np.ones(3), np.ones((1, h.size))):
         with pytest.raises(ValueError, match="amplitudes for the ladder"):
             sample_evolution(wrong, h, [1e-3])
@@ -278,16 +278,20 @@ def test_measured_frequency_matches_coupling(d_rb):
     assert freq == pytest.approx(d_rb.chi, rel=1e-4)
 
 
-def test_timeseries_csv_shape(d_rb):
-    h = build_hamiltonian(1, 2, d_rb, (-6, 4))
-    times = np.linspace(0.0, 1e-3, 4)
-    amps = sample_evolution(initial_state(h), h, times)
-    text = ladder.format_timeseries_csv(times, d_rb.recoil_frequency, np.abs(amps) ** 2, h.orders)
-    lines = text.strip().split("\n")
+def test_timeseries_csv_shape(d_rb, capsys):
+    argv = ["simulate", "--guard", "4", "--duration", "1e-3", "--samples", "4"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "t_s,tau,p_-6,p_-4,p_-2,p_0,p_2,p_4"
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
+    h = build_hamiltonian(1, 2, d_rb, guard=4)
+    times = np.linspace(0.0, 1e-3, 4)
+    pops = np.abs(sample_evolution(initial_state(h), h, times)) ** 2
+    for line, t, row in zip(lines[1:], times, pops):
+        cells = [t, d_rb.recoil_frequency * t, *row]
+        assert line == ",".join(format(float(x), ".15g") for x in cells)
 
 
 def _cycle_ladder(l0, ratio):
