@@ -13,11 +13,14 @@ pi_pulse_s, `validate`'s b_rad_s and flip cycle, `simulate --cycles`) are the
 flip rate |b_n| of the two-level reduction in `adiabatic`; the sign of b_n
 only enters the scenario reports through the two-level propagator.
 
-Exit codes: 0 success, 1 usage/config error, 2 physics error (a
-params.PhysicsError: regime violation, ladder truncation, a coupling too weak
-to resolve, a level shift that does not converge, a norm drift), 3 I/O
-error. A sweep reports a point that fails with a usage or physics error (an
-even s, an odd l0, ...) as an `error` row and still exits 0.
+Exit codes: 0 success, 1 usage/config error (an even s or a zero flip rate,
+--samples below MIN_SAMPLES, --guard below params.MIN_GUARD), 2 physics
+error (a params.PhysicsError: regime violation, ladder truncation, a coupling
+too weak to resolve, a level shift that does not converge, a norm drift), 3
+I/O error. A sweep reports a point that fails with a usage or physics error
+(an even s, an odd l0, ...) as an `error` row and still exits 0. `bell` and
+`ghz` share cmd_scenario; params.check_regime refuses a violated regime for
+them and `simulate`, while `validate` reports it and exits 2.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,
@@ -44,10 +47,12 @@ EXIT_USAGE = 1
 EXIT_PHYSICS = 2
 EXIT_IO = 3
 
-SWEEP_VARS = ("chi_ratio", "l0", "n0", "s")
-# the flip-frequency fit differentiates the sampled populations, and
-# simulate's linspace(0, T, 1) would drop the endpoint T
-MIN_SAMPLES = 2
+# the value type of each sweep variable
+SWEEP_VARS = {"chi_ratio": float, "l0": int, "n0": int, "s": int}
+# simulate's linspace(0, T, 1) would drop the endpoint T; the flip-frequency
+# fit reads the sign of the population gradient, which has none at 3 samples,
+# whose middle one sits on the flip peak
+MIN_SAMPLES = {"simulate": 2, "validate": 4, "sweep": 4}
 
 SWEEP_COLUMNS = (
     "var",
@@ -68,14 +73,16 @@ SWEEP_COLUMNS = (
 )
 
 
-def _physical(args: argparse.Namespace) -> params.PhysicalParams:
-    """Parameters from --preset, --config (else $BRAGG_CONFIG), --set and --chi-ratio."""
+def _physical(args: argparse.Namespace, l0: int | None = None) -> params.PhysicalParams:
+    """Parameters from --preset, --config (else $BRAGG_CONFIG), --set, --chi-ratio and l0."""
     config_path = args.config
     if config_path is None:
         config_path = os.environ.get(params.ENV_CONFIG_VAR) or None
     p = params.resolve_params(args.preset, config_path, args.overrides)
     if args.chi_ratio is not None:
         p = params.with_regime_ratio(p, args.chi_ratio)
+    if l0 is not None:
+        p = replace(p, l0=l0)
     return p
 
 
@@ -153,21 +160,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     from . import ladder
 
-    _check_samples(args.samples)
-    p = _physical(args)
-    if args.l0 is not None:
-        p = replace(p, l0=args.l0)
+    _check_sampling(args)
+    p = _physical(args, args.l0)
     # photon number of the branch being propagated; 0 = vacuum is legitimate
     n = args.n if args.n is not None else p.n0
     if n < 0:
         raise UsageError(f"photon number must be >= 0, got {n}")
     d = params.derive(p)
-    verdict = params.validate_bragg_regime(d, n)
-    if verdict is params.RegimeVerdict.VIOLATED:
-        raise entangle.RegimeError(
-            f"chi*n/w_rec = {abs(d.chi * n / d.recoil_frequency):.3g} "
-            "violates the Bragg condition"
-        )
+    verdict = params.check_regime(d, n)
     if verdict is params.RegimeVerdict.MARGINAL:
         print(
             f"warning: chi*n/w_rec = {abs(d.chi * n / d.recoil_frequency):.3g} "
@@ -179,19 +179,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.duration is not None:
         duration = args.duration
     else:
-        cycles = args.cycles if args.cycles is not None else 1.0
         if rate == 0:
             raise UsageError(
-                "cannot convert --cycles to a duration with zero coupling "
-                "(n=0); give --duration explicitly"
+                f"cannot convert --cycles to a duration: the flip rate |b_n| is 0 at n = {n}; "
+                "give --duration explicitly"
             )
-        duration = cycles * 2.0 * math.pi / rate
+        duration = args.cycles * 2.0 * math.pi / rate
     if duration < 0:
         raise UsageError(f"duration must be >= 0, got {duration}")
     if not math.isfinite(duration):
         raise UsageError(f"duration must be finite, got {duration}")
 
-    h = ladder.build_hamiltonian(n, p.l0, d, args.guard, args.include_stark)
+    h = ladder.build_hamiltonian(n, p.l0, d, args.guard)
     if duration == 0:
         times = np.array([0.0])
         amps = ladder.initial_state(h)[np.newaxis, :]
@@ -212,38 +211,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "l_range": [h.l_min, h.l_max],
             "duration_s": float(duration),
             "samples": int(len(times)),
-            "include_stark": bool(args.include_stark),
         }
         Path(args.output + ".meta.json").write_text(_json_text(meta))
     return EXIT_OK
 
 
-def _scenario_args(args: argparse.Namespace, k: int, mode: str) -> dict:
-    return dict(
+def cmd_scenario(args: argparse.Namespace) -> int:
+    """`bell` (k = 2, --mode) and `ghz` (--k >= 3, mode "same"): one scenario report."""
+    if args.command == "ghz" and args.k < 3:
+        raise UsageError(f"ghz needs --k >= 3 (got {args.k}); use `bell` for two atoms")
+    rep = entangle.run_scenario(
+        _physical(args),
         s=args.s,
         r=args.r,
-        mode=mode,
-        k=k,
+        mode=args.mode,
+        k=args.k,
         engine=args.engine,
         basis=args.basis,
         fit_phase=args.fit_phase,
         include_stark=args.include_stark,
         selected_outcome=args.outcome,
     )
-
-
-def cmd_bell(args: argparse.Namespace) -> int:
-    p = _physical(args)
-    rep = entangle.run_scenario(p, **_scenario_args(args, 2, args.mode))
-    _emit(rep.to_json(), args.output)
-    return EXIT_OK
-
-
-def cmd_ghz(args: argparse.Namespace) -> int:
-    if args.k < 3:
-        raise UsageError(f"ghz needs --k >= 3 (got {args.k}); use `bell` for two atoms")
-    p = _physical(args)
-    rep = entangle.run_scenario(p, **_scenario_args(args, args.k, "same"))
     _emit(rep.to_json(), args.output)
     return EXIT_OK
 
@@ -256,8 +244,8 @@ def validate_point(
     Keys: regime verdict, shift a_n and flip rate |b_n| of the two-level
     reduction and the frequency actually measured in the ladder data, max
     pointwise population deviation, two-mode confinement and leakage, and a
-    phase-agnostic Bell fidelity at t1 = s*pi/|b_n|; an even s raises
-    ValueError, as it does for `bell`.
+    phase-agnostic Bell fidelity at t1 = s*pi/|b_n|. An even s or a zero
+    flip rate raises ValueError from adiabatic.pulse_times, as for `bell`.
     """
     import numpy as np
 
@@ -266,6 +254,7 @@ def validate_point(
     d = params.derive(p)
     verdict = params.validate_bragg_regime(d, p.n0)
     c = adiabatic.coeffs(p.n0, p.l0, d)
+    t1, _ = adiabatic.pulse_times(c, s)
     rate = abs(c.b_n)
     report: dict = {
         "l0": p.l0,
@@ -275,11 +264,6 @@ def validate_point(
         "a_rad_s": c.a_n,
         "b_rad_s": rate,
     }
-    if rate == 0:
-        report["error"] = "zero coupling (n=0); nothing to compare"
-        return report
-
-    t1, _ = adiabatic.pulse_times(c, s)
     times = np.linspace(0.0, 2.0 * math.pi / rate, samples)
     # one propagation serves the cycle's samples and the Bell fidelity at t1
     try:
@@ -314,16 +298,18 @@ def validate_point(
     return report
 
 
-def _check_samples(samples: int) -> None:
-    if samples < MIN_SAMPLES:
-        raise UsageError(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
+def _check_sampling(args: argparse.Namespace) -> None:
+    """Refuse a command's --samples below MIN_SAMPLES and a --guard below params.MIN_GUARD."""
+    minimum = MIN_SAMPLES[args.command]
+    if args.samples < minimum:
+        raise UsageError(f"--samples must be >= {minimum}, got {args.samples}")
+    if args.guard < params.MIN_GUARD:
+        raise UsageError(f"guard must be >= {params.MIN_GUARD}, got {args.guard}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _check_samples(args.samples)
-    p = _physical(args)
-    if args.l0 is not None:
-        p = replace(p, l0=args.l0)
+    _check_sampling(args)
+    p = _physical(args, args.l0)
     report = validate_point(p, s=args.s, samples=args.samples, guard=args.guard)
     _emit(_json_text(report), args.output)
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
@@ -338,19 +324,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_param(base: params.PhysicalParams, var: str, value: float):
-    """(physical params, s) for one sweep point."""
+def _sweep_param(base: params.PhysicalParams, var: str, value):
+    """(physical params, s) for one sweep point; value has the type SWEEP_VARS[var]."""
+    if var == "s":
+        return base, value
     if var == "chi_ratio":
-        return params.with_regime_ratio(base, float(value)), 1
-    if var == "l0":
-        return replace(base, l0=int(value)), 1
-    if var == "n0":
-        return replace(base, n0=int(value)), 1
-    return base, int(value)  # var == "s"
+        return params.with_regime_ratio(base, value), 1
+    return replace(base, **{var: value}), 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _check_samples(args.samples)
+    _check_sampling(args)
     base = _physical(args)
     values = _parse_value_list(args.var, args.values)
     if not values:
@@ -391,9 +375,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _parse_value_list(var: str, text: str):
     toks = [tok for tok in text.split(",") if tok.strip() != ""]
     try:
-        if var == "chi_ratio":
-            return [float(tok) for tok in toks]
-        return [int(tok) for tok in toks]
+        return [SWEEP_VARS[var](tok) for tok in toks]
     except ValueError as exc:
         raise UsageError(f"bad value list for {var}: {text!r}") from exc
 
@@ -470,20 +452,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=None, help="photon number")
     p_sim.add_argument("--duration", type=float, default=None, help="seconds")
     p_sim.add_argument(
-        "--cycles", type=float, default=None, help="duration in units of 2*pi/B_n"
+        "--cycles", type=float, default=1.0, help="duration in units of 2*pi/B_n (default 1)"
     )
     p_sim.add_argument("--samples", type=int, default=201)
     p_sim.add_argument("--guard", type=int, default=params.DEFAULT_GUARD)
-    p_sim.add_argument("--include-stark", action="store_true")
     _add_common(p_sim)
 
     p_bell = sub.add_parser("bell", help="two-atom Bell preparation report (JSON)")
     p_bell.add_argument("--mode", choices=("opposite", "same"), default="opposite")
+    p_bell.set_defaults(k=2)
     _add_scenario_flags(p_bell)
     _add_common(p_bell)
 
     p_ghz = sub.add_parser("ghz", help="k-atom GHZ preparation report (JSON)")
     p_ghz.add_argument("--k", type=int, default=3)
+    p_ghz.set_defaults(mode="same")
     _add_scenario_flags(p_ghz)
     _add_common(p_ghz)
 
@@ -509,8 +492,8 @@ _HANDLERS = {
     "preset": cmd_preset,
     "coeffs": cmd_coeffs,
     "simulate": cmd_simulate,
-    "bell": cmd_bell,
-    "ghz": cmd_ghz,
+    "bell": cmd_scenario,
+    "ghz": cmd_scenario,
     "validate": cmd_validate,
     "sweep": cmd_sweep,
 }

@@ -34,6 +34,9 @@ the measured phase and this scheduled phase (phase_reference_rad) side by
 side; for the adiabatic engine they agree exactly, up to the sign that the
 *_minus kinds carry.
 
+run_scenario refuses a run outside the Bragg regime with params.RegimeError,
+through params.check_regime, the one refusal that `simulate` shares.
+
 The module is plain Python (cmath and math): a basis is a pair of rows, and
 superposition_basis/computational_basis return tuples of them; lists,
 tuples and ndarrays are all accepted where a basis or pairs are taken. Only
@@ -53,11 +56,9 @@ from .params import (
     DEFAULT_GUARD,
     DerivedParams,
     PhysicalParams,
-    PhysicsError,
-    RegimeVerdict,
+    check_regime,
     derive,
     physical_dict,
-    validate_bragg_regime,
 )
 
 MAX_ATOMS = 10  # desk-scale bound; the tests check scoring against dense 2^k vectors up to it
@@ -65,10 +66,6 @@ MAX_ATOMS = 10  # desk-scale bound; the tests check scoring against dense 2^k ve
 
 class MeasurementError(ValueError):
     """Measurement request is ill-posed (bad basis or zero-probability outcome)."""
-
-
-class RegimeError(PhysicsError):
-    """Requested run sits outside the Bragg regime."""
 
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -344,7 +341,7 @@ def run_scenario(
     s*pi/b_n, with the last atom offset by 2*r*pi/b_n. The field is measured
     in the (|0> +- |n0>)/sqrt2 basis by default; the computational
     {|0>, |n0>} basis shows the entanglement disappearing with the branch
-    coherence.
+    coherence. A violated Bragg regime raises params.RegimeError.
     """
     if mode not in ("opposite", "same"):
         raise ValueError(f"mode must be 'opposite' or 'same', got {mode!r}")
@@ -360,12 +357,7 @@ def run_scenario(
         raise ValueError(f"selected_outcome must be 0 or 1, got {selected_outcome}")
 
     d = derive(p)
-    verdict = validate_bragg_regime(d, p.n0)
-    if verdict is RegimeVerdict.VIOLATED:
-        raise RegimeError(
-            f"chi*n/w_rec = {abs(d.regime_ratio):.3g} is outside the Bragg regime"
-        )
-
+    verdict = check_regime(d, p.n0)
     c = adiabatic.coeffs(p.n0, p.l0, d)
     t1, t2 = adiabatic.pulse_times(c, s, r)
     times = [t1] * (k - 1) + [t2]

@@ -5,8 +5,9 @@ derived scale hierarchy that matters: the recoil frequency w_rec = hbar k^2/2M
 must dominate the effective Rabi frequency chi*n = |g|^2 n / 2*detuning for
 the two-mode (Bragg) regime to hold.
 
-The truncated ladder range and PhysicsError, the base of every error the CLI
-reports with exit 2, live here too, so that the two-level engine and the CLI
+The truncated ladder range, PhysicsError, the base of every error the CLI
+reports with exit 2, and the one refusal of a violated regime (check_regime,
+raising RegimeError) live here too, so that the two-level engine and the CLI
 need neither `ladder` nor numpy. A range is one integer, the guard: the
 number of orders kept beyond the resonant pair, which default_range turns
 into the ladder's (l_min, l_max).
@@ -142,6 +143,10 @@ GOOD_RATIO = 0.05      # |chi*n/w_rec| up to this is "good"
 MARGINAL_RATIO = 0.2   # above this the Bragg regime is "violated"
 
 
+class RegimeError(PhysicsError):
+    """The requested run sits outside the Bragg regime."""
+
+
 def validate_bragg_regime(d: DerivedParams, n: int) -> RegimeVerdict:
     """Classify how well w_rec >> chi*n holds for a branch with n photons."""
     ratio = abs(d.chi * n / d.recoil_frequency)
@@ -150,6 +155,16 @@ def validate_bragg_regime(d: DerivedParams, n: int) -> RegimeVerdict:
     if ratio <= MARGINAL_RATIO:
         return RegimeVerdict.MARGINAL
     return RegimeVerdict.VIOLATED
+
+
+def check_regime(d: DerivedParams, n: int) -> RegimeVerdict:
+    """validate_bragg_regime's verdict; a violated regime raises RegimeError."""
+    verdict = validate_bragg_regime(d, n)
+    if verdict is RegimeVerdict.VIOLATED:
+        raise RegimeError(
+            f"chi*n/w_rec = {abs(d.chi * n / d.recoil_frequency):.3g} is outside the Bragg regime"
+        )
+    return verdict
 
 
 def with_regime_ratio(p: PhysicalParams, ratio: float) -> PhysicalParams:

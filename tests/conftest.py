@@ -20,12 +20,14 @@ def rubidium_derived(rubidium):
 
 @pytest.fixture
 def at_ratio():
-    """Rubidium with the coupling rescaled to an exact chi*n0/w_rec."""
+    """Rubidium with the coupling rescaled to an exact chi*n0/w_rec, the
+    detuning (and so chi) of the given sign."""
 
-    def _make(ratio, l0=2, n0=1):
+    def _make(ratio, l0=2, n0=1, sign=1):
         from dataclasses import replace
 
-        p = replace(params.rubidium_preset(), l0=l0, n0=n0)
+        base = params.rubidium_preset()
+        p = replace(base, l0=l0, n0=n0, detuning=sign * base.detuning)
         return params.with_regime_ratio(p, ratio)
 
     return _make

@@ -36,10 +36,6 @@ def criterion(num, text):
     return deco
 
 
-def _at_ratio(ratio, l0=2):
-    return with_regime_ratio(replace(rubidium_preset(), l0=l0), ratio)
-
-
 def _flip_series(p, samples=512, cycles=1.0):
     """(times, p_plus, p_flip, final_norm, chi, b) for one ladder run."""
     d = derive(p)
@@ -70,9 +66,9 @@ def test_criterion_1_preset_consistency():
 
 
 @criterion(2, "l0=2 flip frequency within 2% of chi; peak transfer >= 0.99 at pi/chi; < 1 s")
-def test_criterion_2_pendelloesung():
+def test_criterion_2_pendelloesung(at_ratio):
     t0 = time.perf_counter()
-    p = _at_ratio(0.02, l0=2)
+    p = at_ratio(0.02, l0=2)
     times, p_plus, p_flip, norm, d, c = _flip_series(p, samples=512, cycles=1.0)
     freq = ladder.extract_flip_frequency(times, p_plus, p_flip)
     assert abs(freq - d.chi) / d.chi < 0.02
@@ -85,9 +81,9 @@ def test_criterion_2_pendelloesung():
 
 
 @criterion(3, "l0=4 two-mode confinement >= 0.98 and frequency within 5% of (chi n)^2/(8 w); < 10 s")
-def test_criterion_3_second_order_bragg():
+def test_criterion_3_second_order_bragg(at_ratio):
     t0 = time.perf_counter()
-    p = _at_ratio(0.02, l0=4)
+    p = at_ratio(0.02, l0=4)
     times, p_plus, p_flip, norm, d, c = _flip_series(p, samples=512, cycles=1.0)
     confinement = p_plus + p_flip
     assert confinement.min() >= 0.98
@@ -100,9 +96,9 @@ def test_criterion_3_second_order_bragg():
 
 
 @criterion(4, "ladder norm drift <= 1e-9 on criteria-2/3 runs; adiabatic solve exact to 1e-12")
-def test_criterion_4_unitarity():
+def test_criterion_4_unitarity(at_ratio):
     for l0 in (2, 4):
-        p = _at_ratio(0.02, l0=l0)
+        p = at_ratio(0.02, l0=l0)
         _, _, _, norm, _, _ = _flip_series(p, samples=64, cycles=1.0)
         assert abs(norm - 1.0) <= 1e-9
     rng = np.random.default_rng(17)
@@ -118,9 +114,9 @@ def test_criterion_4_unitarity():
 
 
 @criterion(5, "ladder vs adiabatic populations agree to 1e-2 pointwise for l0 in {2,4} at ratio 0.02")
-def test_criterion_5_oracle_equivalence():
+def test_criterion_5_oracle_equivalence(at_ratio):
     for l0 in (2, 4):
-        p = _at_ratio(0.02, l0=l0)
+        p = at_ratio(0.02, l0=l0)
         times, p_plus, p_flip, _, d, c = _flip_series(p, samples=256, cycles=1.0)
         half = 0.5 * c.b_n * times
         dev_plus = np.abs(p_plus - np.cos(half) ** 2)

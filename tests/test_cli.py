@@ -169,6 +169,13 @@ def test_simulate_regime_gate(capsys):
     assert "marginal" in err
 
 
+def test_simulate_include_stark_flag_is_gone(capsys):
+    # a common diagonal shift is a global phase, which no population shows
+    code, _, err = run(capsys, "simulate", "--include-stark", "--samples", "5")
+    assert code == 1
+    assert "unrecognized arguments: --include-stark" in err
+
+
 def test_simulate_cycles_needs_coupling(capsys):
     code, _, err = run(capsys, "simulate", "--n", "0", "--cycles", "1")
     assert code == 1
@@ -612,6 +619,12 @@ def test_unwritable_output(capsys):
         ("simulate", "--duration", "inf"),
         ("simulate", "--duration", "nan"),
         ("simulate", "--cycles", "inf"),
+        ("validate", "--samples", "3"),
+        ("sweep", "--var", "s", "--values", "1", "--samples", "3"),
+        ("sweep", "--var", "s", "--values", "1,3", "--guard", "3"),
+        # no flip rate, so no pulse time, as for bell
+        ("validate", "--set", "g_rad_s=0"),
+        ("bell", "--set", "g_rad_s=0"),
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(capsys, argv):
@@ -677,7 +690,7 @@ def test_numpy_loads_only_for_the_ladder():
 
 @pytest.mark.parametrize(
     "error",
-    [entangle.RegimeError, ladder.TruncationError, ladder.ResolutionError,
+    [params.RegimeError, ladder.TruncationError, ladder.ResolutionError,
      ladder.NormDriftError, adiabatic.ConvergenceError],
 )
 def test_every_physics_error_exits_2(capsys, monkeypatch, error):

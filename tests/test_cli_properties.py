@@ -3,12 +3,16 @@
 Any mix of valid and invalid flags must end in a documented exit code (0, 1
 or 2; 3 needs a file system error) and never in an uncaught exception. A
 coefficient table printed with exit 0 must hold a converged level shift: a
-fixed point a = alpha(a) of the dense ladder partition in `oracles`.
+fixed point a = alpha(a) of the dense ladder partition in `oracles`. A
+validate or sweep that exits 0 ran with a guard the ladder accepts, and each
+of its points in the good regime measured the flip frequency it predicts:
+|freq_ratio - 1| < FREQ_TOL.
 """
 
 import contextlib
 import csv
 import io
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +36,10 @@ S = _mostly("1", "3", "5")
 R = _mostly("0", "1", "2")
 K = _mostly("3", "4", "5")
 L0 = _mostly("2", "4", "6")
+# both sides of the minimum (4 for each) half the time
+SAMPLES = st.one_of(st.sampled_from(["3", "4", "5", "32"]), INTS)
+GUARD = st.one_of(st.sampled_from(["3", "4", "5", "8"]), INTS)
+SWEEP_VALUES = st.sampled_from(["1,3", "1,2", "2,4", "0.01,0.04", "2", "x", ","])
 L0_LISTS = st.one_of(L0, st.sampled_from(["2,4", "2,4,6,8", "4,3", "0,2", "2,,6"]))
 OVERRIDES = st.sampled_from(
     [
@@ -54,24 +62,32 @@ OVERRIDES = st.sampled_from(
     ]
 )
 
-# flags each command takes, with the values drawn for them; validate and
-# simulate get few samples to keep each example cheap
+# flags each command takes, with the values drawn for them
 FLAGS = {
     "bell": {"--s": S, "--r": R, "--set": OVERRIDES},
     "ghz": {"--s": S, "--r": R, "--k": K, "--set": OVERRIDES},
     "coeffs": {"--l0": L0_LISTS, "--n": st.sampled_from(["0,1,2", "1", "3", "-1", "y"]),
                "--set": OVERRIDES},
     "validate": {"--l0": L0, "--s": S, "--set": OVERRIDES},
+    "sweep": {"--var": st.sampled_from(["chi_ratio", "l0", "n0", "s", "mass"]),
+              "--values": SWEEP_VALUES, "--set": OVERRIDES},
     "simulate": {"--l0": L0, "--set": OVERRIDES},
 }
-SAMPLES = {"validate": ["--samples", "32"], "simulate": ["--samples", "16"]}
+# what every example of a command starts with: simulate's few samples keep
+# it cheap, and validate and sweep always draw their samples and guard
+START = {"sweep": ["--var", "s", "--values", "1,3"], "simulate": ["--samples", "16"]}
+# at 4 or more samples the measured frequency is within 3e-5 of |b_n| at every
+# good-regime point these draws reach; at 3 samples freq_ratio read 3e-9
+FREQ_TOL = 1e-3
 
 
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     ratio = 10.0 ** draw(st.floats(-3.0, 2.0))  # log-uniform over 1e-3..100
-    argv = [command, "--chi-ratio", repr(ratio), *SAMPLES.get(command, [])]
+    argv = [command, "--chi-ratio", repr(ratio), *START.get(command, [])]
+    if command in ("validate", "sweep"):
+        argv += ["--samples", draw(SAMPLES), "--guard", draw(GUARD)]
     flags = FLAGS[command]
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
         argv += [flag, draw(flags[flag])]
@@ -99,14 +115,32 @@ def _check_converged_table(argv, text):
         assert alpha == pytest.approx(a, rel=1e-9), (argv, row)
 
 
+def _check_measured_frequency(argv, points):
+    """A good-regime point with a measured frequency measured the predicted one."""
+    for point in points:
+        if point.get("verdict") == "good" and point.get("freq_ratio") not in (None, ""):
+            assert abs(float(point["freq_ratio"]) - 1.0) < FREQ_TOL, (argv, point)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(invocations())
 @example(["coeffs", "--chi-ratio", "10", "--l0", "4"])
 @example(["bell", "--chi-ratio", "0.02", "--set", "l0=4"])
 @example(["validate", "--chi-ratio", "0.02", "--l0", "12", "--samples", "32"])
+@example(["validate", "--chi-ratio", "0.02", "--samples", "3"])
+@example(["sweep", "--chi-ratio", "0.02", "--var", "s", "--values", "1", "--guard", "3"])
 def test_cli_exit_codes_and_no_traceback(argv):
     code, out, err = _run(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PHYSICS), (argv, code, err)
     assert "Traceback" not in err
-    if code == cli.EXIT_OK and argv[0] == "coeffs":
+    if code != cli.EXIT_OK:
+        return
+    if argv[0] == "coeffs":
         _check_converged_table(argv, out)
+    if argv[0] in ("validate", "sweep"):
+        opts = dict(zip(argv[1::2], argv[2::2]))  # the last of a repeated flag wins
+        assert int(opts.get("--guard", params.DEFAULT_GUARD)) >= params.MIN_GUARD, argv
+    if argv[0] == "validate":
+        _check_measured_frequency(argv, [json.loads(out)])
+    elif argv[0] == "sweep":
+        _check_measured_frequency(argv, csv.DictReader(io.StringIO(out)))

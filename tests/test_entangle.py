@@ -9,7 +9,6 @@ import oracles
 from braggbell import adiabatic, cli, entangle, ladder
 from braggbell.entangle import (
     MeasurementError,
-    RegimeError,
     compose,
     computational_basis,
     concurrence,
@@ -20,14 +19,9 @@ from braggbell.entangle import (
     run_scenario,
     superposition_basis,
 )
-from braggbell.params import derive, rubidium_preset, with_regime_ratio
+from braggbell.params import RegimeError, derive, rubidium_preset
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@pytest.fixture
-def rb():
-    return rubidium_preset()
 
 
 # one atom's ((vacuum c_plus, c_minus), (Fock c_plus, c_minus))
@@ -359,7 +353,7 @@ def test_measure_atom_collapses_ghz():
 # --- full scenarios ----------------------------------------------------------
 
 
-def test_bell_recipes_adiabatic_exact(rb):
+def test_bell_recipes_adiabatic_exact(rubidium):
     # all four scheduling recipes hit their targets exactly in the two-level engine
     cases = [
         ("opposite", 0, "psi_plus"),
@@ -368,7 +362,7 @@ def test_bell_recipes_adiabatic_exact(rb):
         ("same", 1, "phi_minus"),
     ]
     for mode, r, kind in cases:
-        rep = run_scenario(rb, mode=mode, r=r, engine="adiabatic")
+        rep = run_scenario(rubidium, mode=mode, r=r, engine="adiabatic")
         assert rep.target_kind == kind
         assert rep.fidelity > 1.0 - 1e-12
         assert rep.concurrence > 1.0 - 1e-12
@@ -380,16 +374,16 @@ def test_bell_recipes_adiabatic_exact(rb):
         assert rep.vacuum_deviation < 1e-14
 
 
-def test_bell_outcome_kind_flips(rb):
-    rep = run_scenario(rb, mode="opposite", engine="adiabatic")
+def test_bell_outcome_kind_flips(rubidium):
+    rep = run_scenario(rubidium, mode="opposite", engine="adiabatic")
     assert rep.outcomes["plus"]["kind"] == "psi_plus"
     assert rep.outcomes["minus"]["kind"] == "psi_minus"
 
 
-def test_bell_ladder_engine(rb):
-    rep = run_scenario(rb, mode="opposite", engine="ladder")
+def test_bell_ladder_engine(rubidium):
+    rep = run_scenario(rubidium, mode="opposite", engine="ladder")
     # the scheduled phase is the ladder's own: only populations cost fidelity
-    fitted = run_scenario(rb, mode="opposite", engine="ladder", fit_phase=True)
+    fitted = run_scenario(rubidium, mode="opposite", engine="ladder", fit_phase=True)
     assert rep.fidelity == pytest.approx(fitted.fidelity, abs=1e-9)
     assert rep.fidelity > 0.95
     for o in rep.outcomes.values():
@@ -468,22 +462,17 @@ def _check_scheduled_phase(p, **kw):
     return rep, rl
 
 
-def _signed_ratio_params(l0, sign, ratio=0.02):
-    base = rubidium_preset()
-    return with_regime_ratio(replace(base, l0=l0, detuning=sign * base.detuning), ratio)
-
-
-def test_bell_phase_bookkeeping():
+def test_bell_phase_bookkeeping(at_ratio):
     for l0 in (2, 4, 6):
         for sign in (1, -1):
-            p = _signed_ratio_params(l0, sign)
+            p = at_ratio(0.02, l0=l0, sign=sign)
             for mode in ("opposite", "same"):
                 for s, r in ((1, 0), (1, 1), (3, 0), (3, 1), (3, 2)):
                     _check_scheduled_phase(p, mode=mode, s=s, r=r)
 
 
-def test_bell_phase_reference_l0_4():
-    p = with_regime_ratio(replace(rubidium_preset(), l0=4), 0.02)
+def test_bell_phase_reference_l0_4(at_ratio):
+    p = at_ratio(0.02, l0=4)
     rep, rl = _check_scheduled_phase(p, mode="opposite")
     # psi_plus: the reference is the measured phase itself, -pi/3 up to
     # the O(ratio^2) corrections of a_n/|b_n| = 1/3 (test_adiabatic)
@@ -492,16 +481,16 @@ def test_bell_phase_reference_l0_4():
     assert rl.fidelity > 0.9999
 
 
-def test_ladder_vs_adiabatic_phase_agree_l0_2(rb):
-    ra = run_scenario(rb, mode="opposite", engine="adiabatic")
-    rl = run_scenario(rb, mode="opposite", engine="ladder")
+def test_ladder_vs_adiabatic_phase_agree_l0_2(rubidium):
+    ra = run_scenario(rubidium, mode="opposite", engine="adiabatic")
+    rl = run_scenario(rubidium, mode="opposite", engine="ladder")
     diff = np.exp(1j * (ra.phase_measured_rad - rl.phase_measured_rad))
     assert abs(diff - 1.0) < 0.01  # small residual from intermediate orders
 
 
-def test_computational_basis_kills_entanglement(rb):
+def test_computational_basis_kills_entanglement(rubidium):
     for engine in ("adiabatic", "ladder"):
-        rep = run_scenario(rb, mode="opposite", engine=engine, basis="computational")
+        rep = run_scenario(rubidium, mode="opposite", engine=engine, basis="computational")
         for o in rep.outcomes.values():
             assert o["concurrence"] <= 1e-6
         assert rep.outcome_probabilities["vacuum"] == pytest.approx(0.5, abs=1e-5)
@@ -536,16 +525,16 @@ def test_stark_phase_is_in_the_scheduled_target(l0):
     assert _phase_gap(rep, rl) < 1e-3
 
 
-def test_fit_phase_isolates_population_error(rb):
-    strict = run_scenario(rb, mode="opposite", engine="ladder")
-    fitted = run_scenario(rb, mode="opposite", engine="ladder", fit_phase=True)
+def test_fit_phase_isolates_population_error(rubidium):
+    strict = run_scenario(rubidium, mode="opposite", engine="ladder")
+    fitted = run_scenario(rubidium, mode="opposite", engine="ladder", fit_phase=True)
     assert fitted.fidelity >= strict.fidelity
     assert fitted.fidelity > 1.0 - 1e-9
 
 
-def test_ghz_adiabatic_exact(rb):
+def test_ghz_adiabatic_exact(rubidium):
     for k in (3, 4, 6):
-        rep = run_scenario(rb, mode="same", k=k, engine="adiabatic")
+        rep = run_scenario(rubidium, mode="same", k=k, engine="adiabatic")
         assert rep.scenario == "ghz"
         assert rep.fidelity > 1.0 - 1e-12
         assert rep.concurrence is None
@@ -560,7 +549,7 @@ def test_ghz_adiabatic_exact(rb):
     for k in (3, 4):
         for r in (0, 1):
             for outcome in (0, 1):
-                rep = run_scenario(rb, mode="same", k=k, r=r, selected_outcome=outcome)
+                rep = run_scenario(rubidium, mode="same", k=k, r=r, selected_outcome=outcome)
                 assert rep.target_kind == ("ghz_plus" if r == 0 else "ghz_minus")
                 assert rep.selected_outcome == ("plus", "minus")[outcome]
                 for o in rep.ghz_collapse.values():
@@ -568,8 +557,8 @@ def test_ghz_adiabatic_exact(rb):
                     assert o["fidelity"] > 1.0 - 1e-12
 
 
-def test_ghz_ladder(rb):
-    rep = run_scenario(rb, mode="same", k=3, engine="ladder")
+def test_ghz_ladder(rubidium):
+    rep = run_scenario(rubidium, mode="same", k=3, engine="ladder")
     assert rep.fidelity > 0.9
     assert rep.fidelity == pytest.approx(0.99999, abs=1e-4)
     for o in rep.ghz_collapse.values():
@@ -577,38 +566,38 @@ def test_ghz_ladder(rb):
     assert rep.vacuum_deviation < 1e-14
 
 
-def test_ghz_reference_phase_formulas():
+def test_ghz_reference_phase_formulas(at_ratio):
     for l0 in (2, 4, 6):
         for sign in (1, -1):
-            p = _signed_ratio_params(l0, sign)
+            p = at_ratio(0.02, l0=l0, sign=sign)
             for k in (3, 5):
                 for r in (0, 1):
                     rep, _ = _check_scheduled_phase(p, mode="same", k=k, r=r)
                     assert rep.target_kind == ("ghz_plus" if r == 0 else "ghz_minus")
 
 
-def test_scenario_validation(rb):
+def test_scenario_validation(rubidium):
     with pytest.raises(ValueError):
-        run_scenario(rb, mode="diagonal")
+        run_scenario(rubidium, mode="diagonal")
     with pytest.raises(ValueError):
-        run_scenario(rb, engine="exact")
+        run_scenario(rubidium, engine="exact")
     with pytest.raises(ValueError):
-        run_scenario(rb, k=3, mode="opposite")
+        run_scenario(rubidium, k=3, mode="opposite")
     with pytest.raises(ValueError):
-        run_scenario(rb, k=11, mode="same")
+        run_scenario(rubidium, k=11, mode="same")
     with pytest.raises(ValueError):
-        run_scenario(rb, s=2)
+        run_scenario(rubidium, s=2)
 
 
-def test_scenario_regime_gate(rb):
-    hot = with_regime_ratio(rb, 0.5)
+def test_scenario_regime_gate(at_ratio):
+    hot = at_ratio(0.5)
     with pytest.raises(RegimeError):
         run_scenario(hot, engine="adiabatic")
 
 
-def test_report_json_stable(rb):
-    r1 = run_scenario(rb, mode="same", r=1, engine="ladder")
-    r2 = run_scenario(rb, mode="same", r=1, engine="ladder")
+def test_report_json_stable(rubidium):
+    r1 = run_scenario(rubidium, mode="same", r=1, engine="ladder")
+    r2 = run_scenario(rubidium, mode="same", r=1, engine="ladder")
     assert r1.to_json() == r2.to_json()
     payload = r1.to_dict()
     for key in (

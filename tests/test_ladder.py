@@ -21,11 +21,6 @@ from braggbell.params import derive, rubidium_preset, with_regime_ratio
 PI_PULSE_TRANSFER = 0.9999963864133057
 
 
-@pytest.fixture
-def d_rb():
-    return derive(rubidium_preset())
-
-
 def _evolve(h, d, times):
     """The guarded propagation, given the branch's flip frequency from its reduction."""
     return evolve(h, adiabatic.coeffs(h.n, h.l0, d).b_n, times)
@@ -41,13 +36,13 @@ def test_default_range_brackets_resonant_pair():
         default_range(3)
 
 
-def test_hamiltonian_elements(d_rb):
-    h = build_hamiltonian(1, 2, d_rb)
+def test_hamiltonian_elements(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived)
     orders = np.arange(h.l_min, h.l_max + 1, 2)
-    w = d_rb.recoil_frequency
+    w = rubidium_derived.recoil_frequency
     for i, l in enumerate(orders):
         assert h.diagonal[i] == pytest.approx(w * l * (l + 2), rel=1e-15, abs=1e-9)
-    assert np.all(h.off_diagonal == -d_rb.chi / 2.0)
+    assert np.all(h.off_diagonal == -rubidium_derived.chi / 2.0)
     # resonant pair degenerate at zero; that's the whole point of the pair
     i0 = list(orders).index(0)
     im = list(orders).index(-2)
@@ -55,20 +50,21 @@ def test_hamiltonian_elements(d_rb):
     assert h.diagonal[im] == 0.0
 
 
-def test_hamiltonian_stark_uniform_shift(d_rb):
-    plain = build_hamiltonian(3, 2, d_rb)
-    stark = build_hamiltonian(3, 2, d_rb, include_stark=True)
-    np.testing.assert_allclose(stark.diagonal, plain.diagonal - 3 * d_rb.chi, rtol=0, atol=0)
+def test_hamiltonian_stark_uniform_shift(rubidium_derived):
+    plain = build_hamiltonian(3, 2, rubidium_derived)
+    stark = build_hamiltonian(3, 2, rubidium_derived, include_stark=True)
+    shifted = plain.diagonal - 3 * rubidium_derived.chi
+    np.testing.assert_allclose(stark.diagonal, shifted, rtol=0, atol=0)
     np.testing.assert_array_equal(stark.off_diagonal, plain.off_diagonal)
 
 
-def test_hamiltonian_matrix_symmetric(d_rb):
-    m = build_hamiltonian(1, 2, d_rb).matrix()
+def test_hamiltonian_matrix_symmetric(rubidium_derived):
+    m = build_hamiltonian(1, 2, rubidium_derived).matrix()
     assert np.array_equal(m, m.T)
 
 
-def test_initial_state_is_delta(d_rb):
-    h = build_hamiltonian(1, 2, d_rb)
+def test_initial_state_is_delta(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived)
     st = initial_state(h)
     assert st.shape == (h.size,)
     assert np.linalg.norm(st) == 1.0
@@ -77,8 +73,8 @@ def test_initial_state_is_delta(d_rb):
     assert np.all(pops[h.orders != 0] == 0.0)
 
 
-def test_index_of_refuses_orders_off_the_ladder(d_rb):
-    h = build_hamiltonian(1, 2, d_rb, guard=4)
+def test_index_of_refuses_orders_off_the_ladder(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived, guard=4)
     assert [h.index_of(l) for l in h.orders] == list(range(h.size))
     assert h.index_of(-2) == h.index_of(0) - 1
     for l in (-1, 3, -8, 6):  # odd orders are not on the even ladder; the rest are outside it
@@ -86,49 +82,49 @@ def test_index_of_refuses_orders_off_the_ladder(d_rb):
             h.index_of(l)
 
 
-def test_pi_pulse_transfer_frozen(d_rb):
-    h = build_hamiltonian(1, 2, d_rb)
-    t1 = math.pi / d_rb.chi
-    out = _evolve(h, d_rb, [t1])[0]
+def test_pi_pulse_transfer_frozen(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived)
+    t1 = math.pi / rubidium_derived.chi
+    out = _evolve(h, rubidium_derived, [t1])[0]
     assert abs(out[h.index_of(-2)]) ** 2 == pytest.approx(PI_PULSE_TRANSFER, abs=1e-11)
 
 
-def test_propagator_vs_ode_oracle(d_rb):
-    w, chi = d_rb.recoil_frequency, d_rb.chi
+def test_propagator_vs_ode_oracle(rubidium_derived):
+    w, chi = rubidium_derived.recoil_frequency, rubidium_derived.chi
     orders, h_dense = oracles.dense_matrix(w, chi, 1, 2, -10, 8)
     v0 = oracles.psi0(orders)
     t1 = math.pi / chi
     times = np.linspace(0.0, t1, 7)[1:]
     ref = oracles.propagate_ode(h_dense, v0, times)
 
-    h = build_hamiltonian(1, 2, d_rb)
+    h = build_hamiltonian(1, 2, rubidium_derived)
     ours = sample_evolution(initial_state(h), h, times)
     assert np.max(np.abs(np.abs(ours) ** 2 - np.abs(ref) ** 2)) < 5e-11
 
 
-def test_propagator_vs_expm_oracle(d_rb):
-    w, chi = d_rb.recoil_frequency, d_rb.chi
+def test_propagator_vs_expm_oracle(rubidium_derived):
+    w, chi = rubidium_derived.recoil_frequency, rubidium_derived.chi
     orders, h_dense = oracles.dense_matrix(w, chi, 2, 4, -12, 8)
     v0 = oracles.psi0(orders)
-    h = build_hamiltonian(2, 4, d_rb)
+    h = build_hamiltonian(2, 4, rubidium_derived)
     times = (1e-4, 3.7e-3, 0.21)
-    for t, ours in zip(times, _evolve(h, d_rb, times)):
+    for t, ours in zip(times, _evolve(h, rubidium_derived, times)):
         ref = oracles.propagate_expm(h_dense, v0, t)
         # amplitudes, not just populations: global phase must match too
         assert np.max(np.abs(ours - ref)) < 1e-10
 
 
-def test_propagator_vs_rk4_oracle(d_rb):
-    w, chi = d_rb.recoil_frequency, d_rb.chi
+def test_propagator_vs_rk4_oracle(rubidium_derived):
+    w, chi = rubidium_derived.recoil_frequency, rubidium_derived.chi
     orders, h_dense = oracles.dense_matrix(w, chi, 1, 2, -10, 8)
     v0 = oracles.psi0(orders)
     t = 2.0e-3
     ref = oracles.propagate_rk4(h_dense, v0, t, steps=40000)
-    out = _evolve(build_hamiltonian(1, 2, d_rb), d_rb, [t])[0]
+    out = _evolve(build_hamiltonian(1, 2, rubidium_derived), rubidium_derived, [t])[0]
     assert np.max(np.abs(out - ref)) < 1e-9
 
 
-def test_norm_conserved_everywhere(d_rb):
+def test_norm_conserved_everywhere(rubidium_derived):
     rng = np.random.default_rng(11)
     for _ in range(20):
         ratio = rng.uniform(0.005, 0.15)
@@ -141,26 +137,28 @@ def test_norm_conserved_everywhere(d_rb):
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def test_two_mode_confinement_small_ratio(d_rb):
+def test_two_mode_confinement_small_ratio(rubidium_derived):
     # Bragg regime: population stays on {0, -l0} to ~(ratio/2)^2 per neighbor
-    h = build_hamiltonian(1, 2, d_rb)
-    times = np.linspace(0.0, 2.0 * math.pi / d_rb.chi, 301)
+    h = build_hamiltonian(1, 2, rubidium_derived)
+    times = np.linspace(0.0, 2.0 * math.pi / rubidium_derived.chi, 301)
     amps = sample_evolution(initial_state(h), h, times)
     conf = np.sum(np.abs(amps[:, [h.index_of(0), h.index_of(-2)]]) ** 2, axis=1)
     assert conf.min() > 1.0 - 1e-5
 
 
-def test_vacuum_hamiltonian_is_static(d_rb):
-    h = build_hamiltonian(0, 2, d_rb)
-    out = _evolve(h, d_rb, [0.37])[0]
+def test_vacuum_hamiltonian_is_static(rubidium_derived):
+    h = build_hamiltonian(0, 2, rubidium_derived)
+    out = _evolve(h, rubidium_derived, [0.37])[0]
     assert abs(out[h.index_of(0)]) ** 2 == pytest.approx(1.0, abs=1e-30)
     # l=0 is also phase-stationary: diagonal element w*l*(l+l0) vanishes there
     assert out[h.index_of(0)] == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
 @pytest.mark.parametrize("include_stark", [False, True])
-def test_vacuum_branch_propagates_without_decomposition(d_rb, monkeypatch, include_stark):
-    h = build_hamiltonian(0, 4, d_rb, include_stark=include_stark)
+def test_vacuum_branch_propagates_without_decomposition(
+    rubidium_derived, monkeypatch, include_stark
+):
+    h = build_hamiltonian(0, 4, rubidium_derived, include_stark=include_stark)
     rng = np.random.default_rng(2)
     amps = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
     amps[[0, -1]] = 0.0  # keep the edge bound quiet
@@ -172,15 +170,16 @@ def test_vacuum_branch_propagates_without_decomposition(d_rb, monkeypatch, inclu
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     ours = sample_evolution(st, h, times)
-    _, h_dense = oracles.dense_matrix(d_rb.recoil_frequency, d_rb.chi, 0, 4, h.l_min, h.l_max)
+    d = rubidium_derived
+    _, h_dense = oracles.dense_matrix(d.recoil_frequency, d.chi, 0, 4, h.l_min, h.l_max)
     for t, row in zip(times, ours):
         np.testing.assert_array_equal(row, np.exp(-1j * h.diagonal * t) * st)
         ref = oracles.propagate_expm(h_dense, st, t)
         assert np.max(np.abs(row - ref)) < 1e-12
 
 
-def test_resolution_guard_threshold_is_gershgorin_norm(d_rb):
-    h = build_hamiltonian(1, 6, d_rb)
+def test_resolution_guard_threshold_is_gershgorin_norm(rubidium_derived):
+    h = build_hamiltonian(1, 6, rubidium_derived)
     h_norm = np.max(np.abs(h.diagonal)) + 2.0 * abs(h.off_diagonal)
     limit = ladder.RESOLUTION_LIMIT * np.finfo(float).eps * h_norm
     with pytest.raises(ladder.ResolutionError):
@@ -195,12 +194,12 @@ def test_resolution_guard_threshold_is_gershgorin_norm(d_rb):
 
 
 @pytest.mark.parametrize("include_stark", [False, True])
-def test_resolution_guard_passes_the_uncoupled_branch(d_rb, include_stark):
+def test_resolution_guard_passes_the_uncoupled_branch(rubidium_derived, include_stark):
     # the vacuum branch is never decomposed, so it has no splitting to resolve
-    h = build_hamiltonian(0, 10, d_rb, include_stark=include_stark)
+    h = build_hamiltonian(0, 10, rubidium_derived, include_stark=include_stark)
     assert h.off_diagonal == 0.0
     ladder.check_resolution(h, 0.0)
-    ladder.check_resolution(h, adiabatic.coeffs(0, 10, d_rb).b_n)
+    ladder.check_resolution(h, adiabatic.coeffs(0, 10, rubidium_derived).b_n)
 
 
 def test_truncation_error_raised_when_regime_broken():
@@ -219,16 +218,18 @@ def test_marginal_ratio_survives_default_guard():
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def test_evolve_at_time_zero_is_the_initial_state(d_rb):
-    h = build_hamiltonian(1, 2, d_rb)
-    np.testing.assert_allclose(_evolve(h, d_rb, [0.0])[0], initial_state(h), rtol=0, atol=1e-15)
+def test_evolve_at_time_zero_is_the_initial_state(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived)
+    start = _evolve(h, rubidium_derived, [0.0])[0]
+    np.testing.assert_allclose(start, initial_state(h), rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        _evolve(h, d_rb, [-1.0])
+        _evolve(h, rubidium_derived, [-1.0])
 
 
-def test_sample_evolution_refuses_wrong_length_and_negative_times(d_rb):
-    h = build_hamiltonian(1, 2, d_rb, guard=10)
-    st = initial_state(build_hamiltonian(1, 2, d_rb, guard=8))  # another ladder's state
+def test_sample_evolution_refuses_wrong_length_and_negative_times(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived, guard=10)
+    # another ladder's state
+    st = initial_state(build_hamiltonian(1, 2, rubidium_derived, guard=8))
     for wrong in (st, np.ones(3), np.ones((1, h.size))):
         with pytest.raises(ValueError, match="amplitudes for the ladder"):
             sample_evolution(wrong, h, [1e-3])
@@ -268,17 +269,17 @@ def test_closed_form_slope_is_the_polyfit_slope():
     assert extract_flip_frequency(t, p_plus, p_flip) == pytest.approx(expected, rel=1e-12)
 
 
-def test_measured_frequency_matches_coupling(d_rb):
-    h = build_hamiltonian(1, 2, d_rb)
-    times = np.linspace(0.0, 2.0 * math.pi / d_rb.chi, 512)
-    amps = _evolve(h, d_rb, times)
+def test_measured_frequency_matches_coupling(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived)
+    times = np.linspace(0.0, 2.0 * math.pi / rubidium_derived.chi, 512)
+    amps = _evolve(h, rubidium_derived, times)
     p_plus = np.abs(amps[:, h.index_of(0)]) ** 2
     p_flip = np.abs(amps[:, h.index_of(-2)]) ** 2
     freq = extract_flip_frequency(times, p_plus, p_flip)
-    assert freq == pytest.approx(d_rb.chi, rel=1e-4)
+    assert freq == pytest.approx(rubidium_derived.chi, rel=1e-4)
 
 
-def test_timeseries_csv_shape(d_rb, capsys):
+def test_timeseries_csv_shape(rubidium_derived, capsys):
     argv = ["simulate", "--guard", "4", "--duration", "1e-3", "--samples", "4"]
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -286,11 +287,11 @@ def test_timeseries_csv_shape(d_rb, capsys):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
-    h = build_hamiltonian(1, 2, d_rb, guard=4)
+    h = build_hamiltonian(1, 2, rubidium_derived, guard=4)
     times = np.linspace(0.0, 1e-3, 4)
     pops = np.abs(sample_evolution(initial_state(h), h, times)) ** 2
     for line, t, row in zip(lines[1:], times, pops):
-        cells = [t, d_rb.recoil_frequency * t, *row]
+        cells = [t, rubidium_derived.recoil_frequency * t, *row]
         assert line == ",".join(format(float(x), ".15g") for x in cells)
 
 
