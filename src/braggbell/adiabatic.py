@@ -140,7 +140,7 @@ def solve(
     """Exact unitary evolution of (c_plus, c_minus) for time t seconds."""
     c_plus0, c_minus0 = complex(init[0]), complex(init[1])
     norm = abs(c_plus0) ** 2 + abs(c_minus0) ** 2
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"initial amplitudes must be normalized, |.|^2 = {norm}")
     half = 0.5 * c.b_n * t
     phase = complex(math.cos(c.a_n * t), -math.sin(c.a_n * t))

@@ -33,7 +33,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -86,10 +85,6 @@ def _physical(args: argparse.Namespace, l0: int | None = None) -> params.Physica
     return p
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _cell(v) -> str:
     if isinstance(v, float):
         return format(v, ".15g")
@@ -137,15 +132,15 @@ def cmd_preset(args: argparse.Namespace) -> int:
         "derived": _derived_dict(d),
         "regime_verdict": verdict.value,
     }
-    _emit(_json_text(payload), args.output)
+    _emit(entangle.json_text(payload), args.output)
     return EXIT_OK
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     p = _physical(args)
     d = params.derive(p)
-    l0_list = _parse_int_list(args.l0) if args.l0 else [p.l0]
-    n_list = _parse_int_list(args.n) if args.n else [p.n0]
+    l0_list = _parse_int_list(args.l0) if args.l0 is not None else [p.l0]
+    n_list = _parse_int_list(args.n) if args.n is not None else [p.n0]
     rows = []
     for c in (adiabatic.coeffs(n, l0, d) for l0 in l0_list for n in n_list):
         rate = abs(c.b_n)
@@ -212,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "duration_s": float(duration),
             "samples": int(len(times)),
         }
-        Path(args.output + ".meta.json").write_text(_json_text(meta))
+        Path(args.output + ".meta.json").write_text(entangle.json_text(meta))
     return EXIT_OK
 
 
@@ -311,7 +306,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _check_sampling(args)
     p = _physical(args, args.l0)
     report = validate_point(p, s=args.s, samples=args.samples, guard=args.guard)
-    _emit(_json_text(report), args.output)
+    _emit(entangle.json_text(report), args.output)
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
         print(
             f"regime violated: chi*n/w_rec = {abs(report['chi_ratio']):.3g}",
@@ -350,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         points.append({"var": args.var, "value": value, **point})
 
     if args.format == "json":
-        _emit(_json_text(points), args.output)
+        _emit(entangle.json_text(points), args.output)
         return EXIT_OK
 
     rows = ([point.get(col) for col in SWEEP_COLUMNS] for point in points)
@@ -367,9 +362,12 @@ class UsageError(ValueError):
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise UsageError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _parse_value_list(var: str, text: str):

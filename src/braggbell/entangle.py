@@ -8,8 +8,12 @@ Hamiltonian keeps the joint state of k atoms and the field
 branch, so a state is the pair (weights, pairs) meaning
 sum_b weights[b] * (x)_i pairs[b][i], with pairs[b][i] atom i's
 (c_plus, c_minus) in field branch b (0 vacuum, 1 Fock). Every score is read
-from that form in O(k) complex products; no 2^k vector is built. A qubit
-string is a sequence of per-atom indices, 0 for |+> and 1 for |->.
+from that form in O(k) complex products; no 2^k vector is built. The norm of
+a state needs only the Gram summary of its two products (their norms, their
+overlap and the gap AB - |O|^2), which depends on the pairs alone: compose
+and measure_atom return the pairs as Products, which computes that summary
+once, so every later norm is O(1). A qubit string is a sequence of per-atom
+indices, 0 for |+> and 1 for |->.
 
 Projecting the field onto {|0>, |n0>} keeps one branch, a product state;
 projecting onto (|0> +- |n0>)/sqrt(2) transfers the branch coherence to the
@@ -26,13 +30,15 @@ by the sign of b_n and the pulse multiple s, on every flipped amplitude, on
 top of the level-shift phase e^{-i a_n t} and, with the Stark term, the
 Fock-branch phase e^{+i chi n0 t}. The scheduled target takes its phase from
 the same closed-form Fock-branch pairs that the adiabatic engine prepares,
-so one solve per atom serves both. Both engines give each atom's Fock-branch
-pair as (kept, flipped), for an atom entering on |+>; `prepare` reverses a
-mirror atom's pair (one entering on |->) and adds the vacuum branch (a = b =
-0, no Stark shift at n = 0), which keeps the initial amplitudes. Reports carry
-the measured phase and this scheduled phase (phase_reference_rad) side by
-side; for the adiabatic engine they agree exactly, up to the sign that the
-*_minus kinds carry.
+so one solve serves both. The first k - 1 atoms share the time t1 and the
+last has t2, so run_scenario solves (and the ladder engine propagates to)
+each of these two times once and gives its pair to every atom at that time.
+Both engines give each atom's Fock-branch pair as (kept, flipped), for an
+atom entering on |+>; `prepare` reverses a mirror atom's pair (one entering
+on |->) and adds the vacuum branch (a = b = 0, no Stark shift at n = 0),
+which keeps the initial amplitudes. Reports carry the measured phase and
+this scheduled phase (phase_reference_rad) side by side; for the adiabatic
+engine they agree exactly, up to the sign that the *_minus kinds carry.
 
 run_scenario refuses a run outside the Bragg regime with params.RegimeError,
 through params.check_regime, the one refusal that `simulate` shares.
@@ -41,15 +47,16 @@ The module is plain Python (cmath and math): a basis is a pair of rows, and
 superposition_basis/computational_basis return tuples of them; lists,
 tuples and ndarrays are all accepted where a basis or pairs are taken. Only
 the ladder engine loads `ladder`, and with it numpy, when ladder_pairs is
-called.
+called. json_text is the one JSON emitter of the package: the text of
+json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from . import adiabatic
 from .params import (
@@ -77,14 +84,70 @@ def _norm2(pair) -> float:
     return abs(pair[0]) ** 2 + abs(pair[1]) ** 2
 
 
+# json's texts of the float reprs nan, inf and -inf; no other scalar's text is one of these
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALARS = {
+    str: encode_basestring_ascii,
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json(obj, newline: str) -> str:
+    """json.dumps text of obj (sort_keys, indent=2) nested below `newline`,
+    a newline and the indentation of the enclosing container."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is None:  # a subclass, in json's isinstance order
+        if isinstance(obj, str):
+            scalar = encode_basestring_ascii
+        elif isinstance(obj, int):
+            scalar = int.__repr__
+        elif isinstance(obj, float):
+            scalar = float.__repr__
+    if scalar is not None:
+        text = scalar(obj)
+        return _NONFINITE.get(text, text)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            text = key
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                text = _json(key, "")
+            items.append(f"{encode_basestring_ascii(text)}: {_json(obj[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    The standard library falls back to its pure-Python encoder for an
+    indented dump; this one looks each scalar's text up by its exact type.
+    """
+    return _json(obj, "\n") + "\n"
+
+
 def compose(pairs) -> tuple[tuple, float]:
     """Joint state of FIELD and k atoms as a product over atoms per branch.
 
     pairs[b][i] is atom i's (c_plus, c_minus) in field branch b, nested
     sequences or an array of shape (2, k, 2). Returns the normalized state
-    (weights, pairs), its weights FIELD over the norm, and the leakage: the
-    probability that fell outside the two-mode subspaces, where an atom's
-    branch norm is below one.
+    (weights, pairs), its weights FIELD over the norm and its pairs as
+    Products, and the leakage: the probability that fell outside the
+    two-mode subspaces, where an atom's branch norm is below one.
     """
     try:  # unpacking refuses a third branch or a third qubit level
         vacuum, fock = pairs = [[(complex(p), complex(m)) for p, m in branch] for branch in pairs]
@@ -94,13 +157,14 @@ def compose(pairs) -> tuple[tuple, float]:
     if not shaped:
         raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2)")
     norms = [[_norm2(pair) for pair in branch] for branch in pairs]
-    if max(map(max, norms)) > 1.0 + 1e-9:
-        raise ValueError("an atom's branch norm exceeds 1")
+    # each guard is written so that a nan fails it
+    if not all(norm <= 1.0 + 1e-9 for branch in norms for norm in branch):
+        raise ValueError("an atom's branch norm exceeds 1 or is not a number")
     # the field branches are orthogonal, so their norms add
     raw = sum(f * f * math.prod(branch) for f, branch in zip(FIELD, norms))
-    if raw <= 0.0:
+    if not raw > 0.0:
         raise ValueError("joint state has zero norm")
-    return ([f / math.sqrt(raw) for f in FIELD], pairs), max(0.0, 1.0 - raw)
+    return ([f / math.sqrt(raw) for f in FIELD], Products(pairs)), max(0.0, 1.0 - raw)
 
 
 def prepare(fock, init_bits) -> tuple[tuple, float]:
@@ -142,18 +206,35 @@ def _basis_row(basis, outcome: int, what: str) -> list[complex]:
     return [x.conjugate() for x in rows[outcome]]
 
 
-def _gram_norm2(weights, pairs) -> float:
-    """<state|state> of sum_b weights[b] * (x)_i pairs[b][i].
+class Products(tuple):
+    """The two products of atom pairs of a state, (vacuum branch, Fock branch).
 
-    With A = <a|a>, B = <b|b> and O = <a|b> for the two products, the norm
-    |x|^2 A + |y|^2 B + 2 Re(x* y O) cancels when the products nearly
-    coincide (a rare outcome). It is summed instead as three terms that are
-    never negative, (|x| sqrt(A) - |y| sqrt(B))^2 + 2|x||y| (sqrt(AB) - |O|)
-    + 4|x||y||O| cos^2(arg(x* y O) / 2), with AB - |O|^2 built atom by atom
+    A tuple, so `weights, pairs = state` and pairs[b][i] read as before; it
+    also holds `summary`, the Gram summary of the two products (_summary),
+    computed once when it is made. Any other sequence of two branches is
+    wrapped by _products on use.
+    """
+
+    def __new__(cls, branches):
+        self = super().__new__(cls, branches)
+        self.summary = _summary(self)
+        return self
+
+
+def _products(pairs) -> Products:
+    return pairs if type(pairs) is Products else Products(pairs)
+
+
+def _summary(pairs) -> tuple:
+    """O(k) part of the norm of sum_b weights[b] * (x)_i pairs[b][i].
+
+    With A = <a|a>, B = <b|b> and O = <a|b> for the two products, returns
+    (sqrt A, sqrt B, O, |O|, (AB - |O|^2) / (sqrt(AB) + |O|)), the last
+    sqrt(AB) - |O| without cancellation: AB - |O|^2 is built atom by atom
     from Lagrange's identity (|p|^2 + |m|^2)(|q|^2 + |n|^2) - |p* q + m* n|^2
     = |p n - m q|^2, so it keeps its relative accuracy.
     """
-    (x, y), (a, b) = weights, pairs
+    a, b = pairs
     big_a = big_b = 1.0
     overlap = 1 + 0j
     gap = 0.0  # A*B - |O|^2 over the atoms so far
@@ -162,26 +243,41 @@ def _gram_norm2(weights, pairs) -> float:
         gap = norm_a * norm_b * gap + abs(p * n - m * q) ** 2 * abs(overlap) ** 2
         big_a, big_b = big_a * norm_a, big_b * norm_b
         overlap *= p.conjugate() * q + m.conjugate() * n
-    ax, ay, ao = abs(x), abs(y), abs(overlap)
+    ao = abs(overlap)
     root = math.sqrt(big_a * big_b)
+    return math.sqrt(big_a), math.sqrt(big_b), overlap, ao, gap / (root + ao) if gap else 0.0
+
+
+def _gram_norm2(weights, summary: tuple) -> float:
+    """<state|state> of the state with these weights and pairs of this _summary.
+
+    The norm |x|^2 A + |y|^2 B + 2 Re(x* y O) cancels when the products
+    nearly coincide (a rare outcome). It is summed instead as three terms
+    that are never negative, (|x| sqrt(A) - |y| sqrt(B))^2
+    + 2|x||y| (sqrt(AB) - |O|) + 4|x||y||O| cos^2(arg(x* y O) / 2).
+    """
+    x, y = weights
+    root_a, root_b, overlap, ao, lagrange = summary
+    ax, ay = abs(x), abs(y)
     psi = cmath.phase(x.conjugate() * y * overlap)
     return (
-        (ax * math.sqrt(big_a) - ay * math.sqrt(big_b)) ** 2
-        + 2.0 * ax * ay * (gap / (root + ao) if gap else 0.0)
+        (ax * root_a - ay * root_b) ** 2
+        + 2.0 * ax * ay * lagrange
         + 4.0 * ax * ay * ao * math.cos(0.5 * psi) ** 2
     )
 
 
 def _check_normalized(state: tuple) -> None:
-    norm = math.sqrt(_gram_norm2(*state))
-    if abs(norm - 1.0) > 1e-6:
+    weights, pairs = state
+    norm = math.sqrt(_gram_norm2(weights, _products(pairs).summary))
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state must be normalized, got norm {norm}")
 
 
-def _renormalized(weights: list, pairs: list, outcome: int) -> tuple[float, tuple]:
+def _renormalized(weights: list, pairs: Products, outcome: int) -> tuple[float, tuple]:
     """(probability, normalized state) of the projected atom state (weights, pairs)."""
-    prob = _gram_norm2(weights, pairs)
-    if prob < 1e-14:
+    prob = _gram_norm2(weights, pairs.summary)
+    if not prob >= 1e-14:
         raise MeasurementError(f"outcome {outcome} has zero probability ({prob:.3e})")
     return prob, ([w / math.sqrt(prob) for w in weights], pairs)
 
@@ -193,7 +289,7 @@ def measure_field(state: tuple, basis, outcome: int) -> tuple[float, tuple]:
     """
     row = _basis_row(basis, outcome, "field")
     weights, pairs = state
-    return _renormalized([u * w for u, w in zip(row, weights)], pairs, outcome)
+    return _renormalized([u * w for u, w in zip(row, weights)], _products(pairs), outcome)
 
 
 def measure_atom(
@@ -209,13 +305,16 @@ def measure_atom(
         w * (v_plus * branch[atom_index][0] + v_minus * branch[atom_index][1])
         for w, branch in zip(weights, pairs)
     ]
-    pairs = [branch[:atom_index] + branch[atom_index + 1 :] for branch in pairs]
+    pairs = Products([branch[:atom_index] + branch[atom_index + 1 :] for branch in pairs])
     return _renormalized(weights, pairs, outcome)
 
 
 def _product(branch: list, bits) -> complex:
     """Amplitude of the qubit string `bits` in one product of atom pairs."""
-    return math.prod((pair[q] for pair, q in zip(branch, bits, strict=True)), start=1 + 0j)
+    amp = 1 + 0j
+    for pair, q in zip(branch, bits, strict=True):
+        amp *= pair[q]
+    return amp
 
 
 def _amplitude(state: tuple, bits) -> complex:
@@ -226,7 +325,7 @@ def _amplitude(state: tuple, bits) -> complex:
 def fidelity(state: tuple, init_bits, flip_bits, rel: complex) -> float:
     """|<target|state>|^2 of a normalized state, target (|init> + rel |flip>)/sqrt2."""
     _check_normalized(state)
-    if abs(abs(rel) - 1.0) > 1e-6:
+    if not abs(abs(rel) - 1.0) <= 1e-6:
         raise ValueError(f"target phase factor must have modulus 1, got {abs(rel)}")
     overlap = _amplitude(state, init_bits) + rel.conjugate() * _amplitude(state, flip_bits)
     return abs(overlap) ** 2 / 2.0
@@ -284,7 +383,7 @@ class EntanglementReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
 
 def ladder_pairs(
@@ -364,19 +463,21 @@ def run_scenario(
     # opposite: |+-> in, |-+> flipped; same: |+...+> in, |-...-> flipped
     init_bits = [0, 1] if mode == "opposite" else [0] * k
     flip_bits = [1 - q for q in init_bits]
-    # one closed-form solve per atom's Fock branch serves the adiabatic engine
-    # and the scheduled target of either engine
-    sols = [adiabatic.solve((1, 0), c, t) for t in times]
+    # one closed-form solve per distinct time serves the adiabatic engine and
+    # the scheduled target of either engine
+    sols = [adiabatic.solve((1, 0), c, t) for t in (t1, t2)]
     closed_form = [(sol.c_plus, sol.c_minus) for sol in sols]
     if include_stark:
         # a uniform -chi*n shift of the Fock-branch diagonal is the global
         # phase exp(+i chi n t) there
-        stark = [cmath.exp(1j * (d.chi * p.n0) * t) for t in times]
+        stark = [cmath.exp(1j * (d.chi * p.n0) * t) for t in (t1, t2)]
         closed_form = [(kp * f, fl * f) for (kp, fl), f in zip(closed_form, stark)]
     if engine == "adiabatic":
         fock = closed_form
     else:
-        fock = ladder_pairs(c, d, times, include_stark=include_stark).tolist()
+        fock = ladder_pairs(c, d, (t1, t2), include_stark=include_stark).tolist()
+    # the first k - 1 atoms take the pair at t1, the last the pair at t2
+    closed_form, fock = ([at_t1] * (k - 1) + [at_t2] for at_t1, at_t2 in (closed_form, fock))
     state, leakage = prepare(fock, init_bits)
     vacuum, fock_branch = state[1]
 

@@ -46,6 +46,7 @@ relabelling left to the caller.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,12 @@ class LadderHamiltonian:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix form (real symmetric)."""
-        m = np.diag(self.diagonal)
-        off = np.full(self.size - 1, self.off_diagonal)
-        m += np.diag(off, 1) + np.diag(off, -1)
+        m = np.zeros((self.size, self.size))
+        flat, step = m.reshape(-1), self.size + 1  # a view; each diagonal is a strided slice
+        # added to zeros, as a sum of diagonal matrices would be: -0.0 becomes +0.0
+        flat[::step] += self.diagonal
+        flat[1::step] += self.off_diagonal
+        flat[self.size :: step] += self.off_diagonal
         return m
 
 
@@ -157,15 +161,16 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
     if s.shape != (h.size,):
         raise ValueError(f"expected {h.size} amplitudes for the ladder, got shape {s.shape}")
     times = np.asarray(times, dtype=np.float64)
-    if np.any(times < 0):
-        raise ValueError("sample times must be >= 0")
+    # each guard is written so that a nan fails it
+    if not (times >= 0).all():
+        raise ValueError("sample times must be >= 0 and not nan")
     if h.off_diagonal == 0.0:
         evals, evecs = h.diagonal, np.eye(h.size)
     else:
         evals, evecs = np.linalg.eigh(h.matrix())
     coeffs = evecs.T @ s
-    edge = np.sum(np.abs(evecs[[0, -1]] * coeffs), axis=1) ** 2
-    if np.any(edge > EDGE_THRESHOLD):
+    edge = np.abs(evecs[[0, -1]] * coeffs).sum(axis=1) ** 2
+    if not (edge <= EDGE_THRESHOLD).all():
         worst = float(edge.max())
         raise TruncationError(
             f"boundary population bound {worst:.3e} exceeds edge threshold "
@@ -210,9 +215,9 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
     """
     if h.off_diagonal == 0.0:
         return
-    h_norm = float(np.max(np.abs(h.diagonal))) + 2.0 * abs(h.off_diagonal)
-    limit = RESOLUTION_LIMIT * np.finfo(np.float64).eps * h_norm
-    if abs(b_n) <= limit:
+    h_norm = float(np.abs(h.diagonal).max()) + 2.0 * abs(h.off_diagonal)
+    limit = RESOLUTION_LIMIT * sys.float_info.epsilon * h_norm
+    if not abs(b_n) > limit:
         raise ResolutionError(
             f"flip frequency |b_n| = {abs(b_n):.3e} rad/s is not above "
             f"{limit:.3e} rad/s, the smallest splitting the eigen-solver resolves "
@@ -223,7 +228,7 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
     """Raise NormDriftError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
     drift = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s)))
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise NormDriftError(f"norm drift {drift:.3e} exceeds tol {NORM_TOL:.1e}")
 
 

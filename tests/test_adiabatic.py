@@ -196,6 +196,13 @@ def test_solve_rejects_unnormalized(rubidium_derived):
         solve((1.0 + 0.0j, 0.5 + 0.0j), c, 1e-3)
 
 
+def test_solve_refuses_a_nan_amplitude(rubidium_derived):
+    # the norm guard is written so that a nan fails it
+    c = coeffs(1, 2, rubidium_derived)
+    with pytest.raises(ValueError, match="normalized"):
+        solve((math.nan, 0.0), c, 1e-3)
+
+
 def test_pulse_times_contract(rubidium_derived):
     c = coeffs(1, 2, rubidium_derived)
     t1, t2 = pulse_times(c, 3, offset_r=2)

@@ -625,6 +625,10 @@ def test_unwritable_output(capsys):
         # no flip rate, so no pulse time, as for bell
         ("validate", "--set", "g_rad_s=0"),
         ("bell", "--set", "g_rad_s=0"),
+        # an empty list is refused, not read as the preset's value or as no rows
+        ("coeffs", "--l0", ","),
+        ("coeffs", "--n", ","),
+        ("coeffs", "--l0", ""),
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(capsys, argv):
@@ -632,6 +636,35 @@ def test_bad_input_is_usage_error_without_traceback(capsys, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("preset", "show"),
+        ("bell",),
+        ("bell", "--engine", "ladder", "--include-stark", "--fit-phase"),
+        ("ghz", "--k", "4", "--basis", "computational"),
+        ("validate", "--samples", "32"),
+        ("sweep", "--var", "l0", "--values", "2,3", "--samples", "32", "--format", "json"),
+    ],
+)
+def test_json_output_round_trips_to_the_same_text(capsys, argv):
+    # every JSON document is json.dumps(..., sort_keys=True, indent=2) text
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == _canonical(out)
+
+
+def test_simulate_sidecar_round_trips_to_the_same_text(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert run(capsys, "simulate", "--samples", "8", "--output", str(out))[0] == 0
+    meta = (tmp_path / "run.csv.meta.json").read_text()
+    assert meta == _canonical(meta)
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,9 +1,12 @@
+import enum
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from braggbell import adiabatic, cli, entangle, ladder
@@ -264,6 +267,34 @@ def test_compose_rejects_bad_input():
             compose(pairs)
     with pytest.raises(ValueError, match="branch norm"):
         compose(_pairs(PASSIVE, ((1.0, 0.0), (0.8, 0.61))))
+
+
+# Each guard is written so that a nan fails it; `nan > tol` is False, so a
+# guard written `if x > tol: raise` would let a nan through.
+
+
+def test_compose_refuses_a_nan_amplitude():
+    with pytest.raises(ValueError, match="branch norm"):
+        compose([[(1, 0), (0, 1)], [(math.nan, 0), (0, 1)]])
+
+
+def test_measure_field_refuses_a_nan_probability():
+    weights, pairs = _bell(PSI, 1.0)
+    with pytest.raises(MeasurementError, match="zero probability"):
+        measure_field(((math.nan, weights[1]), pairs), superposition_basis(), 0)
+
+
+def test_scores_refuse_a_nan_norm():
+    weights, pairs = _bell(PSI, 1.0)
+    nan_state = ((math.nan, weights[1]), pairs)
+    for score in (lambda s: fidelity(s, *PSI, 1.0), lambda s: fitted_fidelity(s, *PSI), concurrence):
+        with pytest.raises(ValueError, match="normalized"):
+            score(nan_state)
+
+
+def test_fidelity_refuses_a_nan_target_phase():
+    with pytest.raises(ValueError, match="modulus"):
+        fidelity(_bell(PSI, 1.0), *PSI, complex(math.nan, 0.0))
 
 
 def test_compose_entangling_case():
@@ -612,3 +643,77 @@ def test_report_json_stable(rubidium):
         "outcome_probabilities",
     ):
         assert key in payload
+
+
+# --- JSON emission -----------------------------------------------------------
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+TEXTS = st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\u00e9\u2028", "\U0001f600"]))
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+    TEXTS,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXTS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": ()})
+@example([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 10**30, True, None])
+def test_json_text_is_json_dumps_byte_for_byte(obj):
+    assert entangle.json_text(obj) == _dumps(obj)
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+class _Ratio(float):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # subclasses take json's isinstance order
+        {"level": _Level.TWO, "ratio": _Ratio(0.5), "name": _Name('a"b'), "point": np.float64(0.1)},
+        # non-string keys are spelled as json spells them
+        {1: "int", 2.5: "float", -3: "negative"},
+        {None: "null"},
+        {True: "t", False: "f"},
+        {float("nan"): 0, float("inf"): 1},
+        "top-level text",
+        7,
+    ],
+)
+def test_json_text_matches_json_dumps_on_subclasses_and_keys(obj):
+    assert entangle.json_text(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{"x": object()}, [{1, 2}], {(1, 2): 0}, np.int64(3), {"a": 1, 2: 0}])
+def test_json_text_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+    with pytest.raises(TypeError):
+        entangle.json_text(obj)

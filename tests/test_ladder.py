@@ -237,6 +237,35 @@ def test_sample_evolution_refuses_wrong_length_and_negative_times(rubidium_deriv
         sample_evolution(initial_state(h), h, [1e-3, -1e-3])
 
 
+# Each guard is written so that a nan fails it; `nan > tol` is False.
+
+
+def test_evolve_refuses_a_nan_time(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived)
+    with pytest.raises(ValueError, match=">= 0"):
+        _evolve(h, rubidium_derived, [math.nan])
+
+
+def test_edge_bound_refuses_nan_amplitudes(rubidium_derived):
+    h = build_hamiltonian(1, 2, rubidium_derived)
+    s = initial_state(h)
+    s[-1] = math.nan
+    with pytest.raises(TruncationError):
+        sample_evolution(s, h, [1e-3])
+
+
+def test_norm_drift_check_refuses_a_nan_row(rubidium_derived):
+    s = initial_state(build_hamiltonian(1, 2, rubidium_derived))
+    amps = np.stack([s, np.full_like(s, math.nan)])
+    with pytest.raises(ladder.NormDriftError):
+        ladder.check_norm_drift(amps, s)
+
+
+def test_resolution_guard_refuses_a_nan_flip_frequency(rubidium_derived):
+    with pytest.raises(ladder.ResolutionError):
+        ladder.check_resolution(build_hamiltonian(1, 2, rubidium_derived), math.nan)
+
+
 def test_extract_flip_frequency_synthetic():
     w = 321.7
     t = np.linspace(0.0, 2.0 * 2.0 * math.pi / w, 400)

@@ -4,8 +4,11 @@
 name, and `Tracer.install` raises AttributeError on a missing one, which
 would break every traced benchmark run. The file is executed from its source
 text, so nothing is written under `bench/`.
+
+The last test keeps every JSON document on the package's one emitter.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -52,7 +55,8 @@ for layer, names in spans.LAYERS.items():
     module = importlib.import_module("braggbell." + layer)
     for name in names:
         wrapped[layer + "." + name] = hasattr(getattr(module, name), "__wrapped__")
-print(json.dumps({"spans": [sp[2] for sp in tracer.spans], "wrapped": wrapped}))
+samples = [sp[7][0] for sp in tracer.spans if sp[2] == "ladder.sample_evolution"]
+print(json.dumps({"spans": [sp[2] for sp in tracer.spans], "samples": samples, "wrapped": wrapped}))
 """
 
 
@@ -91,9 +95,9 @@ def test_validate_propagates_the_ladder_once():
     assert traced["spans"].count("entangle.compose") == 1
 
 
-def test_adiabatic_bell_op_solves_once_per_atom():
+def test_adiabatic_bell_op_solves_once_per_distinct_time():
     traced = _traced('entangle.run_scenario(params.rubidium_preset()).to_json()')
-    # one closed-form solve per atom serves the state and the target phase
+    # one closed-form solve per distinct time serves the state and the target phase
     assert traced["spans"].count("adiabatic.solve") == 2
     assert traced["spans"].count("entangle.compose") == 1
     assert traced["spans"].count("entangle.measure_field") == 2
@@ -106,3 +110,27 @@ def test_ghz_op_records_every_scoring_stage():
     traced = _traced('entangle.run_scenario(params.rubidium_preset(), mode="same", k=3).to_json()')
     for name in ("compose", "measure_field", "measure_atom", "fidelity", "concurrence"):
         assert traced["spans"].count(f"entangle.{name}") >= 1, name
+
+
+def test_ghz_op_solves_and_samples_each_distinct_time_once():
+    # six atoms, two distinct times: t1 for the first five, t2 for the last
+    for engine in ("adiabatic", "ladder"):
+        traced = _traced(
+            f'entangle.run_scenario(params.rubidium_preset(), mode="same", k=6, r=1, engine="{engine}")'
+        )
+        assert traced["spans"].count("adiabatic.solve") == 2, engine
+        # the ladder engine propagates once, to the two times
+        assert traced["samples"] == ([2] if engine == "ladder" else []), engine
+
+
+def test_src_emits_json_only_through_json_text():
+    # no json.dumps call anywhere in the package: entangle.json_text is the one emitter
+    package = Path(braggbell.__file__).resolve().parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+    ]
+    assert calls == []
