@@ -5,8 +5,8 @@ repeated identical invocations are byte-identical. Every CSV table is written
 by _csv_text, whose one cell rule is: None blank, str as is, int in full,
 float as %.15g. Run provenance that is not data (resolved parameters, the
 ladder range) goes to a `.meta.json` sidecar next to the CSV, which is itself
-deterministic. The ladder range is set by --guard, the number of orders kept
-beyond the resonant pair (params.default_range).
+deterministic. The ladder range is fixed by l0 (params.default_range); no
+command sets it.
 
 Rates that are printed or turned into durations (`coeffs`'s b_n_rad_s and
 pi_pulse_s, `validate`'s b_rad_s and flip cycle, `simulate --cycles`) are the
@@ -14,7 +14,7 @@ flip rate |b_n| of the two-level reduction in `adiabatic`; the sign of b_n
 only enters the scenario reports through the two-level propagator.
 
 Exit codes: 0 success, 1 usage/config error (an even s or a zero flip rate,
---samples below MIN_SAMPLES, --guard below params.MIN_GUARD), 2 physics
+--samples below MIN_SAMPLES, an empty or malformed comma list), 2 physics
 error (a params.PhysicsError: regime violation, ladder truncation, a coupling
 too weak to resolve, a level shift that does not converge, a norm drift), 3
 I/O error. A sweep reports a point that fails with a usage or physics error
@@ -139,8 +139,8 @@ def cmd_preset(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     p = _physical(args)
     d = params.derive(p)
-    l0_list = _parse_int_list(args.l0) if args.l0 is not None else [p.l0]
-    n_list = _parse_int_list(args.n) if args.n is not None else [p.n0]
+    l0_list = _parse_list(args.l0, int) if args.l0 is not None else [p.l0]
+    n_list = _parse_list(args.n, int) if args.n is not None else [p.n0]
     rows = []
     for c in (adiabatic.coeffs(n, l0, d) for l0 in l0_list for n in n_list):
         rate = abs(c.b_n)
@@ -185,7 +185,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not math.isfinite(duration):
         raise UsageError(f"duration must be finite, got {duration}")
 
-    h = ladder.build_hamiltonian(n, p.l0, d, args.guard)
+    h = ladder.build_hamiltonian(n, p.l0, d)
     if duration == 0:
         times = np.array([0.0])
         amps = ladder.initial_state(h)[np.newaxis, :]
@@ -231,9 +231,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def validate_point(
-    p: params.PhysicalParams, s: int = 1, samples: int = 512, guard: int = params.DEFAULT_GUARD
-) -> dict:
+def validate_point(p: params.PhysicalParams, s: int = 1, samples: int = 512) -> dict:
     """Ladder-vs-two-level comparison over one population-flip cycle.
 
     Keys: regime verdict, shift a_n and flip rate |b_n| of the two-level
@@ -262,7 +260,7 @@ def validate_point(
     times = np.linspace(0.0, 2.0 * math.pi / rate, samples)
     # one propagation serves the cycle's samples and the Bell fidelity at t1
     try:
-        pairs = entangle.ladder_pairs(c, d, np.append(times, t1), guard)
+        pairs = entangle.ladder_pairs(c, d, np.append(times, t1))
     except ladder.ResolutionError as exc:
         report["error"] = f"ladder resolution: {exc}"
         return report
@@ -294,18 +292,16 @@ def validate_point(
 
 
 def _check_sampling(args: argparse.Namespace) -> None:
-    """Refuse a command's --samples below MIN_SAMPLES and a --guard below params.MIN_GUARD."""
+    """Refuse a command's --samples below MIN_SAMPLES."""
     minimum = MIN_SAMPLES[args.command]
     if args.samples < minimum:
         raise UsageError(f"--samples must be >= {minimum}, got {args.samples}")
-    if args.guard < params.MIN_GUARD:
-        raise UsageError(f"guard must be >= {params.MIN_GUARD}, got {args.guard}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     _check_sampling(args)
     p = _physical(args, args.l0)
-    report = validate_point(p, s=args.s, samples=args.samples, guard=args.guard)
+    report = validate_point(p, s=args.s, samples=args.samples)
     _emit(entangle.json_text(report), args.output)
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
         print(
@@ -331,15 +327,13 @@ def _sweep_param(base: params.PhysicalParams, var: str, value):
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_sampling(args)
     base = _physical(args)
-    values = _parse_value_list(args.var, args.values)
-    if not values:
-        raise UsageError("sweep needs at least one value")
+    values = _parse_list(args.values, SWEEP_VARS[args.var])
 
     points = []
     for value in values:
         try:
             p, s = _sweep_param(base, args.var, value)
-            point = validate_point(p, s=s, samples=args.samples, guard=args.guard)
+            point = validate_point(p, s=s, samples=args.samples)
         except (ValueError, params.PhysicsError) as exc:
             point = {"error": str(exc), "l0": None, "n0": None}
         points.append({"var": args.var, "value": value, **point})
@@ -360,22 +354,16 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind: type) -> list:
+    """The comma-separated values of type `kind` in text; blank items are skipped,
+    and a list without a value is refused."""
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise UsageError(f"expected at least one integer, got {text!r}")
+        raise UsageError(f"expected comma-separated {kind.__name__} values, got {text!r}")
     return values
-
-
-def _parse_value_list(var: str, text: str):
-    toks = [tok for tok in text.split(",") if tok.strip() != ""]
-    try:
-        return [SWEEP_VARS[var](tok) for tok in toks]
-    except ValueError as exc:
-        raise UsageError(f"bad value list for {var}: {text!r}") from exc
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
@@ -453,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cycles", type=float, default=1.0, help="duration in units of 2*pi/B_n (default 1)"
     )
     p_sim.add_argument("--samples", type=int, default=201)
-    p_sim.add_argument("--guard", type=int, default=params.DEFAULT_GUARD)
     _add_common(p_sim)
 
     p_bell = sub.add_parser("bell", help="two-atom Bell preparation report (JSON)")
@@ -472,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--l0", type=int, default=None)
     p_val.add_argument("--s", type=int, default=1)
     p_val.add_argument("--samples", type=int, default=512)
-    p_val.add_argument("--guard", type=int, default=params.DEFAULT_GUARD)
     _add_common(p_val)
 
     p_sweep = sub.add_parser("sweep", help="validate over a parameter range (CSV/JSON)")
@@ -480,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated points")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--samples", type=int, default=512)
-    p_sweep.add_argument("--guard", type=int, default=params.DEFAULT_GUARD)
     _add_common(p_sweep)
 
     return parser

@@ -59,14 +59,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from . import adiabatic
-from .params import (
-    DEFAULT_GUARD,
-    DerivedParams,
-    PhysicalParams,
-    check_regime,
-    derive,
-    physical_dict,
-)
+from .params import DerivedParams, PhysicalParams, check_regime, derive, physical_dict
 
 MAX_ATOMS = 10  # desk-scale bound; the tests check scoring against dense 2^k vectors up to it
 
@@ -305,7 +298,8 @@ def measure_atom(
         w * (v_plus * branch[atom_index][0] + v_minus * branch[atom_index][1])
         for w, branch in zip(weights, pairs)
     ]
-    pairs = Products([branch[:atom_index] + branch[atom_index + 1 :] for branch in pairs])
+    # spliced, not added: `+` on two ndarray rows would sum them elementwise
+    pairs = Products([[*branch[:atom_index], *branch[atom_index + 1 :]] for branch in pairs])
     return _renormalized(weights, pairs, outcome)
 
 
@@ -390,21 +384,19 @@ def ladder_pairs(
     c: adiabatic.TwoLevelCoeffs,
     d: DerivedParams,
     times,
-    guard: int = DEFAULT_GUARD,
     include_stark: bool = False,
 ):
     """Fock-branch (kept, flipped) at each of `times` from one ladder propagation.
 
     An ndarray of shape (len(times), 2): the (c_plus, c_minus) of an atom
-    entering on +P_{l0}. c is the Fock branch's reduction, whose b_n the
-    resolution guard checks; the ladder keeps `guard` orders beyond the
-    resonant pair (params.default_range). A mirror atom has the same (kept,
-    flipped) pair, which `prepare` reverses. Loads `ladder`, and with it
-    numpy, on first use.
+    entering on +P_{l0}, on the params.default_range(l0) ladder that c, the
+    Fock branch's reduction, was taken from; the resolution guard checks c's
+    b_n. A mirror atom has the same (kept, flipped) pair, which `prepare`
+    reverses. Loads `ladder`, and with it numpy, on first use.
     """
     from . import ladder
 
-    h = ladder.build_hamiltonian(c.n, c.l0, d, guard, include_stark)
+    h = ladder.build_hamiltonian(c.n, c.l0, d, include_stark)
     amps = ladder.evolve(h, c.b_n, times)
     return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
 

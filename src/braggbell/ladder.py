@@ -33,9 +33,10 @@ eps*||H||. check_resolution refuses a coupled branch whose |b_n| is within
 RESOLUTION_LIMIT*eps*||H||, with ||H|| bounded by Gershgorin's
 max|diagonal| + 2|off_diagonal|, and raises ResolutionError. A row whose norm
 drifts from the initial one by more than NORM_TOL raises NormDriftError. The
-three thresholds are constants. The ladder's range is set by one integer,
-the guard, through params.default_range, which the two-level engine and the
-CLI use without loading this module or numpy.
+three thresholds are constants. The ladder's range is fixed by l0 alone,
+params.default_range(l0), the grid the two-level reduction is taken on too;
+the two-level engine and the CLI read it without loading this module or
+numpy.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DEFAULT_GUARD, DerivedParams, PhysicsError, default_range
+from .params import DerivedParams, PhysicsError, default_range
 
 NORM_TOL = 1e-9         # largest |norm(t) - norm(0)| accepted
 EDGE_THRESHOLD = 1e-10  # largest bound on the edge population accepted
@@ -59,7 +60,7 @@ RESOLUTION_LIMIT = 1e3  # |b_n| must exceed this many eps*||H||
 
 
 class TruncationError(PhysicsError):
-    """Population reached the ladder boundary; widen the range or fix the regime."""
+    """Population reached the ladder boundary: the coupling is too strong for the l0 ladder."""
 
 
 class ResolutionError(PhysicsError):
@@ -115,11 +116,10 @@ def build_hamiltonian(
     n: int,
     l0: int,
     d: DerivedParams,
-    guard: int = DEFAULT_GUARD,
     include_stark: bool = False,
 ) -> LadderHamiltonian:
     """Assemble the ladder generator for a branch with n photons on the
-    params.default_range(l0, guard) grid.
+    params.default_range(l0) grid.
 
     With include_stark the constant -chi*n light shift (dropped from the rate
     equations because it is common to every order) is kept on the diagonal;
@@ -127,7 +127,7 @@ def build_hamiltonian(
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    l_min, l_max = default_range(l0, guard)
+    l_min, l_max = default_range(l0)
     orders = np.arange(l_min, l_max + 1, 2)
     diagonal = d.recoil_frequency * orders * (orders + l0)
     if include_stark:
@@ -174,8 +174,8 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
         worst = float(edge.max())
         raise TruncationError(
             f"boundary population bound {worst:.3e} exceeds edge threshold "
-            f"{EDGE_THRESHOLD:.1e}; ladder range [{h.l_min}, {h.l_max}] is too "
-            "narrow for this coupling"
+            f"{EDGE_THRESHOLD:.1e}; the coupling is too strong for the l0={h.l0} "
+            f"ladder [{h.l_min}, {h.l_max}]"
         )
     return _phases(evals, times) * coeffs @ evecs.T
 

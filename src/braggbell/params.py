@@ -8,9 +8,8 @@ the two-mode (Bragg) regime to hold.
 The truncated ladder range, PhysicsError, the base of every error the CLI
 reports with exit 2, and the one refusal of a violated regime (check_regime,
 raising RegimeError) live here too, so that the two-level engine and the CLI
-need neither `ladder` nor numpy. A range is one integer, the guard: the
-number of orders kept beyond the resonant pair, which default_range turns
-into the ladder's (l_min, l_max).
+need neither `ladder` nor numpy. The range is fixed by l0 alone:
+default_range(l0) reaches GUARD beyond the resonant pair on each side.
 """
 
 from __future__ import annotations
@@ -181,19 +180,15 @@ def with_regime_ratio(p: PhysicalParams, ratio: float) -> PhysicalParams:
 
 # --- ladder range ------------------------------------------------------------
 
-DEFAULT_GUARD = 8  # extra orders kept beyond the resonant pair
-MIN_GUARD = 4      # below this the truncation cannot be trusted
+GUARD = 8  # how far in l the ladder reaches beyond the resonant pair [-l0, 0]
 
 
-def default_range(l0: int, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
-    """(l_min, l_max) = (-l0 - guard, guard), guard rounded up to even: the
-    ladder range, which brackets the resonant orders [-l0, 0] symmetrically."""
-    if guard < MIN_GUARD:
-        raise ValueError(f"guard must be >= {MIN_GUARD}, got {guard}")
+def default_range(l0: int) -> tuple[int, int]:
+    """(l_min, l_max) = (-l0 - GUARD, GUARD): the ladder range, which brackets
+    the resonant orders [-l0, 0] symmetrically."""
     if l0 < 2 or l0 % 2:
         raise ValueError(f"l0 must be a positive even integer, got {l0}")
-    guard += guard % 2
-    return (-l0 - guard, guard)
+    return (-l0 - GUARD, GUARD)
 
 
 # --- flat key=value configuration -------------------------------------------

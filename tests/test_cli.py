@@ -296,6 +296,15 @@ def test_validate_good_regime(capsys):
     assert "shift_comparison" not in rep  # one reduction, no conventions to compare
 
 
+@pytest.mark.parametrize("argv", [("simulate",), ("validate",), ("sweep", "--var", "s", "--values", "1")])
+def test_guard_flag_is_gone(capsys, argv):
+    # the ladder range is fixed by l0 (params.default_range); no command sets it
+    code, out, err = run(capsys, *argv, "--guard", "8")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --guard" in err
+
+
 def test_shift_mode_flag_is_gone(capsys):
     for command in ("bell", "ghz", "coeffs"):
         code, _, err = run(capsys, command, "--shift-mode", "quadratic")
@@ -345,18 +354,15 @@ def test_validate_bell_fidelity_is_the_ladder_scenario(l0):
     assert point["bell_fidelity"] == pytest.approx(rep.fidelity, rel=0, abs=1e-13)
 
 
-@pytest.mark.parametrize("guard", [6, 20])
-def test_validate_guard_sets_the_bell_fidelity_ladder(capsys, guard):
-    # --guard truncates the ladder of the Bell fidelity as well as the samples:
-    # a dense expm on default_range(4, guard), composed with np.kron, projected
-    # on (|0> + |n0>)/sqrt2 and scored against the best-phase psi target
-    code, out, _ = run(capsys, "validate", "--l0", "4", "--guard", str(guard), "--samples", "64")
+def test_validate_bell_fidelity_matches_dense_ladder(capsys):
+    # the Bell fidelity comes from the samples' l0 = 4 ladder, orders -12..8:
+    # a dense expm on it, composed with np.kron, projected on
+    # (|0> + |n0>)/sqrt2 and scored against the best-phase psi target
+    code, out, _ = run(capsys, "validate", "--l0", "4", "--samples", "64")
     assert code == 0
     rep = json.loads(out)
     d = params.derive(params.rubidium_preset())
-    orders, h = oracles.dense_matrix(
-        d.recoil_frequency, d.chi, 1, 4, *ladder.default_range(4, guard)
-    )
+    orders, h = oracles.dense_matrix(d.recoil_frequency, d.chi, 1, 4, -12, 8)
     v = oracles.propagate_expm(h, oracles.psi0(orders), math.pi / rep["b_rad_s"])
     pair = v[[list(orders).index(0), list(orders).index(-4)]]
     joint = oracles.kron_product_state([[(1, 0), (0, 1)], [pair, pair[::-1]]], [1.0, 1.0])
@@ -621,7 +627,7 @@ def test_unwritable_output(capsys):
         ("simulate", "--cycles", "inf"),
         ("validate", "--samples", "3"),
         ("sweep", "--var", "s", "--values", "1", "--samples", "3"),
-        ("sweep", "--var", "s", "--values", "1,3", "--guard", "3"),
+        ("sweep", "--var", "chi_ratio", "--values", "0.01,x"),
         # no flip rate, so no pulse time, as for bell
         ("validate", "--set", "g_rad_s=0"),
         ("bell", "--set", "g_rad_s=0"),

@@ -3,10 +3,9 @@
 Any mix of valid and invalid flags must end in a documented exit code (0, 1
 or 2; 3 needs a file system error) and never in an uncaught exception. A
 coefficient table printed with exit 0 must hold a converged level shift: a
-fixed point a = alpha(a) of the dense ladder partition in `oracles`. A
-validate or sweep that exits 0 ran with a guard the ladder accepts, and each
-of its points in the good regime measured the flip frequency it predicts:
-|freq_ratio - 1| < FREQ_TOL.
+fixed point a = alpha(a) of the dense ladder partition in `oracles`. Each
+good-regime point of a validate or sweep that exits 0 measured the flip
+frequency it predicts: |freq_ratio - 1| < FREQ_TOL.
 """
 
 import contextlib
@@ -36,9 +35,8 @@ S = _mostly("1", "3", "5")
 R = _mostly("0", "1", "2")
 K = _mostly("3", "4", "5")
 L0 = _mostly("2", "4", "6")
-# both sides of the minimum (4 for each) half the time
+# both sides of the minimum of 4 half the time
 SAMPLES = st.one_of(st.sampled_from(["3", "4", "5", "32"]), INTS)
-GUARD = st.one_of(st.sampled_from(["3", "4", "5", "8"]), INTS)
 SWEEP_VALUES = st.sampled_from(["1,3", "1,2", "2,4", "0.01,0.04", "2", "x", ","])
 L0_LISTS = st.one_of(L0, st.sampled_from(["2,4", "2,4,6,8", "4,3", "0,2", "2,,6"]))
 OVERRIDES = st.sampled_from(
@@ -74,7 +72,7 @@ FLAGS = {
     "simulate": {"--l0": L0, "--set": OVERRIDES},
 }
 # what every example of a command starts with: simulate's few samples keep
-# it cheap, and validate and sweep always draw their samples and guard
+# it cheap, and validate and sweep always draw their samples
 START = {"sweep": ["--var", "s", "--values", "1,3"], "simulate": ["--samples", "16"]}
 # at 4 or more samples the measured frequency is within 3e-5 of |b_n| at every
 # good-regime point these draws reach; at 3 samples freq_ratio read 3e-9
@@ -87,7 +85,7 @@ def invocations(draw):
     ratio = 10.0 ** draw(st.floats(-3.0, 2.0))  # log-uniform over 1e-3..100
     argv = [command, "--chi-ratio", repr(ratio), *START.get(command, [])]
     if command in ("validate", "sweep"):
-        argv += ["--samples", draw(SAMPLES), "--guard", draw(GUARD)]
+        argv += ["--samples", draw(SAMPLES)]
     flags = FLAGS[command]
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
         argv += [flag, draw(flags[flag])]
@@ -128,7 +126,7 @@ def _check_measured_frequency(argv, points):
 @example(["bell", "--chi-ratio", "0.02", "--set", "l0=4"])
 @example(["validate", "--chi-ratio", "0.02", "--l0", "12", "--samples", "32"])
 @example(["validate", "--chi-ratio", "0.02", "--samples", "3"])
-@example(["sweep", "--chi-ratio", "0.02", "--var", "s", "--values", "1", "--guard", "3"])
+@example(["sweep", "--chi-ratio", "0.02", "--var", "s", "--values", "1", "--samples", "3"])
 def test_cli_exit_codes_and_no_traceback(argv):
     code, out, err = _run(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PHYSICS), (argv, code, err)
@@ -137,9 +135,6 @@ def test_cli_exit_codes_and_no_traceback(argv):
         return
     if argv[0] == "coeffs":
         _check_converged_table(argv, out)
-    if argv[0] in ("validate", "sweep"):
-        opts = dict(zip(argv[1::2], argv[2::2]))  # the last of a repeated flag wins
-        assert int(opts.get("--guard", params.DEFAULT_GUARD)) >= params.MIN_GUARD, argv
     if argv[0] == "validate":
         _check_measured_frequency(argv, [json.loads(out)])
     elif argv[0] == "sweep":

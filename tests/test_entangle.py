@@ -381,6 +381,24 @@ def test_measure_atom_collapses_ghz():
             measure_atom(g, 0, x_basis, outcome)
 
 
+@pytest.mark.parametrize("k, atom", [(2, 0), (3, 1)])
+def test_measure_atom_gives_the_same_state_for_ndarray_pairs(k, atom):
+    # the measured atom is spliced out of each branch; `+` on two ndarray
+    # slices would add them elementwise: no atom left at k = 2, atom 0, and
+    # the two neighbours summed into one at k = 3, atom 1
+    rng = np.random.default_rng(k)
+    raw = rng.normal(size=(2, k, 2)) + 1j * rng.normal(size=(2, k, 2))
+    weights, pairs = compose(raw / np.linalg.norm(raw, axis=-1, keepdims=True))[0]
+    as_lists = measure_atom((weights, pairs), atom, superposition_basis(), 0)
+    prob, (rest_weights, rest_pairs) = measure_atom(
+        (weights, np.array(pairs)), atom, superposition_basis(), 0
+    )
+    assert np.shape(rest_pairs) == (2, k - 1, 2)
+    assert prob == as_lists[0]
+    assert rest_weights == as_lists[1][0]
+    np.testing.assert_array_equal(np.array(rest_pairs), np.array(as_lists[1][1]))
+
+
 # --- full scenarios ----------------------------------------------------------
 
 
@@ -445,17 +463,29 @@ def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
                 np.testing.assert_array_equal(expect, [1.0, 0.0])
 
 
-def test_ladder_truncation_between_samples_is_caught(capsys):
-    # on the (-8, 4) ladder at l0=4, chi*n0/w_rec=0.1 the edge population
-    # peaks near 4e-10, above the 1e-10 threshold, at t ~ 0.019*t1, between
-    # the instants a sampled check would look at; the time-independent bound
-    # catches it
-    code = cli.main(["validate", "--l0", "4", "--guard", "4", "--chi-ratio", "0.1"])
+def test_ladder_truncation_between_samples_is_caught(capsys, at_ratio):
+    # on the (-10, 8) ladder at l0=2, chi*n0/w_rec=2.35 the edge population
+    # peaks near 1.4e-10, above the 1e-10 threshold, between the instants
+    # validate samples (a cycle of 4 and t1), where it stays near 8e-11; the
+    # time-independent bound catches it
+    code = cli.main(["validate", "--chi-ratio", "2.35", "--samples", "4"])
     out = capsys.readouterr()
     assert code == 2
-    assert json.loads(out.out)["error"].startswith(
-        "ladder truncation: boundary population bound 4.340e-10 exceeds"
+    rep = json.loads(out.out)
+    assert rep["error"].startswith(
+        "ladder truncation: boundary population bound 1.651e-10 exceeds"
     )
+    d = derive(at_ratio(2.35))
+    orders, h = oracles.dense_matrix(d.recoil_frequency, d.chi, 1, 2, -10, 8)
+    cycle = 2.0 * math.pi / rep["b_rad_s"]
+    sampled = [*np.linspace(0.0, cycle, 4), 0.5 * cycle]
+
+    def edge(t):
+        v = oracles.propagate_expm(h, oracles.psi0(orders), t)
+        return max(abs(v[0]) ** 2, abs(v[-1]) ** 2)
+
+    assert max(map(edge, sampled)) < ladder.EDGE_THRESHOLD
+    assert max(edge(t) for t in np.linspace(0.0, cycle, 2001)) > ladder.EDGE_THRESHOLD
 
 
 @pytest.mark.parametrize("l0, ratio", [(8, 0.005), (10, 0.02), (12, 0.02)])

@@ -29,9 +29,7 @@ def _evolve(h, d, times):
 def test_default_range_brackets_resonant_pair():
     assert default_range(2) == (-10, 8)
     assert default_range(4) == (-12, 8)
-    assert default_range(2, guard=4) == (-6, 4)
-    with pytest.raises(ValueError):
-        default_range(2, guard=3)  # below the minimum guard
+    assert default_range(12) == (-20, 8)
     with pytest.raises(ValueError, match="l0 must be a positive even integer"):
         default_range(3)
 
@@ -74,10 +72,10 @@ def test_initial_state_is_delta(rubidium_derived):
 
 
 def test_index_of_refuses_orders_off_the_ladder(rubidium_derived):
-    h = build_hamiltonian(1, 2, rubidium_derived, guard=4)
+    h = build_hamiltonian(1, 2, rubidium_derived)
     assert [h.index_of(l) for l in h.orders] == list(range(h.size))
     assert h.index_of(-2) == h.index_of(0) - 1
-    for l in (-1, 3, -8, 6):  # odd orders are not on the even ladder; the rest are outside it
+    for l in (-1, 3, -12, 10):  # odd orders are not on the even ladder; the rest are outside it
         with pytest.raises(ValueError):
             h.index_of(l)
 
@@ -203,10 +201,10 @@ def test_resolution_guard_passes_the_uncoupled_branch(rubidium_derived, include_
 
 
 def test_truncation_error_raised_when_regime_broken():
-    p = with_regime_ratio(rubidium_preset(), 1.0)
+    p = with_regime_ratio(rubidium_preset(), 3.0)
     d = derive(p)
-    h = build_hamiltonian(1, 2, d, guard=4)
-    with pytest.raises(TruncationError):
+    h = build_hamiltonian(1, 2, d)
+    with pytest.raises(TruncationError, match="too strong for the l0=2 ladder"):
         _evolve(h, d, [2.0 * math.pi / d.chi])
 
 
@@ -214,7 +212,7 @@ def test_marginal_ratio_survives_default_guard():
     p = with_regime_ratio(rubidium_preset(), 0.5)
     d = derive(p)
     h = build_hamiltonian(1, 2, d)
-    out = _evolve(h, d, [math.pi / d.chi])[0]  # no TruncationError with guard=8
+    out = _evolve(h, d, [math.pi / d.chi])[0]  # no TruncationError on the (-10, 8) ladder
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -227,9 +225,9 @@ def test_evolve_at_time_zero_is_the_initial_state(rubidium_derived):
 
 
 def test_sample_evolution_refuses_wrong_length_and_negative_times(rubidium_derived):
-    h = build_hamiltonian(1, 2, rubidium_derived, guard=10)
+    h = build_hamiltonian(1, 2, rubidium_derived)
     # another ladder's state
-    st = initial_state(build_hamiltonian(1, 2, rubidium_derived, guard=8))
+    st = initial_state(build_hamiltonian(1, 4, rubidium_derived))
     for wrong in (st, np.ones(3), np.ones((1, h.size))):
         with pytest.raises(ValueError, match="amplitudes for the ladder"):
             sample_evolution(wrong, h, [1e-3])
@@ -309,14 +307,14 @@ def test_measured_frequency_matches_coupling(rubidium_derived):
 
 
 def test_timeseries_csv_shape(rubidium_derived, capsys):
-    argv = ["simulate", "--guard", "4", "--duration", "1e-3", "--samples", "4"]
+    argv = ["simulate", "--duration", "1e-3", "--samples", "4"]
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "t_s,tau,p_-6,p_-4,p_-2,p_0,p_2,p_4"
+    assert lines[0] == "t_s,tau," + ",".join(f"p_{l}" for l in range(-10, 10, 2))
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
-    h = build_hamiltonian(1, 2, rubidium_derived, guard=4)
+    h = build_hamiltonian(1, 2, rubidium_derived)
     times = np.linspace(0.0, 1e-3, 4)
     pops = np.abs(sample_evolution(initial_state(h), h, times)) ** 2
     for line, t, row in zip(lines[1:], times, pops):

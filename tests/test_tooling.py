@@ -3,7 +3,9 @@
 `bench/spans.py` looks the public functions of each braggbell layer up by
 name, and `Tracer.install` raises AttributeError on a missing one, which
 would break every traced benchmark run. The file is executed from its source
-text, so nothing is written under `bench/`.
+text, so nothing is written under `bench/`. The benchmark's reference ladder
+(`bench/reference.py`) is read the same way, from its syntax tree, and must
+keep the orders the package keeps.
 
 The last test keeps every JSON document on the package's one emitter.
 """
@@ -18,8 +20,11 @@ import types
 from pathlib import Path
 
 import braggbell
+from braggbell import ladder, params
 
-BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_SPANS = BENCH / "spans.py"
+BENCH_REFERENCE = BENCH / "reference.py"
 
 
 def _load_spans() -> types.ModuleType:
@@ -121,6 +126,31 @@ def test_ghz_op_solves_and_samples_each_distinct_time_once():
         assert traced["spans"].count("adiabatic.solve") == 2, engine
         # the ladder engine propagates once, to the two times
         assert traced["samples"] == ([2] if engine == "ladder" else []), engine
+
+
+def _reference_orders():
+    """bench/reference.py's orders(l0), compiled with its GUARD from the source alone."""
+    tree = ast.parse(BENCH_REFERENCE.read_text())
+    keep = []
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+        if targets == ["GUARD"] or isinstance(node, ast.FunctionDef) and node.name == "orders":
+            keep.append(node)
+    assert len(keep) == 2, "bench/reference.py defines GUARD and orders(l0)"
+    namespace: dict = {}
+    exec(compile(ast.Module(body=keep, type_ignores=[]), str(BENCH_REFERENCE), "exec"), namespace)
+    return namespace["orders"]
+
+
+def test_ladder_range_is_the_bench_reference_range():
+    # the benchmark checks every ladder number against its own 60-digit
+    # ladder, so both must truncate at the same orders
+    orders = _reference_orders()
+    d = params.derive(params.rubidium_preset())
+    for l0 in range(2, 13, 2):
+        l_min, l_max = params.default_range(l0)
+        assert list(range(l_min, l_max + 1, 2)) == orders(l0), l0
+        assert ladder.build_hamiltonian(1, l0, d).orders.tolist() == orders(l0), l0
 
 
 def test_src_emits_json_only_through_json_text():
