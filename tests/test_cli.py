@@ -372,6 +372,30 @@ def test_validate_bell_fidelity_matches_dense_ladder(capsys):
     assert rep["bell_fidelity"] == pytest.approx(expect, rel=0, abs=1e-13)
 
 
+@pytest.mark.parametrize("guard", [6, 20])
+def test_validate_guard_sets_the_bell_fidelity_ladder(capsys, monkeypatch, guard):
+    # params.GUARD is the one reach of the ladder: it truncates the ladder of
+    # the Bell fidelity as well as the samples. A dense expm on
+    # default_range(4) at that reach, composed with np.kron, projected on
+    # (|0> + |n0>)/sqrt2 and scored against the best-phase psi target
+    monkeypatch.setattr(params, "GUARD", guard)
+    assert ladder.default_range(4) == (-4 - guard, guard)
+    code, out, _ = run(capsys, "validate", "--l0", "4", "--samples", "64")
+    assert code == 0
+    rep = json.loads(out)
+    d = params.derive(params.rubidium_preset())
+    orders, h = oracles.dense_matrix(
+        d.recoil_frequency, d.chi, 1, 4, *ladder.default_range(4)
+    )
+    v = oracles.propagate_expm(h, oracles.psi0(orders), math.pi / rep["b_rad_s"])
+    pair = v[[list(orders).index(0), list(orders).index(-4)]]
+    joint = oracles.kron_product_state([[(1, 0), (0, 1)], [pair, pair[::-1]]], [1.0, 1.0])
+    post = joint[0] + joint[1]
+    post /= np.linalg.norm(post)
+    expect = (abs(post[0b01]) + abs(post[0b10])) ** 2 / 2.0
+    assert rep["bell_fidelity"] == pytest.approx(expect, rel=0, abs=1e-13)
+
+
 # --- sweep -------------------------------------------------------------------
 
 
