@@ -28,12 +28,16 @@ inside one field branch; it only becomes observable between branches.
 solve() is the exact unitary propagator exp(-i(a*I - (b/2)*sigma_x)t): the
 cosine/sine population content matches the textbook flip formulas while the
 phases carry the factor i on the sine terms and the full e^{-i a t} that
-unitarity requires. The module needs only the standard library; it imports
-neither `ladder` nor numpy.
+unitarity requires. TwoLevelCoeffs is the one record of a field branch;
+branch_pairs, the closed-form engine, maps it and a list of times to
+(kept, flipped) rows, as ladder.branch_pairs does on the ladder, and applies
+the Stark phase e^{+i chi n t} when the record keeps the light shift. The
+module needs only the standard library; it imports neither `ladder` nor numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -49,21 +53,15 @@ class ConvergenceError(PhysicsError):
 
 @dataclass(frozen=True)
 class TwoLevelCoeffs:
-    """Level shift a_n and signed coupling b_n (rad/s) for one branch."""
+    """Shift a_n and signed coupling b_n (rad/s) of the n-photon branch at order l0,
+    from d; include_stark keeps the light shift -chi*n, which moves neither."""
 
     a_n: float
     b_n: float
     n: int
     l0: int
-
-
-@dataclass(frozen=True)
-class TwoLevelSolution:
-    """Amplitudes on P_{+l0} / P_{-l0} after interaction time t."""
-
-    c_plus: complex
-    c_minus: complex
-    t: float
+    d: DerivedParams
+    include_stark: bool = False
 
 
 def _chain(e: float, energies: list[float], v: float) -> tuple[float, float, float]:
@@ -95,14 +93,14 @@ def _self_energies(e: float, outer: list[float], middle: list[float], v: float):
     return alpha, dalpha, beta
 
 
-def coeffs(n: int, l0: int, d: DerivedParams) -> TwoLevelCoeffs:
+def coeffs(n: int, l0: int, d: DerivedParams, include_stark: bool = False) -> TwoLevelCoeffs:
     """a_n and b_n from the partition of the n-photon ladder (module docstring)."""
     _, l_max = default_range(l0)
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
     v = -d.chi * n / 2.0
     if v == 0.0:
-        return TwoLevelCoeffs(a_n=0.0, b_n=0.0, n=n, l0=l0)
+        return TwoLevelCoeffs(0.0, 0.0, n, l0, d, include_stark)
     w = d.recoil_frequency
     # l = l_max..2 dresses l = 0, and -l0+2..-2 joins it to l = -l0; by mirror
     # symmetry l = -l0 gets the same self-energy from the other side
@@ -121,7 +119,7 @@ def coeffs(n: int, l0: int, d: DerivedParams) -> TwoLevelCoeffs:
             f"iterations at chi*n/w_rec = {abs(2.0 * v / w):.3g}, far outside the "
             "Bragg regime"
         )
-    return TwoLevelCoeffs(a_n=a, b_n=-2.0 * beta / (1.0 - dalpha), n=n, l0=l0)
+    return TwoLevelCoeffs(a, -2.0 * beta / (1.0 - dalpha), n, l0, d, include_stark)
 
 
 def level_shift(n: int, l0: int, d: DerivedParams) -> float:
@@ -134,10 +132,8 @@ def coupling(n: int, l0: int, d: DerivedParams) -> float:
     return abs(coeffs(n, l0, d).b_n)
 
 
-def solve(
-    init: tuple[complex, complex], c: TwoLevelCoeffs, t: float
-) -> TwoLevelSolution:
-    """Exact unitary evolution of (c_plus, c_minus) for time t seconds."""
+def solve(init: tuple[complex, complex], c: TwoLevelCoeffs, t: float) -> tuple[complex, complex]:
+    """(c_plus, c_minus) after exact unitary evolution of init for time t seconds."""
     c_plus0, c_minus0 = complex(init[0]), complex(init[1])
     norm = abs(c_plus0) ** 2 + abs(c_minus0) ** 2
     if not abs(norm - 1.0) <= 1e-9:
@@ -145,11 +141,20 @@ def solve(
     half = 0.5 * c.b_n * t
     phase = complex(math.cos(c.a_n * t), -math.sin(c.a_n * t))
     cos_h, sin_h = math.cos(half), math.sin(half)
-    return TwoLevelSolution(
-        c_plus=phase * (c_plus0 * cos_h + 1j * c_minus0 * sin_h),
-        c_minus=phase * (c_minus0 * cos_h + 1j * c_plus0 * sin_h),
-        t=t,
+    return (
+        phase * (c_plus0 * cos_h + 1j * c_minus0 * sin_h),
+        phase * (c_minus0 * cos_h + 1j * c_plus0 * sin_h),
     )
+
+
+def branch_pairs(c: TwoLevelCoeffs, times) -> list[tuple[complex, complex]]:
+    """(kept, flipped) of an atom entering on |+>, at each of `times`, in closed form."""
+    pairs = [solve((1, 0), c, t) for t in times]
+    if c.include_stark:
+        # a uniform -chi*n shift of the branch's diagonal is the global phase exp(+i chi n t)
+        stark = [cmath.exp(1j * (c.d.chi * c.n) * t) for t in times]
+        pairs = [(kept * f, flipped * f) for (kept, flipped), f in zip(pairs, stark)]
+    return pairs
 
 
 def pulse_times(c: TwoLevelCoeffs, s: int, offset_r: int = 0) -> tuple[float, float]:

@@ -260,7 +260,7 @@ def validate_point(p: params.PhysicalParams, s: int = 1, samples: int = 512) -> 
     times = np.linspace(0.0, 2.0 * math.pi / rate, samples)
     # one propagation serves the cycle's samples and the Bell fidelity at t1
     try:
-        pairs = entangle.ladder_pairs(c, d, np.append(times, t1))
+        pairs = ladder.branch_pairs(c, np.append(times, t1))
     except ladder.ResolutionError as exc:
         report["error"] = f"ladder resolution: {exc}"
         return report

@@ -28,17 +28,19 @@ with u the atoms' initial qubit string and v the flipped one, both fixed by
 the preparation mode. The exact per-atom propagator puts a factor +-i, set
 by the sign of b_n and the pulse multiple s, on every flipped amplitude, on
 top of the level-shift phase e^{-i a_n t} and, with the Stark term, the
-Fock-branch phase e^{+i chi n0 t}. The scheduled target takes its phase from
-the same closed-form Fock-branch pairs that the adiabatic engine prepares,
-so one solve serves both. The first k - 1 atoms share the time t1 and the
-last has t2, so run_scenario solves (and the ladder engine propagates to)
-each of these two times once and gives its pair to every atom at that time.
-Both engines give each atom's Fock-branch pair as (kept, flipped), for an
-atom entering on |+>; `prepare` reverses a mirror atom's pair (one entering
-on |->) and adds the vacuum branch (a = b = 0, no Stark shift at n = 0),
-which keeps the initial amplitudes. Reports carry the measured phase and
-this scheduled phase (phase_reference_rad) side by side; for the adiabatic
-engine they agree exactly, up to the sign that the *_minus kinds carry.
+Fock-branch phase e^{+i chi n0 t}. The Fock branch is one record,
+adiabatic.TwoLevelCoeffs, and each engine is one function of it and the
+times: adiabatic.branch_pairs or ladder.branch_pairs, which return each
+time's (kept, flipped) pair for an atom entering on |+>. The scheduled
+target takes its phase from the closed-form pairs, which the adiabatic
+engine prepares too. The first k - 1 atoms share the time t1 and the last
+has t2, so run_scenario asks the engine for these two times once and gives
+each pair to every atom at that time. `prepare` reverses a mirror atom's
+pair (one entering on |->) and adds the vacuum branch (a = b = 0, no Stark
+shift at n = 0), which keeps the initial amplitudes. Reports carry the
+measured phase and this scheduled phase (phase_reference_rad) side by side;
+for the adiabatic engine they agree exactly, up to the sign that the *_minus
+kinds carry.
 
 run_scenario refuses a run outside the Bragg regime with params.RegimeError,
 through params.check_regime, the one refusal that `simulate` shares.
@@ -46,8 +48,8 @@ through params.check_regime, the one refusal that `simulate` shares.
 The module is plain Python (cmath and math): a basis is a pair of rows, and
 superposition_basis/computational_basis return tuples of them; lists,
 tuples and ndarrays are all accepted where a basis or pairs are taken. Only
-the ladder engine loads `ladder`, and with it numpy, when ladder_pairs is
-called. json_text is the one JSON emitter of the package: the text of
+the ladder engine loads `ladder`, and with it numpy, when run_scenario calls
+it. json_text is the one JSON emitter of the package: the text of
 json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
 """
 
@@ -59,7 +61,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from . import adiabatic
-from .params import DerivedParams, PhysicalParams, check_regime, derive, physical_dict
+from .params import PhysicalParams, check_regime, derive, physical_dict
 
 MAX_ATOMS = 10  # desk-scale bound; the tests check scoring against dense 2^k vectors up to it
 
@@ -380,27 +382,6 @@ class EntanglementReport:
         return json_text(self.to_dict())
 
 
-def ladder_pairs(
-    c: adiabatic.TwoLevelCoeffs,
-    d: DerivedParams,
-    times,
-    include_stark: bool = False,
-):
-    """Fock-branch (kept, flipped) at each of `times` from one ladder propagation.
-
-    An ndarray of shape (len(times), 2): the (c_plus, c_minus) of an atom
-    entering on +P_{l0}, on the params.default_range(l0) ladder that c, the
-    Fock branch's reduction, was taken from; the resolution guard checks c's
-    b_n. A mirror atom has the same (kept, flipped) pair, which `prepare`
-    reverses. Loads `ladder`, and with it numpy, on first use.
-    """
-    from . import ladder
-
-    h = ladder.build_hamiltonian(c.n, c.l0, d, include_stark)
-    amps = ladder.evolve(h, c.b_n, times)
-    return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
-
-
 def _grade(prob: float, post: tuple, init_bits, flip_bits, rel: complex | None) -> dict:
     """Scores of one outcome's atom state; rel None fits the target phase."""
     if rel is None:
@@ -449,25 +430,21 @@ def run_scenario(
 
     d = derive(p)
     verdict = check_regime(d, p.n0)
-    c = adiabatic.coeffs(p.n0, p.l0, d)
+    c = adiabatic.coeffs(p.n0, p.l0, d, include_stark)
     t1, t2 = adiabatic.pulse_times(c, s, r)
     times = [t1] * (k - 1) + [t2]
     # opposite: |+-> in, |-+> flipped; same: |+...+> in, |-...-> flipped
     init_bits = [0, 1] if mode == "opposite" else [0] * k
     flip_bits = [1 - q for q in init_bits]
-    # one closed-form solve per distinct time serves the adiabatic engine and
+    # the closed form at each distinct time serves the adiabatic engine and
     # the scheduled target of either engine
-    sols = [adiabatic.solve((1, 0), c, t) for t in (t1, t2)]
-    closed_form = [(sol.c_plus, sol.c_minus) for sol in sols]
-    if include_stark:
-        # a uniform -chi*n shift of the Fock-branch diagonal is the global
-        # phase exp(+i chi n t) there
-        stark = [cmath.exp(1j * (d.chi * p.n0) * t) for t in (t1, t2)]
-        closed_form = [(kp * f, fl * f) for (kp, fl), f in zip(closed_form, stark)]
+    closed_form = adiabatic.branch_pairs(c, (t1, t2))
     if engine == "adiabatic":
         fock = closed_form
     else:
-        fock = ladder_pairs(c, d, (t1, t2), include_stark=include_stark).tolist()
+        from . import ladder
+
+        fock = ladder.branch_pairs(c, (t1, t2)).tolist()
     # the first k - 1 atoms take the pair at t1, the last the pair at t2
     closed_form, fock = ([at_t1] * (k - 1) + [at_t2] for at_t1, at_t2 in (closed_form, fock))
     state, leakage = prepare(fock, init_bits)

@@ -13,7 +13,8 @@ w_rec >> chi*n.
 
 Propagation has one entry point, evolve(h, b_n, times), which checks that
 the flip frequency b_n is resolved, starts the atom at order l = 0 and
-samples its amplitudes at every requested time, then checks the norm. It
+samples its amplitudes at every requested time, then checks the norm; the
+engine's branch_pairs(c, times) calls it on the branch of the record c. It
 uses the exact propagator from one eigendecomposition H = V E V^T of the
 (time-independent) generator, for any duration and number of times, so norm
 is conserved to machine precision. Sampling a cycle on an evenly spaced grid
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adiabatic import TwoLevelCoeffs
 from .params import DerivedParams, PhysicsError, default_range
 
 NORM_TOL = 1e-9         # largest |norm(t) - norm(0)| accepted
@@ -245,6 +247,14 @@ def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
     amps = sample_evolution(s, h, times)
     check_norm_drift(amps, s)
     return amps
+
+
+def branch_pairs(c: TwoLevelCoeffs, times) -> np.ndarray:
+    """(kept, flipped) of an atom entering on +P_{l0}, one row per time, from the
+    branch of the record c (adiabatic.TwoLevelCoeffs), whose b_n the guard checks."""
+    h = build_hamiltonian(c.n, c.l0, c.d, c.include_stark)
+    amps = evolve(h, c.b_n, times)
+    return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
 
 
 def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.ndarray) -> float:

@@ -109,8 +109,8 @@ def test_criterion_4_unitarity(at_ratio):
         z = rng.normal(size=4)
         init = complex(z[0], z[1]), complex(z[2], z[3])
         nrm = math.sqrt(abs(init[0]) ** 2 + abs(init[1]) ** 2)
-        sol = adiabatic.solve((init[0] / nrm, init[1] / nrm), c, rng.uniform(0, 10.0))
-        assert abs(abs(sol.c_plus) ** 2 + abs(sol.c_minus) ** 2 - 1.0) <= 1e-12
+        c_plus, c_minus = adiabatic.solve((init[0] / nrm, init[1] / nrm), c, rng.uniform(0, 10.0))
+        assert abs(abs(c_plus) ** 2 + abs(c_minus) ** 2 - 1.0) <= 1e-12
 
 
 @criterion(5, "ladder vs adiabatic populations agree to 1e-2 pointwise for l0 in {2,4} at ratio 0.02")

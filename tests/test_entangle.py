@@ -1,4 +1,6 @@
+import cmath
 import enum
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -450,7 +452,7 @@ def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
     d = derive(p)
     times = [0.7 * math.pi / d.chi, 1.3 * math.pi / d.chi, 0.2 * math.pi / d.chi]
     c = adiabatic.coeffs(p.n0, p.l0, d)
-    fock = entangle.ladder_pairs(c, d, times)
+    fock = ladder.branch_pairs(c, times)
     assert fock.shape == (3, 2)
     for pair, t in zip(fock, times):
         for n in (0, p.n0):
@@ -461,6 +463,34 @@ def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
                 np.testing.assert_allclose(pair, expect, rtol=0, atol=1e-12)
             else:
                 np.testing.assert_array_equal(expect, [1.0, 0.0])
+
+
+def _engine_rows(c, times):
+    return np.array(adiabatic.branch_pairs(c, times)), ladder.branch_pairs(c, times)
+
+
+def test_both_engines_give_rows_of_one_shape_from_one_record(at_ratio):
+    for l0 in (2, 4):
+        c = adiabatic.coeffs(1, l0, derive(at_ratio(0.02, l0=l0)))
+        times = [0.0, 0.3 * math.pi / abs(c.b_n), math.pi / abs(c.b_n)]
+        closed, exact = _engine_rows(c, times)
+        assert closed.shape == exact.shape == (3, 2)
+        np.testing.assert_array_equal(closed[0], [1.0, 0.0])
+
+
+def test_stark_rows_are_plain_rows_times_the_branch_phase(rubidium_derived):
+    # the constant -chi*n shift is the global phase exp(+i chi n t) of the branch
+    c = adiabatic.coeffs(1, 2, rubidium_derived)
+    stark = adiabatic.coeffs(1, 2, rubidium_derived, include_stark=True)
+    assert (stark.a_n, stark.b_n) == (c.a_n, c.b_n)
+    times = [0.0, 0.3 * math.pi / abs(c.b_n), math.pi / abs(c.b_n)]
+    phase = [cmath.exp(1j * (rubidium_derived.chi * c.n) * t) for t in times]
+    plain, shifted = adiabatic.branch_pairs(c, times), adiabatic.branch_pairs(stark, times)
+    # the closed form applies the phase itself, so bit for bit
+    assert shifted == [(kept * f, flipped * f) for (kept, flipped), f in zip(plain, phase)]
+    # the ladder keeps the shift on its diagonal, so only to rounding
+    plain, shifted = ladder.branch_pairs(c, times), ladder.branch_pairs(stark, times)
+    np.testing.assert_allclose(shifted, plain * np.array(phase)[:, None], rtol=0, atol=1e-12)
 
 
 def test_ladder_truncation_between_samples_is_caught(capsys, at_ratio):
@@ -584,6 +614,33 @@ def test_stark_phase_is_in_the_scheduled_target(l0):
     rl = run_scenario(p, engine="ladder", include_stark=True)
     assert abs(np.exp(1j * (rl.phase_measured_rad - rl.phase_reference_rad)) - 1.0) < 1e-3
     assert _phase_gap(rep, rl) < 1e-3
+
+
+SYMMETRY_GRID = list(
+    itertools.product(("adiabatic", "ladder"), (2, 4, 6), (1, 3), (0, 1), (0.005, 0.02, 0.05))
+)
+
+
+@pytest.mark.parametrize("include_stark", [False, True])
+def test_opposite_and_same_incidence_score_bit_equal_fidelity(at_ratio, include_stark):
+    # a mirror atom's pair is the incident atom's pair reversed, so psi and phi
+    # preparations differ by a relabelling of one atom's qubit
+    for engine, l0, s, r, ratio in SYMMETRY_GRID:
+        p = at_ratio(ratio, l0=l0)
+        kw = dict(engine=engine, s=s, r=r, include_stark=include_stark)
+        opposite, same = (run_scenario(p, mode=mode, **kw) for mode in ("opposite", "same"))
+        assert opposite.fidelity == same.fidelity, (engine, l0, s, r, ratio)
+
+
+def test_detuning_sign_leaves_the_scores_bit_equal_without_stark(at_ratio):
+    # chi -> -chi is the gauge (-1)^(l/2) on the ladder, so no population or
+    # score moves; with the Stark shift the two differ by rounding (not tested)
+    for engine, l0, s, r, ratio in SYMMETRY_GRID:
+        kw = dict(engine=engine, s=s, r=r)
+        plus, minus = (run_scenario(at_ratio(ratio, l0=l0, sign=sign), **kw) for sign in (1, -1))
+        assert (minus.fidelity, minus.leakage, minus.outcome_probabilities) == (
+            plus.fidelity, plus.leakage, plus.outcome_probabilities
+        ), (engine, l0, s, r, ratio)
 
 
 def test_fit_phase_isolates_population_error(rubidium):

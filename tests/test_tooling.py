@@ -12,6 +12,7 @@ The last test keeps every JSON document on the package's one emitter.
 
 import ast
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -119,13 +120,14 @@ def test_ghz_op_records_every_scoring_stage():
 
 def test_ghz_op_solves_and_samples_each_distinct_time_once():
     # six atoms, two distinct times: t1 for the first five, t2 for the last
-    for engine in ("adiabatic", "ladder"):
+    for engine, stark in itertools.product(("adiabatic", "ladder"), (False, True)):
         traced = _traced(
-            f'entangle.run_scenario(params.rubidium_preset(), mode="same", k=6, r=1, engine="{engine}")'
+            'entangle.run_scenario(params.rubidium_preset(), mode="same", k=6, r=1, '
+            f'engine="{engine}", include_stark={stark})'
         )
-        assert traced["spans"].count("adiabatic.solve") == 2, engine
+        assert traced["spans"].count("adiabatic.solve") == 2, (engine, stark)
         # the ladder engine propagates once, to the two times
-        assert traced["samples"] == ([2] if engine == "ladder" else []), engine
+        assert traced["samples"] == ([2] if engine == "ladder" else []), (engine, stark)
 
 
 def _reference_orders():
