@@ -303,16 +303,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     p = _physical(args, args.l0)
     report = validate_point(p, s=args.s, samples=args.samples)
     _emit(entangle.json_text(report), args.output)
+    # every reason the point fails is named, the regime first
+    reasons = [f"error: {report['error']}"] if "error" in report else []
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
-        print(
-            f"regime violated: chi*n/w_rec = {abs(report['chi_ratio']):.3g}",
-            file=sys.stderr,
-        )
-        return EXIT_PHYSICS
-    if "error" in report:
-        print(f"error: {report['error']}", file=sys.stderr)
-        return EXIT_PHYSICS
-    return EXIT_OK
+        reasons.insert(0, f"regime violated: chi*n/w_rec = {abs(report['chi_ratio']):.3g}")
+    for reason in reasons:
+        print(reason, file=sys.stderr)
+    return EXIT_PHYSICS if reasons else EXIT_OK
 
 
 def _sweep_param(base: params.PhysicalParams, var: str, value):

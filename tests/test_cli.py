@@ -322,6 +322,22 @@ def test_validate_violated_regime(capsys):
     assert rep["bell_fidelity"] == pytest.approx(0.9999981133742121, rel=0, abs=1e-12)
 
 
+def test_validate_names_every_reason_on_stderr(capsys):
+    # outside the regime and truncated: both reasons reach stderr, the regime first
+    code, out, err = run(capsys, "validate", "--chi-ratio", "2.35", "--samples", "4")
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["verdict"] == "violated"
+    assert err.splitlines() == ["regime violated: chi*n/w_rec = 2.35", f"error: {rep['error']}"]
+    assert rep["error"].startswith("ladder truncation: ")
+    # either reason alone prints one line
+    assert run(capsys, "validate", "--chi-ratio", "0.5")[2].splitlines() == [
+        "regime violated: chi*n/w_rec = 0.5"
+    ]
+    err = run(capsys, "validate", "--l0", "8", "--chi-ratio", "0.02")[2]
+    assert len(err.splitlines()) == 1 and err.startswith("error: ladder resolution: ")
+
+
 def test_validate_l0_4_shift_block(capsys):
     code, out, _ = run(capsys, "validate", "--l0", "4", "--chi-ratio", "0.02")
     assert code == 0

@@ -465,15 +465,11 @@ def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
                 np.testing.assert_array_equal(expect, [1.0, 0.0])
 
 
-def _engine_rows(c, times):
-    return np.array(adiabatic.branch_pairs(c, times)), ladder.branch_pairs(c, times)
-
-
 def test_both_engines_give_rows_of_one_shape_from_one_record(at_ratio):
     for l0 in (2, 4):
         c = adiabatic.coeffs(1, l0, derive(at_ratio(0.02, l0=l0)))
         times = [0.0, 0.3 * math.pi / abs(c.b_n), math.pi / abs(c.b_n)]
-        closed, exact = _engine_rows(c, times)
+        closed, exact = np.array(adiabatic.branch_pairs(c, times)), ladder.branch_pairs(c, times)
         assert closed.shape == exact.shape == (3, 2)
         np.testing.assert_array_equal(closed[0], [1.0, 0.0])
 
