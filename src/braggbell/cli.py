@@ -303,10 +303,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     p = _physical(args, args.l0)
     report = validate_point(p, s=args.s, samples=args.samples)
     _emit(entangle.json_text(report), args.output)
-    # every reason the point fails is named, the regime first
-    reasons = [f"error: {report['error']}"] if "error" in report else []
+    reasons = []
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
-        reasons.insert(0, f"regime violated: chi*n/w_rec = {abs(report['chi_ratio']):.3g}")
+        reasons.append(f"regime violated: chi*n/w_rec = {abs(report['chi_ratio']):.3g}")
+    if "error" in report:
+        reasons.append(f"error: {report['error']}")
     for reason in reasons:
         print(reason, file=sys.stderr)
     return EXIT_PHYSICS if reasons else EXIT_OK

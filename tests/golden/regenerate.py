@@ -93,10 +93,6 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def reads_ladder(argv: list[str]) -> bool:
-    return argv[0] in ("simulate", "validate", "sweep") or "ladder" in argv
-
-
 def run_case(argv: list[str]) -> dict:
     """Everything `cli.main(argv)` leaves behind, as recorded in the corpus."""
     from braggbell import cli, params
@@ -118,7 +114,7 @@ def run_case(argv: list[str]) -> dict:
                 os.environ[params.ENV_CONFIG_VAR] = env
     return {
         "argv": list(argv),
-        "ladder": reads_ladder(argv),
+        "ladder": argv[0] in ("simulate", "validate", "sweep") or "ladder" in argv,
         "exit": code,
         "stderr": err.getvalue().splitlines(),
         "stdout": out.getvalue().splitlines(),
