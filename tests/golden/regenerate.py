@@ -26,15 +26,11 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 HEAD = 40  # lines kept of each written file: a sidecar whole, the head of a CSV
 
-_SCENARIO_AXES = {
-    "engine": ("adiabatic", "ladder"),
-    "stark": (False, True),
-    "basis": ("superposition", "computational"),
-    "outcome": (0, 1),
-    "l0": (2, 4, 6),
-    "s": (1, 3),
-    "r": (0, 1),
-}
+# engine, Stark, field basis, outcome, l0, s, r
+_SCENARIO_AXES = (
+    ("adiabatic", "ladder"), (False, True), ("superposition", "computational"), (0, 1),
+    (2, 4, 6), (1, 3), (0, 1),
+)
 
 
 def _scenario(command: str, shape: str, engine, stark, basis, outcome, l0, s, r):
@@ -48,7 +44,7 @@ def _scenario(command: str, shape: str, engine, stark, basis, outcome, l0, s, r)
 def _sampled(shapes: tuple, count: int) -> list:
     """`count` distinct points of shapes x _SCENARIO_AXES that cover every level
     of every axis: the first seeded draw that does."""
-    axes = [shapes, *_SCENARIO_AXES.values()]
+    axes = [shapes, *_SCENARIO_AXES]
     grid = list(itertools.product(*axes))
     for seed in itertools.count():
         picked = random.Random(seed).sample(grid, count)
@@ -58,13 +54,8 @@ def _sampled(shapes: tuple, count: int) -> list:
 
 def cases() -> dict[str, list[str]]:
     """Case name -> argv."""
-    out = {}
-    for shape, *point in _sampled(("opposite", "same"), 24):
-        name, argv = _scenario("bell", shape, *point)
-        out[name] = argv
-    for shape, *point in _sampled(("k3", "k4"), 6):
-        name, argv = _scenario("ghz", shape, *point)
-        out[name] = argv
+    out = dict(_scenario("bell", *point) for point in _sampled(("opposite", "same"), 24))
+    out.update(_scenario("ghz", *point) for point in _sampled(("k3", "k4"), 6))
     out.update(
         {
             "bell-fit-phase-ladder": ["bell", "--engine", "ladder", "--fit-phase", "--chi-ratio", "0.05"],
