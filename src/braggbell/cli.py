@@ -14,13 +14,18 @@ flip rate |b_n| of the two-level reduction in `adiabatic`; the sign of b_n
 only enters the scenario reports through the two-level propagator.
 
 Exit codes: 0 success, 1 usage/config error (an even s or a zero flip rate,
---samples below MIN_SAMPLES, an empty or malformed comma list), 2 physics
+`simulate --samples` below MIN_SAMPLES, an empty or malformed comma list), 2 physics
 error (a params.PhysicsError: regime violation, ladder truncation, a coupling
 too weak to resolve, a level shift that does not converge, a norm drift), 3
 I/O error. A sweep reports a point that fails with a usage or physics error
 (an even s, an odd l0, ...) as an `error` row and still exits 0. `bell` and
 `ghz` share cmd_scenario; params.check_regime refuses a violated regime for
 them and `simulate`, while `validate` reports it and exits 2.
+
+`validate` and `sweep` read each point's flip cycle off one decomposition of
+the ladder (ladder.cycle_readout) and sample no time grid; they parse
+--samples and ignore it. `simulate` is the one sampler, and the only user of
+the ladder's two-table phases for evenly spaced times.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,
@@ -48,10 +53,8 @@ EXIT_IO = 3
 
 # the value type of each sweep variable
 SWEEP_VARS = {"chi_ratio": float, "l0": int, "n0": int, "s": int}
-# simulate's linspace(0, T, 1) would drop the endpoint T; the flip-frequency
-# fit reads the sign of the population gradient, which has none at 3 samples,
-# whose middle one sits on the flip peak
-MIN_SAMPLES = {"simulate": 2, "validate": 4, "sweep": 4}
+# simulate's linspace(0, T, 1) would drop the endpoint T
+MIN_SAMPLES = 2
 
 SWEEP_COLUMNS = (
     "var",
@@ -64,9 +67,9 @@ SWEEP_COLUMNS = (
     "b_rad_s",
     "freq_rad_s",
     "freq_ratio",
-    "max_pop_dev",
-    "two_mode_min",
-    "max_leakage",
+    "mean_leakage",
+    "leakage_bound",
+    "pop_dev_bound",
     "bell_fidelity",
     "error",
 )
@@ -155,7 +158,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     from . import ladder
 
-    _check_sampling(args)
+    if args.samples < MIN_SAMPLES:
+        raise UsageError(f"--samples must be >= {MIN_SAMPLES}, got {args.samples}")
     p = _physical(args, args.l0)
     # photon number of the branch being propagated; 0 = vacuum is legitimate
     n = args.n if args.n is not None else p.n0
@@ -231,17 +235,17 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def validate_point(p: params.PhysicalParams, s: int = 1, samples: int = 512) -> dict:
+def validate_point(p: params.PhysicalParams, s: int = 1) -> dict:
     """Ladder-vs-two-level comparison over one population-flip cycle.
 
     Keys: regime verdict, shift a_n and flip rate |b_n| of the two-level
-    reduction and the frequency actually measured in the ladder data, max
-    pointwise population deviation, two-mode confinement and leakage, and a
-    phase-agnostic Bell fidelity at t1 = s*pi/|b_n|. An even s or a zero
-    flip rate raises ValueError from adiabatic.pulse_times, as for `bell`.
+    reduction, and from one decomposition of the ladder (ladder.cycle_readout)
+    the flip frequency the ladder shows, its ratio to |b_n|, the mean leakage
+    out of the resonant pair, bounds on that leakage and on the pointwise
+    population deviation from the closed form, and a phase-agnostic Bell
+    fidelity at t1 = s*pi/|b_n|. An even s or a zero flip rate raises
+    ValueError from adiabatic.pulse_times, as for `bell`.
     """
-    import numpy as np
-
     from . import ladder
 
     d = params.derive(p)
@@ -257,10 +261,8 @@ def validate_point(p: params.PhysicalParams, s: int = 1, samples: int = 512) -> 
         "a_rad_s": c.a_n,
         "b_rad_s": rate,
     }
-    times = np.linspace(0.0, 2.0 * math.pi / rate, samples)
-    # one propagation serves the cycle's samples and the Bell fidelity at t1
     try:
-        pairs = ladder.branch_pairs(c, np.append(times, t1))
+        fields, pair = ladder.cycle_readout(c, t1)
     except ladder.ResolutionError as exc:
         report["error"] = f"ladder resolution: {exc}"
         return report
@@ -268,40 +270,17 @@ def validate_point(p: params.PhysicalParams, s: int = 1, samples: int = 512) -> 
         report["error"] = f"ladder truncation: {exc}"
         return report
 
-    pops = np.abs(pairs[:samples]) ** 2
-    p_plus, p_flip = pops[:, 0], pops[:, 1]
-    two_mode = p_plus + p_flip
-    half = 0.5 * rate * times
-    dev = np.maximum(np.abs(p_plus - np.cos(half) ** 2), np.abs(p_flip - np.sin(half) ** 2))
-    freq = ladder.extract_flip_frequency(times, p_plus, p_flip)
-
-    report.update(
-        {
-            "freq_rad_s": freq,
-            "freq_ratio": freq / rate,
-            "max_pop_dev": float(np.max(dev)),
-            "two_mode_min": float(np.min(two_mode)),
-            "max_leakage": float(np.max(1.0 - two_mode)),
-        }
-    )
+    report.update(fields, freq_ratio=fields["freq_rad_s"] / rate)
     # opposite incidence: |+-> in, |-+> flipped
-    state, _ = entangle.prepare([pairs[-1].tolist()] * 2, (0, 1))
+    state, _ = entangle.prepare([pair.tolist()] * 2, (0, 1))
     _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
     report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
     return report
 
 
-def _check_sampling(args: argparse.Namespace) -> None:
-    """Refuse a command's --samples below MIN_SAMPLES."""
-    minimum = MIN_SAMPLES[args.command]
-    if args.samples < minimum:
-        raise UsageError(f"--samples must be >= {minimum}, got {args.samples}")
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    _check_sampling(args)
     p = _physical(args, args.l0)
-    report = validate_point(p, s=args.s, samples=args.samples)
+    report = validate_point(p, s=args.s)
     _emit(entangle.json_text(report), args.output)
     reasons = []
     if report["verdict"] == params.RegimeVerdict.VIOLATED.value:
@@ -323,7 +302,6 @@ def _sweep_param(base: params.PhysicalParams, var: str, value):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _check_sampling(args)
     base = _physical(args)
     values = _parse_list(args.values, SWEEP_VARS[args.var])
 
@@ -331,7 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         try:
             p, s = _sweep_param(base, args.var, value)
-            point = validate_point(p, s=s, samples=args.samples)
+            point = validate_point(p, s=s)
         except (ValueError, params.PhysicsError) as exc:
             point = {"error": str(exc), "l0": None, "n0": None}
         points.append({"var": args.var, "value": value, **point})
@@ -390,6 +368,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="rescale the coupling g so that |chi*n0/w_rec| equals this",
     )
     _add_output(sub)
+
+
+def _add_ignored_samples(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help="ignored; removed with the benchmark change of ROADMAP item 3",
+    )
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -456,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="ladder vs closed-form comparison (JSON)")
     p_val.add_argument("--l0", type=int, default=None)
     p_val.add_argument("--s", type=int, default=1)
-    p_val.add_argument("--samples", type=int, default=512)
+    _add_ignored_samples(p_val)
     _add_common(p_val)
 
     p_sweep = sub.add_parser("sweep", help="validate over a parameter range (CSV/JSON)")
     p_sweep.add_argument("--var", choices=SWEEP_VARS, required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated points")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--samples", type=int, default=512)
+    _add_ignored_samples(p_sweep)
     _add_common(p_sweep)
 
     return parser

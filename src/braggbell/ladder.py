@@ -18,9 +18,16 @@ engine's branch_pairs(c, times) calls it on the branch of the record c. It
 uses the exact propagator from one eigendecomposition H = V E V^T of the
 (time-independent) generator, for any duration and number of times, so norm
 is conserved to machine precision. Sampling a cycle on an evenly spaced grid
-from zero (np.linspace(0, T, n)) costs that one decomposition and phases
-exp(-iE*t) from two tables of ceil(sqrt(n)) rows, each grid time taking the
-product of one row of each; any other time gets its own row.
+from zero (np.linspace(0, T, n)), which only `simulate` does, costs that one
+decomposition and phases exp(-iE*t) from two tables of ceil(sqrt(n)) rows,
+each grid time taking the product of one row of each; any other time gets
+its own row.
+
+cycle_readout(c, t1), which `validate` calls, samples nothing: it reads a
+whole flip cycle off the same decomposition (the flip frequency as an
+eigenvalue splitting, the time-averaged leakage out of the resonant pair and
+bounds on the leakage and on the deviation from the two-level populations at
+every time) and propagates the one row at t1, under the same guards.
 
 Truncation is policed, not assumed: with c = V^T C(0),
 max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2, and a bound above
@@ -166,6 +173,13 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
     # each guard is written so that a nan fails it
     if not (times >= 0).all():
         raise ValueError("sample times must be >= 0 and not nan")
+    evals, evecs, coeffs = _decompose(s, h)
+    return _phases(evals, times) * coeffs @ evecs.T
+
+
+def _decompose(s: np.ndarray, h: LadderHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, V, c = V^T s) of H = V E V^T, eigenvalues ascending for a coupled
+    branch; raises TruncationError when the edge bound exceeds EDGE_THRESHOLD."""
     if h.off_diagonal == 0.0:
         evals, evecs = h.diagonal, np.eye(h.size)
     else:
@@ -179,7 +193,7 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
             f"{EDGE_THRESHOLD:.1e}; the coupling is too strong for the l0={h.l0} "
             f"ladder [{h.l_min}, {h.l_max}]"
         )
-    return _phases(evals, times) * coeffs @ evecs.T
+    return evals, evecs, coeffs
 
 
 def _phases(evals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -217,14 +231,19 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
     """
     if h.off_diagonal == 0.0:
         return
-    h_norm = float(np.abs(h.diagonal).max()) + 2.0 * abs(h.off_diagonal)
-    limit = RESOLUTION_LIMIT * sys.float_info.epsilon * h_norm
+    limit = _resolution_limit(h)
     if not abs(b_n) > limit:
         raise ResolutionError(
             f"flip frequency |b_n| = {abs(b_n):.3e} rad/s is not above "
             f"{limit:.3e} rad/s, the smallest splitting the eigen-solver resolves "
             f"in the l0={h.l0} ladder; lower l0 or raise the coupling"
         )
+
+
+def _resolution_limit(h: LadderHamiltonian) -> float:
+    """RESOLUTION_LIMIT*eps*||H||, ||H|| bounded by Gershgorin (module docstring)."""
+    h_norm = float(np.abs(h.diagonal).max()) + 2.0 * abs(h.off_diagonal)
+    return RESOLUTION_LIMIT * sys.float_info.epsilon * h_norm
 
 
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
@@ -255,6 +274,66 @@ def branch_pairs(c: TwoLevelCoeffs, times) -> np.ndarray:
     h = build_hamiltonian(c.n, c.l0, c.d, c.include_stark)
     amps = evolve(h, c.b_n, times)
     return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
+
+
+def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
+    """One flip cycle of an atom entering on +P_{l0}, read off one decomposition
+    of the branch of the record c, and its (kept, flipped) pair at t1.
+
+    With H = V E V^T, c_j = V_{0,j}, w_j = c_j^2 and u_j = V_{0,j} V_{-l0,j},
+    the keys are
+    - freq_rad_s: |E_a - E_b|, a and b the two largest w_j;
+    - mean_leakage: sum over l outside {0, -l0} and runs g of |sum_{j in g} V_lj c_j|^2,
+      the time average of the population outside the pair;
+    - leakage_bound: sum over the same l of (sum_g |sum_{j in g} V_lj c_j|)^2,
+      a bound on that population at every time;
+    - pop_dev_bound: a bound on |P_+- - cos^2/sin^2(|b_n| t/2)| over the cycle
+      0 <= t <= 2*pi/|b_n|, pi*|freq_rad_s/|b_n| - 1| +
+      max(4 rho_A + (w_a - w_b)^2, (u_a + u_b)^2 + |1 - (u_a - u_b)^2| + 2 rho_B + rho_B^2),
+      where rho_A = sum_{j not a, b} w_j and rho_B = sum_g |sum_{j in g, j not a, b} u_j|.
+    A run g is a stretch of sorted eigenvalues spaced within the resolution
+    limit (check_resolution): the solver returns a degenerate run, such as an
+    off-resonant mirror pair, in an arbitrary basis, so each run is summed
+    coherently. The guards are those of evolve, and the pair row is checked
+    for norm drift.
+    """
+    h = build_hamiltonian(c.n, c.l0, c.d, c.include_stark)
+    check_resolution(h, c.b_n)
+    s = initial_state(h)
+    evals, evecs, coeffs = _decompose(s, h)
+    row = _phases(evals, np.array([t1]))[0] * coeffs @ evecs.T
+    check_norm_drift(row, s)
+
+    pair = [h.index_of(0), h.index_of(-c.l0)]
+    v0 = evecs[pair[0]]
+    w, u = v0 * v0, v0 * evecs[pair[1]]
+    a, b = np.argsort(w)[-2:]
+    freq = abs(float(evals[a] - evals[b]))
+    order = np.argsort(evals)
+    starts = np.flatnonzero(np.diff(evals[order]) > _resolution_limit(h)) + 1
+    starts = np.concatenate(([0], starts))
+
+    def by_run(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x[..., order], starts, axis=-1)
+
+    outside = np.ones(h.size, dtype=bool)
+    outside[pair] = False
+    rest = np.ones(h.size, dtype=bool)
+    rest[[a, b]] = False
+    leak = by_run(evecs[outside] * v0)
+    rho_a = float(w[rest].sum())
+    rho_b = float(np.abs(by_run(np.where(rest, u, 0.0))).sum())
+    pop_dev = max(
+        4.0 * rho_a + (w[a] - w[b]) ** 2,
+        (u[a] + u[b]) ** 2 + abs(1.0 - (u[a] - u[b]) ** 2) + 2.0 * rho_b + rho_b**2,
+    )
+    fields = {
+        "freq_rad_s": freq,
+        "mean_leakage": float(np.sum(leak**2)),
+        "leakage_bound": float(np.sum(np.abs(leak).sum(axis=1) ** 2)),
+        "pop_dev_bound": math.pi * abs(freq / abs(c.b_n) - 1.0) + float(pop_dev),
+    }
+    return fields, row[pair]
 
 
 def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.ndarray) -> float:

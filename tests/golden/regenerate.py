@@ -25,6 +25,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 HEAD = 40  # lines kept of each written file: a sidecar whole, the head of a CSV
+NEGATIVE = ("--set", "detuning_2pi_hz=-80e6")
 
 # engine, Stark, field basis, outcome, l0, s, r
 _SCENARIO_AXES = (
@@ -61,6 +62,12 @@ def cases() -> dict[str, list[str]]:
             "bell-fit-phase-ladder": ["bell", "--engine", "ladder", "--fit-phase", "--chi-ratio", "0.05"],
             "validate-default": ["validate"],
             "validate-l4-chi0.05": ["validate", "--l0", "4", "--chi-ratio", "0.05", "--samples", "64"],
+            "validate-l8-chi0.03": ["validate", "--l0", "8", "--chi-ratio", "0.03"],
+            "bell-adiabatic-l8-chi0.05": ["bell", "--set", "l0=8", "--chi-ratio", "0.05"],
+            # the detuning's other sign: chi < 0
+            "bell-negative-detuning-adiabatic-stark": ["bell", *NEGATIVE, "--include-stark"],
+            "bell-negative-detuning-ladder": ["bell", "--engine", "ladder", *NEGATIVE],
+            "ghz-k3-negative-detuning-ladder-l4": ["ghz", "--k", "3", "--engine", "ladder", "--set", "l0=4", *NEGATIVE],
             "validate-truncated-and-violated": ["validate", "--chi-ratio", "2.35", "--samples", "4"],
             "sweep-chi-ratio-csv": ["sweep", "--var", "chi_ratio", "--values", "0.01,0.02,0.05", "--samples", "64"],
             "coeffs-csv": ["coeffs", "--l0", "2,4,6", "--n", "0,1,2,3"],
@@ -68,7 +75,7 @@ def cases() -> dict[str, list[str]]:
             # each documented refusal: exit 1 usage, 2 physics, 3 I/O
             "refuse-even-s": ["bell", "--s", "2"],
             "refuse-zero-flip-rate": ["validate", "--set", "g_rad_s=0"],
-            "refuse-samples-below-minimum": ["validate", "--samples", "3"],
+            "refuse-samples-below-minimum": ["simulate", "--samples", "1"],
             "refuse-simulate-cycles-without-rate": ["simulate", "--n", "0"],
             "refuse-malformed-list": ["coeffs", "--l0", "2,x"],
             "refuse-empty-list": ["sweep", "--var", "l0", "--values", ","],

@@ -253,7 +253,7 @@ def test_bell_rejects_even_s(capsys):
 
 
 def test_validate_rejects_even_s(capsys):
-    code, out, err = run(capsys, "validate", "--s", "2", "--samples", "32")
+    code, out, err = run(capsys, "validate", "--s", "2")
     assert code == 1
     assert out == ""
     assert err == "error: s must be a positive odd integer, got 2\n"
@@ -290,8 +290,8 @@ def test_validate_good_regime(capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "good"
     assert 0.98 <= rep["freq_ratio"] <= 1.02
-    assert rep["max_pop_dev"] < 1e-2
-    assert rep["two_mode_min"] > 0.98
+    assert rep["pop_dev_bound"] < 1e-2
+    assert 0.0 < rep["mean_leakage"] <= rep["leakage_bound"] < 0.02
     assert rep["bell_fidelity"] > 0.95
     assert "shift_comparison" not in rep  # one reduction, no conventions to compare
 
@@ -317,14 +317,14 @@ def test_validate_violated_regime(capsys):
     assert code == 2
     rep = json.loads(out)
     assert rep["verdict"] == "violated"
-    assert "two_mode_min" in rep  # numbers still reported
+    assert "leakage_bound" in rep  # numbers still reported
     # the Bell fidelity is reported outside the regime as well
     assert rep["bell_fidelity"] == pytest.approx(0.9999981133742121, rel=0, abs=1e-12)
 
 
 def test_validate_names_every_reason_on_stderr(capsys):
     # outside the regime and truncated: both reasons reach stderr, the regime first
-    code, out, err = run(capsys, "validate", "--chi-ratio", "2.35", "--samples", "4")
+    code, out, err = run(capsys, "validate", "--chi-ratio", "2.35")
     assert code == 2
     rep = json.loads(out)
     assert rep["verdict"] == "violated"
@@ -363,18 +363,18 @@ def test_validate_has_no_photon_number_flag(capsys):
 @pytest.mark.parametrize("l0", [2, 4, 6])
 def test_validate_bell_fidelity_is_the_ladder_scenario(l0):
     # both build the opposite-incidence state through entangle.prepare from the
-    # ladder's pair at t1; validate reads it off its sampled-cycle propagation
+    # ladder's pair at t1; validate reads it off its one decomposition
     p = params.with_regime_ratio(replace(params.rubidium_preset(), l0=l0), 0.02)
-    point = cli.validate_point(p, samples=64)
+    point = cli.validate_point(p)
     rep = entangle.run_scenario(p, engine="ladder", fit_phase=True)
     assert point["bell_fidelity"] == pytest.approx(rep.fidelity, rel=0, abs=1e-13)
 
 
 def test_validate_bell_fidelity_matches_dense_ladder(capsys):
-    # the Bell fidelity comes from the samples' l0 = 4 ladder, orders -12..8:
+    # the Bell fidelity comes from the l0 = 4 ladder, orders -12..8:
     # a dense expm on it, composed with np.kron, projected on
     # (|0> + |n0>)/sqrt2 and scored against the best-phase psi target
-    code, out, _ = run(capsys, "validate", "--l0", "4", "--samples", "64")
+    code, out, _ = run(capsys, "validate", "--l0", "4")
     assert code == 0
     rep = json.loads(out)
     d = params.derive(params.rubidium_preset())
@@ -391,12 +391,12 @@ def test_validate_bell_fidelity_matches_dense_ladder(capsys):
 @pytest.mark.parametrize("guard", [6, 20])
 def test_validate_guard_sets_the_bell_fidelity_ladder(capsys, monkeypatch, guard):
     # params.GUARD is the one reach of the ladder: it truncates the ladder of
-    # the Bell fidelity as well as the samples. A dense expm on
+    # the Bell fidelity as well as the cycle readout. A dense expm on
     # default_range(4) at that reach, composed with np.kron, projected on
     # (|0> + |n0>)/sqrt2 and scored against the best-phase psi target
     monkeypatch.setattr(params, "GUARD", guard)
     assert ladder.default_range(4) == (-4 - guard, guard)
-    code, out, _ = run(capsys, "validate", "--l0", "4", "--samples", "64")
+    code, out, _ = run(capsys, "validate", "--l0", "4")
     assert code == 0
     rep = json.loads(out)
     d = params.derive(params.rubidium_preset())
@@ -417,7 +417,7 @@ def test_validate_guard_sets_the_bell_fidelity_ladder(capsys, monkeypatch, guard
 
 def test_sweep_csv_shape(capsys):
     code, out, _ = run(
-        capsys, "sweep", "--var", "chi_ratio", "--values", "0.01,0.02", "--samples", "128"
+        capsys, "sweep", "--var", "chi_ratio", "--values", "0.01,0.02"
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -429,19 +429,18 @@ def test_sweep_csv_shape(capsys):
 def test_sweep_confinement_monotone(capsys):
     code, out, _ = run(
         capsys, "sweep", "--var", "chi_ratio", "--values", "0.01,0.02,0.05,0.1",
-        "--samples", "128",
     )
     assert code == 0
     lines = out.strip().split("\n")
-    col = cli.SWEEP_COLUMNS.index("two_mode_min")
-    vals = [float(line.split(",")[col]) for line in lines[1:]]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+    for name in ("mean_leakage", "leakage_bound"):
+        col = cli.SWEEP_COLUMNS.index(name)
+        vals = [float(line.split(",")[col]) for line in lines[1:]]
+        assert all(a < b for a, b in zip(vals, vals[1:])), name
 
 
 def test_sweep_l0_coupling_monotone(capsys):
     code, out, _ = run(
         capsys, "sweep", "--var", "l0", "--values", "2,4,6", "--chi-ratio", "0.02",
-        "--samples", "128",
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -451,23 +450,21 @@ def test_sweep_l0_coupling_monotone(capsys):
 
 
 def test_sweep_single_point_matches_validate(capsys):
-    code_v, out_v, _ = run(capsys, "validate", "--chi-ratio", "0.02", "--samples", "128")
+    code_v, out_v, _ = run(capsys, "validate", "--chi-ratio", "0.02")
     assert code_v == 0
     rep = json.loads(out_v)
     code_s, out_s, _ = run(
         capsys, "sweep", "--var", "chi_ratio", "--values", "0.02", "--format", "json",
-        "--samples", "128",
     )
     assert code_s == 0
     point = json.loads(out_s)[0]
-    for key in ("b_rad_s", "freq_rad_s", "max_pop_dev", "two_mode_min", "bell_fidelity"):
+    for key in ("b_rad_s", "freq_rad_s", "pop_dev_bound", "mean_leakage", "bell_fidelity"):
         assert point[key] == rep[key], key
 
 
 def test_sweep_bad_point_becomes_error_row(capsys):
     code, out, _ = run(
         capsys, "sweep", "--var", "l0", "--values", "2,3,4", "--format", "json",
-        "--samples", "128",
     )
     assert code == 0
     points = json.loads(out)
@@ -478,7 +475,7 @@ def test_sweep_bad_point_becomes_error_row(capsys):
 
 
 def test_sweep_csv_error_column_keeps_the_reason(capsys):
-    code, out, _ = run(capsys, "sweep", "--var", "l0", "--values", "2,3,4", "--samples", "128")
+    code, out, _ = run(capsys, "sweep", "--var", "l0", "--values", "2,3,4")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [row["value"] for row in rows] == ["2", "3", "4"]
@@ -488,7 +485,7 @@ def test_sweep_csv_error_column_keeps_the_reason(capsys):
 
 
 def test_sweep_even_s_becomes_error_row(capsys):
-    code, out, _ = run(capsys, "sweep", "--var", "s", "--values", "1,2,3", "--samples", "32")
+    code, out, _ = run(capsys, "sweep", "--var", "s", "--values", "1,2,3")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [row["value"] for row in rows] == ["1", "2", "3"]
@@ -508,7 +505,6 @@ def test_norm_drift_is_a_physics_error(capsys, monkeypatch):
     assert "Traceback" not in err
     code, out, _ = run(
         capsys, "sweep", "--var", "chi_ratio", "--values", "0.01,0.02", "--format", "json",
-        "--samples", "32",
     )
     assert code == 0
     points = json.loads(out)
@@ -518,7 +514,7 @@ def test_norm_drift_is_a_physics_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("l0, ratio", [("8", "0.005"), ("10", "0.02"), ("12", "0.02")])
 def test_validate_refuses_unresolvable_coupling(capsys, l0, ratio):
-    code, out, err = run(capsys, "validate", "--l0", l0, "--chi-ratio", ratio, "--samples", "64")
+    code, out, err = run(capsys, "validate", "--l0", l0, "--chi-ratio", ratio)
     assert code == 2
     rep = json.loads(out)
     assert rep["verdict"] == "good"
@@ -531,7 +527,6 @@ def test_validate_refuses_unresolvable_coupling(capsys, l0, ratio):
 def test_sweep_refuses_unresolvable_points(capsys):
     code, out, _ = run(
         capsys, "sweep", "--var", "l0", "--values", "2,8,10,12", "--chi-ratio", "0.005",
-        "--samples", "64",
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -556,7 +551,7 @@ UNRESOLVABLE = ("--chi-ratio", "0.05")  # with l0 = 10
     "argv",
     [
         ["simulate", "--l0", "10", "--cycles", "1", *UNRESOLVABLE],
-        ["validate", "--l0", "10", "--samples", "64", *UNRESOLVABLE],
+        ["validate", "--l0", "10", *UNRESOLVABLE],
         ["bell", "--engine", "ladder", "--set", "l0=10", *UNRESOLVABLE],
     ],
     ids=["simulate", "validate", "bell"],
@@ -583,7 +578,6 @@ def test_coeffs_nonconvergent_shift_is_a_physics_error(capsys):
 def test_sweep_nonconvergent_point_becomes_error_row(capsys):
     code, out, _ = run(
         capsys, "sweep", "--var", "chi_ratio", "--values", "0.02,10", "--set", "l0=4",
-        "--samples", "64",
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -655,9 +649,9 @@ def test_unwritable_output(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("validate", "--samples", "1"),
-        ("sweep", "--var", "s", "--values", "1", "--samples", "1"),
-        ("sweep", "--var", "s", "--values", "1", "--samples", "0"),
+        ("simulate", "--samples", "1"),
+        ("simulate", "--samples", "0"),
+        ("validate", "--l0", "3"),
         ("bell", "--set", "g_rad_s=nan"),
         ("validate", "--set", "detuning_rad_s=inf"),
         ("bell", "--set", "wavelength_m=1e300"),
@@ -665,8 +659,8 @@ def test_unwritable_output(capsys):
         ("simulate", "--duration", "inf"),
         ("simulate", "--duration", "nan"),
         ("simulate", "--cycles", "inf"),
-        ("validate", "--samples", "3"),
-        ("sweep", "--var", "s", "--values", "1", "--samples", "3"),
+        ("validate", "--s", "0"),
+        ("sweep", "--var", "s", "--values", "1", "--set", "l0=3"),
         ("sweep", "--var", "chi_ratio", "--values", "0.01,x"),
         # no flip rate, so no pulse time, as for bell
         ("validate", "--set", "g_rad_s=0"),
@@ -695,8 +689,8 @@ def _canonical(text: str) -> str:
         ("bell",),
         ("bell", "--engine", "ladder", "--include-stark", "--fit-phase"),
         ("ghz", "--k", "4", "--basis", "computational"),
-        ("validate", "--samples", "32"),
-        ("sweep", "--var", "l0", "--values", "2,3", "--samples", "32", "--format", "json"),
+        ("validate",),
+        ("sweep", "--var", "l0", "--values", "2,3", "--format", "json"),
     ],
 )
 def test_json_output_round_trips_to_the_same_text(capsys, argv):
@@ -834,7 +828,17 @@ def test_sweep_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         code, _, _ = run(capsys, "sweep", "--var", "chi_ratio",
-                         "--values", "0.01,0.02,0.03,0.04", "--samples", "128",
+                         "--values", "0.01,0.02,0.03,0.04",
                          "--output", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv", [("validate",), ("sweep", "--var", "chi_ratio", "--values", "0.01,0.02,0.05")]
+)
+def test_samples_flag_of_validate_and_sweep_is_ignored(capsys, argv):
+    # parsed for old command lines, read by nothing: the cycle comes from the spectrum
+    outputs = {run(capsys, *argv, *extra) for extra in ((), ("--samples", "4"), ("--samples", "512"))}
+    assert len(outputs) == 1
+    assert next(iter(outputs))[0] == 0

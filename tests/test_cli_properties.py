@@ -4,7 +4,7 @@ Any mix of valid and invalid flags must end in a documented exit code (0, 1
 or 2; 3 needs a file system error) and never in an uncaught exception. A
 coefficient table printed with exit 0 must hold a converged level shift: a
 fixed point a = alpha(a) of the dense ladder partition in `oracles`. Each
-good-regime point of a validate or sweep that exits 0 measured the flip
+good-regime point of a validate or sweep that exits 0 shows the flip
 frequency it predicts: |freq_ratio - 1| < FREQ_TOL.
 """
 
@@ -35,7 +35,8 @@ S = _mostly("1", "3", "5")
 R = _mostly("0", "1", "2")
 K = _mostly("3", "4", "5")
 L0 = _mostly("2", "4", "6")
-# both sides of the minimum of 4 half the time
+# validate and sweep parse --samples and ignore it; the draws keep old
+# command lines covered, garbage included
 SAMPLES = st.one_of(st.sampled_from(["3", "4", "5", "32"]), INTS)
 SWEEP_VALUES = st.sampled_from(["1,3", "1,2", "2,4", "0.01,0.04", "2", "x", ","])
 L0_LISTS = st.one_of(L0, st.sampled_from(["2,4", "2,4,6,8", "4,3", "0,2", "2,,6"]))
@@ -72,10 +73,11 @@ FLAGS = {
     "simulate": {"--l0": L0, "--set": OVERRIDES},
 }
 # what every example of a command starts with: simulate's few samples keep
-# it cheap, and validate and sweep always draw their samples
+# it cheap, and validate and sweep always draw an ignored --samples
 START = {"sweep": ["--var", "s", "--values", "1,3"], "simulate": ["--samples", "16"]}
-# at 4 or more samples the measured frequency is within 3e-5 of |b_n| at every
-# good-regime point these draws reach; at 3 samples freq_ratio read 3e-9
+# freq_rad_s is the ladder's eigenvalue splitting; over l0 <= 12 and good-regime
+# ratios it was within 1.2e-7 of |b_n|, and the resolution guard keeps |b_n|
+# above 1e3 times the splitting's rounding error
 FREQ_TOL = 1e-3
 
 

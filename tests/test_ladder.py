@@ -367,3 +367,96 @@ def test_phase_table_matches_60_digit_exponential(l0, ratio):
         assert np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)) <= 1e-12
     if l0 == 8:
         assert worst_et > 1e11  # the tables are exercised at large phases
+
+
+# --- the cycle read off the spectrum -----------------------------------------
+
+# (l0, chi*n0/w_rec) of the cycle checks, from l0 = 2 to the l0 = 8 point whose
+# sampled maxima were right to about four digits only
+CYCLE_POINTS = [(2, 0.0215), (4, 0.05), (6, 0.02), (8, 0.03)]
+
+
+def _readout(at_ratio, l0, ratio):
+    """(fields, record, Hamiltonian) of cycle_readout at t1 = pi/|b_n|."""
+    p = at_ratio(ratio, l0=l0)
+    d = derive(p)
+    c = adiabatic.coeffs(p.n0, l0, d)
+    fields, _ = ladder.cycle_readout(c, math.pi / abs(c.b_n))
+    return fields, c, build_hamiltonian(p.n0, l0, d)
+
+
+@pytest.mark.parametrize("l0, ratio", CYCLE_POINTS)
+def test_cycle_readout_bounds_a_dense_sampling_of_the_cycle(at_ratio, l0, ratio):
+    # 200001 evenly spaced times over one cycle 2*pi/|b_n|, propagated ten
+    # chunks at a time, each chunk from the last row of the one before
+    fields, c, h = _readout(at_ratio, l0, ratio)
+    rate = abs(c.b_n)
+    pair = [h.index_of(0), h.index_of(-l0)]
+    outside = np.delete(np.arange(h.size), pair)
+    chunks, per = 10, 20_000
+    dt = 2.0 * math.pi / rate / (chunks * per)
+    local = np.arange(per + 1) * dt
+    s = initial_state(h)
+    max_leak = max_dev = sum_leak = 0.0
+    for k in range(chunks):
+        amps = sample_evolution(s, h, local)
+        s = amps[-1]
+        pops = np.abs(amps[: per + (k == chunks - 1)]) ** 2
+        leak = pops[:, outside].sum(axis=1)
+        half = 0.5 * rate * (k * per * dt + local[: len(pops)])
+        dev = np.maximum(
+            np.abs(pops[:, pair[0]] - np.cos(half) ** 2), np.abs(pops[:, pair[1]] - np.sin(half) ** 2)
+        )
+        max_leak, max_dev = max(max_leak, leak.max()), max(max_dev, dev.max())
+        sum_leak += leak.sum()
+    assert fields["leakage_bound"] >= max_leak
+    assert max_dev <= fields["pop_dev_bound"] <= 1.1 * max_dev
+    mean = sum_leak / (chunks * per + 1)
+    assert fields["mean_leakage"] == pytest.approx(mean, rel=1e-3)
+
+
+@pytest.mark.parametrize("l0, ratio", [(8, 0.03), (6, 0.02)])
+def test_cycle_readout_matches_a_50_digit_decomposition(at_ratio, l0, ratio):
+    # the same float matrix decomposed at 50 digits, its eigenvalues grouped
+    # into runs by the same resolution limit, each run summed coherently
+    import mpmath
+
+    fields, _, h = _readout(at_ratio, l0, ratio)
+    i0, im = h.index_of(0), h.index_of(-l0)
+    limit = ladder.RESOLUTION_LIMIT * np.finfo(float).eps
+    limit *= np.abs(h.diagonal).max() + 2.0 * abs(h.off_diagonal)
+    with mpmath.workdps(50):
+        evals, vecs = mpmath.eigsy(mpmath.matrix(h.matrix().tolist()))
+        order = sorted(range(h.size), key=lambda j: evals[j])
+        runs = [[order[0]]]
+        for j, k in zip(order, order[1:]):
+            if evals[k] - evals[j] > limit:
+                runs.append([k])
+            else:
+                runs[-1].append(k)
+        c = [vecs[i0, j] for j in range(h.size)]
+        a, b = sorted(range(h.size), key=lambda j: c[j] ** 2)[-2:]
+        mean = bound = mpmath.mpf(0)
+        for l in set(range(h.size)) - {i0, im}:
+            amps = [sum(vecs[l, j] * c[j] for j in run) for run in runs]
+            mean += sum(x**2 for x in amps)
+            bound += sum(abs(x) for x in amps) ** 2
+        freq = abs(evals[a] - evals[b])
+    assert fields["mean_leakage"] == pytest.approx(float(mean), rel=1e-7)
+    assert fields["leakage_bound"] == pytest.approx(float(bound), rel=1e-7)
+    assert fields["freq_rad_s"] == pytest.approx(float(freq), rel=1e-6)
+
+
+@pytest.mark.parametrize("l0, ratio", [(2, 0.02), (4, 0.02), (6, 0.05), (8, 0.05)])
+def test_detuning_sign_is_a_gauge_of_the_ladder(at_ratio, l0, ratio):
+    # G H(-chi) G = H(chi) with G = diag((-1)^{l/2}), so C_l(-chi) = (-1)^{l/2} C_l(chi),
+    # and the reduction's b_n ~ chi^{l0/2} follows: b_n(-chi) = (-1)^{l0/2} b_n(chi)
+    ds = [derive(at_ratio(ratio, l0=l0, sign=sign)) for sign in (1, -1)]
+    plus, minus = (adiabatic.coeffs(1, l0, d) for d in ds)
+    assert minus.b_n == (-1) ** (l0 // 2) * plus.b_n
+    h_plus, h_minus = (build_hamiltonian(1, l0, d) for d in ds)
+    gauge = (-1.0) ** (h_plus.orders // 2)
+    times = np.array([0.3, 1.0, 2.7]) * math.pi / abs(plus.b_n)
+    np.testing.assert_allclose(
+        evolve(h_minus, minus.b_n, times), gauge * evolve(h_plus, plus.b_n, times), rtol=0, atol=1e-12
+    )

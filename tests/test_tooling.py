@@ -20,8 +20,10 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import braggbell
-from braggbell import ladder, params
+from braggbell import cli, ladder, params
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SPANS = BENCH / "spans.py"
@@ -90,13 +92,21 @@ def test_tracer_installs_on_the_package_and_records_a_ladder_op():
     assert traced["spans"].count("ladder.evolve") == 1
 
 
-def test_validate_propagates_the_ladder_once():
-    # the sampled cycle and the Bell fidelity read one propagation
-    traced = _traced('assert cli.main(["validate", "--samples", "32"]) == 0')
+def test_validate_propagates_the_ladder_once(monkeypatch, capsys):
+    # the cycle readout and the Bell fidelity read one decomposition, and a
+    # point the resolution guard refuses is never decomposed
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    for argv, code, decompositions in (
+        (["validate"], 0, 1),
+        (["validate", "--l0", "8", "--chi-ratio", "0.02"], 2, 0),
+    ):
+        calls.clear()
+        assert cli.main(argv) == code, capsys.readouterr().err
+        assert len(calls) == decompositions, argv
+    traced = _traced('assert cli.main(["validate"]) == 0')
     assert traced["spans"].count("cli.validate_point") == 1
-    assert traced["spans"].count("ladder.sample_evolution") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
-    assert traced["spans"].count("ladder.evolve") == 1
     # ... and builds its Bell state once, through entangle.prepare
     assert traced["spans"].count("entangle.compose") == 1
 
