@@ -9,34 +9,15 @@ digits of an eigendecomposition.
 
 import json
 import math
-import re
 from pathlib import Path
 
 import pytest
 
-from golden.regenerate import run_case
+from golden import regenerate
+from golden.regenerate import LADDER_RTOL, _lines_match, mismatch, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(GOLDEN.glob("*.json"))
-LADDER_RTOL = 1e-12
-_NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
-
-
-def _lines_match(got: list[str], want: list[str], ladder: bool) -> bool:
-    """Byte-equal lines, or for a ladder case, equal but for numbers within LADDER_RTOL."""
-    if got == want:
-        return True
-    if not ladder or len(got) != len(want):
-        return False
-    for g, w in zip(got, want):
-        g_parts, w_parts = _NUMBER.split(g), _NUMBER.split(w)
-        if len(g_parts) != len(w_parts):
-            return False
-        # split with one group alternates text (even indices) and numbers (odd)
-        for i, (a, b) in enumerate(zip(g_parts, w_parts)):
-            if a != b and (i % 2 == 0 or not math.isclose(float(a), float(b), rel_tol=LADDER_RTOL)):
-                return False
-    return True
 
 
 def test_corpus_is_present():
@@ -47,14 +28,7 @@ def test_corpus_is_present():
 @pytest.mark.parametrize("path", CASES, ids=lambda path: path.stem)
 def test_golden_case(path):
     want = json.loads(path.read_text())
-    got = run_case(want["argv"])
-    assert got["ladder"] == want["ladder"]
-    assert (got["exit"], got["stderr"]) == (want["exit"], want["stderr"])
-    assert _lines_match(got["stdout"], want["stdout"], want["ladder"]), "stdout"
-    assert sorted(got["files"]) == sorted(want["files"])
-    for name, file in want["files"].items():
-        assert got["files"][name]["lines"] == file["lines"], name
-        assert _lines_match(got["files"][name]["head"], file["head"], want["ladder"]), name
+    assert mismatch(run_case(want["argv"]), want) is None
 
 
 def test_one_ulp_fails_an_adiabatic_case_and_passes_only_within_tolerance_on_the_ladder():
@@ -66,3 +40,30 @@ def test_one_ulp_fails_an_adiabatic_case_and_passes_only_within_tolerance_on_the
     assert not _lines_match([f'  "fidelity": {value * (1 + 1e-11)!r},'], [line], ladder=True)
     # text is never forgiven, not even in a ladder case
     assert not _lines_match(['  "fidelity": 1.0 '], ['  "fidelity": 1.0'], ladder=True)
+
+
+def test_regenerate_rewrites_only_the_cases_the_rule_rejects(tmp_path, monkeypatch):
+    # one cheap ladder case committed with its flip frequency moved within the
+    # rule and past it, one case not yet committed, and one no longer listed
+    argv = ["validate"]
+    fresh = run_case(argv)
+
+    def moved(rel: float) -> str:
+        record = json.loads(json.dumps(fresh))
+        i = next(i for i, line in enumerate(record["stdout"]) if '"freq_rad_s"' in line)
+        value = float(record["stdout"][i].split(":")[1].rstrip(","))
+        record["stdout"][i] = record["stdout"][i].replace(repr(value), repr(value * (1.0 + rel)))
+        assert record != fresh
+        return json.dumps(record, indent=1)
+
+    monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    monkeypatch.setattr(regenerate, "cases", lambda: dict.fromkeys(("kept", "rewritten", "new"), argv))
+    kept = moved(0.1 * LADDER_RTOL)
+    (tmp_path / "kept.json").write_text(kept)
+    (tmp_path / "rewritten.json").write_text(moved(10.0 * LADDER_RTOL))
+    (tmp_path / "stale.json").write_text(kept)
+    assert regenerate.main() == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["kept.json", "new.json", "rewritten.json"]
+    assert (tmp_path / "kept.json").read_text() == kept
+    for name in ("rewritten", "new"):
+        assert json.loads((tmp_path / f"{name}.json").read_text()) == fresh
