@@ -14,7 +14,8 @@ flip rate |b_n| of the two-level reduction in `adiabatic`; the sign of b_n
 only enters the scenario reports through the two-level propagator.
 
 Exit codes: 0 success, 1 usage/config error (an even s or a zero flip rate,
-`simulate --samples` below MIN_SAMPLES, an empty or malformed comma list), 2 physics
+`simulate --samples` below MIN_SAMPLES or above MAX_SAMPLES, an empty or
+malformed comma list), 2 physics
 error (a params.PhysicsError: regime violation, ladder truncation, a coupling
 too weak to resolve, a level shift that does not converge, a norm drift), 3
 I/O error. A sweep reports a point that fails with a usage or physics error
@@ -55,6 +56,8 @@ EXIT_IO = 3
 SWEEP_VARS = {"chi_ratio": float, "l0": int, "n0": int, "s": int}
 # simulate's linspace(0, T, 1) would drop the endpoint T
 MIN_SAMPLES = 2
+# refused before numpy allocates the grid: 10**6 rows at l0 = 6 already need about 1.5 GB
+MAX_SAMPLES = 10**6
 
 SWEEP_COLUMNS = (
     "var",
@@ -160,6 +163,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.samples < MIN_SAMPLES:
         raise UsageError(f"--samples must be >= {MIN_SAMPLES}, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     p = _physical(args, args.l0)
     # photon number of the branch being propagated; 0 = vacuum is legitimate
     n = args.n if args.n is not None else p.n0

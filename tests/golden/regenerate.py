@@ -86,6 +86,7 @@ def cases() -> dict[str, list[str]]:
             "refuse-even-s": ["bell", "--s", "2"],
             "refuse-zero-flip-rate": ["validate", "--set", "g_rad_s=0"],
             "refuse-samples-below-minimum": ["simulate", "--samples", "1"],
+            "refuse-samples-above-maximum": ["simulate", "--samples", "1000001"],
             "refuse-simulate-cycles-without-rate": ["simulate", "--n", "0"],
             "refuse-malformed-list": ["coeffs", "--l0", "2,x"],
             "refuse-empty-list": ["sweep", "--var", "l0", "--values", ","],

@@ -160,6 +160,25 @@ def test_simulate_refuses_too_few_samples(tmp_path, capsys, samples):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("samples", ["1000001", "1000000000"])
+def test_simulate_refuses_too_many_samples_before_allocating(tmp_path, capsys, monkeypatch, samples):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("no time grid may be built for a refused --samples")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out_file = tmp_path / "run.csv"
+    code, _, err = run(capsys, "simulate", "--samples", samples, "--output", str(out_file))
+    assert code == 1
+    assert err == f"error: --samples must be <= 1000000, got {samples}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_samples_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
+    assert run(capsys, "simulate", "--samples", "5")[0] == 0
+    assert run(capsys, "simulate", "--samples", "6")[0] == 1
+
+
 def test_simulate_regime_gate(capsys):
     code, _, err = run(capsys, "simulate", "--chi-ratio", "0.5", "--cycles", "1")
     assert code == 2
