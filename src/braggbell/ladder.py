@@ -17,11 +17,8 @@ samples its amplitudes at every requested time, then checks the norm; the
 engine's branch_pairs(c, times) calls it on the branch of the record c. It
 uses the exact propagator from one eigendecomposition H = V E V^T of the
 (time-independent) generator, for any duration and number of times, so norm
-is conserved to machine precision. Sampling a cycle on an evenly spaced grid
-from zero (np.linspace(0, T, n)), which only `simulate` does, costs that one
-decomposition and phases exp(-iE*t) from two tables of ceil(sqrt(n)) rows,
-each grid time taking the product of one row of each; any other time gets
-its own row.
+is conserved to machine precision: the amplitudes at time t are
+V exp(-iE*t) V^T C(0), one row of phases per time.
 
 cycle_readout(c, t1), which `validate` calls, samples nothing: it reads a
 whole flip cycle off the same decomposition (the flip frequency as an
@@ -31,9 +28,7 @@ every time) and propagates the one row at t1, under the same guards.
 
 Truncation is policed, not assumed: with c = V^T C(0),
 max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2, and a bound above
-EDGE_THRESHOLD aborts with TruncationError. A branch without coupling (the
-vacuum, n = 0) is already diagonal and is propagated from its diagonal
-without a decomposition.
+EDGE_THRESHOLD aborts with TruncationError.
 
 Resolution is policed too: the flip frequency b_n of the resonant pair is an
 eigenvalue splitting, which the eigen-solver resolves only down to about
@@ -178,12 +173,9 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
 
 
 def _decompose(s: np.ndarray, h: LadderHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, V, c = V^T s) of H = V E V^T, eigenvalues ascending for a coupled
-    branch; raises TruncationError when the edge bound exceeds EDGE_THRESHOLD."""
-    if h.off_diagonal == 0.0:
-        evals, evecs = h.diagonal, np.eye(h.size)
-    else:
-        evals, evecs = np.linalg.eigh(h.matrix())
+    """(E, V, c = V^T s) of H = V E V^T, eigenvalues ascending; raises
+    TruncationError when the edge bound exceeds EDGE_THRESHOLD."""
+    evals, evecs = np.linalg.eigh(h.matrix())
     coeffs = evecs.T @ s
     edge = np.abs(evecs[[0, -1]] * coeffs).sum(axis=1) ** 2
     if not (edge <= EDGE_THRESHOLD).all():
@@ -197,37 +189,14 @@ def _decompose(s: np.ndarray, h: LadderHamiltonian) -> tuple[np.ndarray, np.ndar
 
 
 def _phases(evals: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i*E*t), one row per time, one column per eigenvalue.
-
-    A leading run times[j] == j*dt, which is what np.linspace(0, T, n) yields,
-    takes its phases from two tables of B = ceil(sqrt(run)) rows, since
-    j*dt = (hi*B + lo)*dt; every other time gets its own row.
-    """
-    run = _grid_run(times)
-    if run == 0:
-        return np.exp(-1j * np.outer(times, evals))
-    dt = times[1]
-    b = math.isqrt(run - 1) + 1
-    lo = np.exp(-1j * np.outer(np.arange(b) * dt, evals))
-    hi = np.exp(-1j * np.outer(np.arange(0, run, b) * dt, evals))
-    grid = (hi[:, np.newaxis] * lo).reshape(-1, evals.size)[:run]
-    if run == times.size:
-        return grid
-    return np.concatenate([grid, np.exp(-1j * np.outer(times[run:], evals))])
-
-
-def _grid_run(times: np.ndarray) -> int:
-    """Length of the leading run times[j] == j*times[1], or 0 when there is none."""
-    if times.size < 2 or times[0] != 0.0 or not times[1] > 0.0:
-        return 0
-    on_grid = times == np.arange(times.size) * times[1]
-    return times.size if on_grid.all() else int(on_grid.argmin())
+    """exp(-i*E*t), one row per time, one column per eigenvalue."""
+    return np.exp(-1j * np.outer(times, evals))
 
 
 def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
     """Raise ResolutionError if |b_n| <= RESOLUTION_LIMIT * eps * ||H|| (module docstring).
 
-    A branch without coupling is never decomposed, so it always passes.
+    A branch without coupling has no flip to resolve, so it always passes.
     """
     if h.off_diagonal == 0.0:
         return
@@ -301,7 +270,7 @@ def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
     check_resolution(h, c.b_n)
     s = initial_state(h)
     evals, evecs, coeffs = _decompose(s, h)
-    row = _phases(evals, np.array([t1]))[0] * coeffs @ evecs.T
+    row = _phases(evals, [t1])[0] * coeffs @ evecs.T
     check_norm_drift(row, s)
 
     pair = [h.index_of(0), h.index_of(-c.l0)]

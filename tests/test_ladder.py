@@ -153,20 +153,13 @@ def test_vacuum_hamiltonian_is_static(rubidium_derived):
 
 
 @pytest.mark.parametrize("include_stark", [False, True])
-def test_vacuum_branch_propagates_without_decomposition(
-    rubidium_derived, monkeypatch, include_stark
-):
+def test_vacuum_branch_propagates_exactly(rubidium_derived, include_stark):
     h = build_hamiltonian(0, 4, rubidium_derived, include_stark=include_stark)
     rng = np.random.default_rng(2)
     amps = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
     amps[[0, -1]] = 0.0  # keep the edge bound quiet
     st = amps / np.linalg.norm(amps)
     times = np.array([0.0, 1e-4, 3.7e-3, 0.21])
-
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("the diagonal branch must not be decomposed")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     ours = sample_evolution(st, h, times)
     d = rubidium_derived
     _, h_dense = oracles.dense_matrix(d.recoil_frequency, d.chi, 0, 4, h.l_min, h.l_max)
@@ -193,7 +186,7 @@ def test_resolution_guard_threshold_is_gershgorin_norm(rubidium_derived):
 
 @pytest.mark.parametrize("include_stark", [False, True])
 def test_resolution_guard_passes_the_uncoupled_branch(rubidium_derived, include_stark):
-    # the vacuum branch is never decomposed, so it has no splitting to resolve
+    # the vacuum branch has no coupling, so it has no splitting to resolve
     h = build_hamiltonian(0, 10, rubidium_derived, include_stark=include_stark)
     assert h.off_diagonal == 0.0
     ladder.check_resolution(h, 0.0)
@@ -331,15 +324,13 @@ def _cycle_ladder(l0, ratio):
 
 
 def _phase_grids(cycle):
-    """(times, length of the leading j*dt run) for linspace grids, with and
-    without an off-grid time appended, and one grid that does not start at 0."""
+    """linspace grids, with and without an off-grid time appended, and one
+    grid that does not start at 0."""
     for n in (2, 3, 4, 5, 200, 512, 513):
         grid = np.linspace(0.0, cycle, n)
-        run = ladder._grid_run(grid)
-        assert run >= n - 1  # only linspace's exact endpoint may fall off the grid
-        yield grid, run
-        yield np.append(grid, 0.3719 * cycle), run
-    yield np.linspace(0.1 * cycle, cycle, 50), 0
+        yield grid
+        yield np.append(grid, 0.3719 * cycle)
+    yield np.linspace(0.1 * cycle, cycle, 50)
 
 
 @pytest.mark.parametrize("l0, ratio", [(2, 0.02), (8, 0.05)])
@@ -351,8 +342,7 @@ def test_phase_table_matches_60_digit_exponential(l0, ratio):
     st = initial_state(h)
     reference = {}  # exp(-i*E*t) at 60 digits, per float t
     worst_et = 0.0
-    for times, run in _phase_grids(cycle):
-        assert ladder._grid_run(times) == run
+    for times in _phase_grids(cycle):
         phases = ladder._phases(evals, times)
         for t, row in zip(times, phases):
             if t not in reference:
@@ -366,7 +356,7 @@ def test_phase_table_matches_60_digit_exponential(l0, ratio):
         amps = sample_evolution(st, h, times)
         assert np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)) <= 1e-12
     if l0 == 8:
-        assert worst_et > 1e11  # the tables are exercised at large phases
+        assert worst_et > 1e11  # the phases are exercised at large E*t
 
 
 # --- the cycle read off the spectrum -----------------------------------------
