@@ -25,8 +25,7 @@ them and `simulate`, while `validate` reports it and exits 2.
 
 `validate` and `sweep` read each point's flip cycle off one decomposition of
 the ladder (ladder.cycle_readout) and sample no time grid; they parse
---samples and ignore it. `simulate` is the one sampler, and the only user of
-the ladder's two-table phases for evenly spaced times.
+--samples and ignore it. `simulate` is the one sampler of a time grid.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,
