@@ -117,6 +117,18 @@ def test_solve_unitary_everywhere(rubidium_derived):
         assert abs(total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_solve_backwards_is_the_conjugate_forwards(at_ratio, sign):
+    # the generator a I - (b/2) sigma_x is real, so evolving a real state back
+    # by t gives the complex conjugate of evolving it forward by t
+    for l0 in (2, 4, 6, 8):
+        c = coeffs(1, l0, derive(at_ratio(0.02, l0=l0, sign=sign)))
+        for init in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.6, -0.8)):
+            for t in np.array([0.3, 1.0, 2.7, 11.0]) * math.pi / abs(c.b_n):
+                forward = solve(init, c, t)
+                assert solve(init, c, -t) == tuple(z.conjugate() for z in forward), (l0, init, t)
+
+
 def test_solve_identity_at_t0(rubidium_derived):
     c = coeffs(1, 2, rubidium_derived)
     c_plus, c_minus = solve((0.6 + 0.0j, 0.8j), c, 0.0)

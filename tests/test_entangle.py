@@ -639,6 +639,38 @@ def test_detuning_sign_leaves_the_scores_bit_equal_without_stark(at_ratio):
         ), (engine, l0, s, r, ratio)
 
 
+@pytest.mark.parametrize("include_stark", [False, True])
+def test_four_more_pulses_leave_the_adiabatic_fidelity(at_ratio, include_stark):
+    # s -> s + 4 lengthens t1 by two flip periods, which returns the closed-form
+    # pair up to the level-shift phase that the scheduled target carries too;
+    # rounding moves the fidelity by a few eps (3 on this grid)
+    for l0, k, s, r in itertools.product((2, 4, 6, 8), (2, 4), (1, 3), (0, 1)):
+        p = at_ratio(0.02, l0=l0)
+        kw = dict(engine="adiabatic", k=k, mode="opposite" if k == 2 else "same", r=r,
+                  include_stark=include_stark)
+        base, later = (run_scenario(p, s=pulses, **kw) for pulses in (s, s + 4))
+        assert abs(later.fidelity - base.fidelity) <= 2e-15, (l0, k, s, r)
+
+
+@pytest.mark.parametrize("engine, tol", [("adiabatic", (2e-15, 1e-15)), ("ladder", (1e-7, 1e-7))])
+def test_outcome_minus_at_r_scores_as_plus_at_r_plus_one(at_ratio, engine, tol):
+    # one more flip period for the last atom flips the sign of the scheduled
+    # target, and the minus outcome carries the opposite sign of the plus one,
+    # so both name the same target kind.
+    # The closed form returns after a period up to the phase the target
+    # carries; the ladder does not, since its leakage oscillates at frequencies
+    # other than |b_n| and its splitting differs from |b_n|, so its scores
+    # drift with r (up to 4.6e-8 on this grid). Swapping the two outcome signs
+    # moves both sides alike and escapes this relation.
+    for l0, s, r, ratio in itertools.product((2, 4, 6), (1, 3), (0, 1), (0.005, 0.02, 0.05)):
+        p = at_ratio(ratio, l0=l0)
+        minus = run_scenario(p, engine=engine, s=s, r=r).outcomes["minus"]
+        plus = run_scenario(p, engine=engine, s=s, r=r + 1).outcomes["plus"]
+        assert minus["kind"] == plus["kind"], (l0, s, r, ratio)
+        assert abs(minus["fidelity"] - plus["fidelity"]) <= tol[0], (l0, s, r, ratio)
+        assert abs(minus["probability"] - plus["probability"]) <= tol[1], (l0, s, r, ratio)
+
+
 def test_fit_phase_isolates_population_error(rubidium):
     strict = run_scenario(rubidium, mode="opposite", engine="ladder")
     fitted = run_scenario(rubidium, mode="opposite", engine="ladder", fit_phase=True)

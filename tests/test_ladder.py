@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -435,6 +436,19 @@ def test_cycle_readout_matches_a_50_digit_decomposition(at_ratio, l0, ratio):
     assert fields["mean_leakage"] == pytest.approx(float(mean), rel=1e-7)
     assert fields["leakage_bound"] == pytest.approx(float(bound), rel=1e-7)
     assert fields["freq_rad_s"] == pytest.approx(float(freq), rel=1e-6)
+
+
+@pytest.mark.parametrize("include_stark", [False, True])
+def test_conjugate_amplitudes_evolve_back_to_the_start(at_ratio, include_stark):
+    # H is real, so U(t) conj(U(t) C(0)) = U(t) conj(U(t)) C(0) = C(0) for the real C(0)
+    for l0, ratio in itertools.product((2, 4, 6), (0.005, 0.02, 0.05)):
+        p = at_ratio(ratio, l0=l0)
+        d = derive(p)
+        b_n = adiabatic.coeffs(p.n0, l0, d).b_n
+        h = build_hamiltonian(p.n0, l0, d, include_stark=include_stark)
+        for t in np.array([0.3, 1.0, 2.7]) * math.pi / abs(b_n):
+            back = sample_evolution(np.conj(evolve(h, b_n, [t])[0]), h, [t])[0]
+            assert np.max(np.abs(back - initial_state(h))) <= 1e-12, (l0, ratio, t)
 
 
 @pytest.mark.parametrize("l0, ratio", [(2, 0.02), (4, 0.02), (6, 0.05), (8, 0.05)])
