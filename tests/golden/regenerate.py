@@ -4,7 +4,9 @@
 
 Each case runs `cli.main(argv)` in-process, in an empty working directory
 and without $BRAGG_CONFIG, and records its exit code, stderr, stdout and the
-files it wrote, each as a list of lines. A written file keeps its first HEAD
+files it wrote, each as a list of lines. A case listed in INPUTS first has
+its input files written into that directory; the record keeps them under
+`inputs` and leaves them out of `files`. A written file keeps its first HEAD
 lines and its line count. A case that reads the ladder is marked `ladder`:
 its numbers are compared within LADDER_RTOL relative, and every other case
 byte for byte (mismatch, which tests/test_golden.py applies too). The script
@@ -60,6 +62,26 @@ def _sampled(shapes: tuple, count: int) -> list:
             return sorted(picked, key=repr)
 
 
+# case name -> the files written into its working directory before it runs
+INPUTS = {
+    "bell-config-file": {
+        "config.txt": (
+            "# the rubidium preset, spelled out\n"
+            "mass_kg = 1.42e-25  # kg\n"
+            "wavelength_m=0.8e-6\n"
+            "\n"
+            "g_2pi_hz = 112e3\n"
+            "detuning_2pi_hz = 80e6\n"
+            "n0 = 1\n"
+            "l0 = 2\n"
+        )
+    },
+    "refuse-config-duplicate-key": {"config.txt": "n0 = 2\nl0 = 4\nn0 = 3\n"},
+    "refuse-config-unknown-key": {"config.txt": "# one key too many\nbogus = 1\n"},
+    "refuse-config-without-equals": {"config.txt": "n0 2\n"},
+}
+
+
 def cases() -> dict[str, list[str]]:
     """Case name -> argv."""
     out = dict(_scenario("bell", *point) for point in _sampled(("opposite", "same"), 24))
@@ -97,24 +119,38 @@ def cases() -> dict[str, list[str]]:
             "refuse-resolution": ["validate", "--l0", "8", "--chi-ratio", "0.02"],
             "refuse-simulate-resolution": ["simulate", "--l0", "10", "--chi-ratio", "0.05"],
             "refuse-unwritable-output": ["bell", "--output", "no-such-dir/report.json"],
+            # the parameter keys, through --set and through a config file (INPUTS)
+            "bell-set-g-2pi-hz": ["bell", "--set", "g_2pi_hz=112e3"],
+            "refuse-set-without-equals": ["bell", "--set", "n0"],
+            "refuse-set-unknown-key": ["bell", "--set", "bogus=1"],
+            "refuse-set-unparsable-integer": ["bell", "--set", "n0=x"],
+            "refuse-set-unparsable-number": ["bell", "--set", "g_2pi_hz=x"],
+            "refuse-set-both-spellings": ["bell", "--set", "g_rad_s=1", "--set", "g_2pi_hz=1"],
+            **{name: ["bell", "--config", "config.txt"] for name in INPUTS},
         }
     )
     return out
 
 
-def run_case(argv: list[str]) -> dict:
-    """Everything `cli.main(argv)` leaves behind, as recorded in the corpus."""
+def run_case(argv: list[str], inputs: dict[str, str] | None = None) -> dict:
+    """Everything `cli.main(argv)` leaves behind, as recorded in the corpus,
+    after the files `inputs` (name -> text) are written for it to read."""
     from braggbell import cli, params
 
+    inputs = dict(inputs or {})
     out, err = io.StringIO(), io.StringIO()
     cwd, env = os.getcwd(), os.environ.pop(params.ENV_CONFIG_VAR, None)
     with tempfile.TemporaryDirectory() as tmp:
         try:
             os.chdir(tmp)
+            for name, text in inputs.items():
+                Path(name).write_text(text)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(list(argv))
             files = {}
             for path in sorted(Path(tmp).iterdir()):
+                if path.name in inputs:
+                    continue
                 lines = path.read_text().splitlines()
                 files[path.name] = {"lines": len(lines), "head": lines[:HEAD]}
         finally:
@@ -123,6 +159,7 @@ def run_case(argv: list[str]) -> dict:
                 os.environ[params.ENV_CONFIG_VAR] = env
     return {
         "argv": list(argv),
+        **({"inputs": inputs} if inputs else {}),
         "ladder": argv[0] in ("simulate", "validate", "sweep") or "ladder" in argv,
         "exit": code,
         "stderr": err.getvalue().splitlines(),
@@ -154,6 +191,8 @@ def mismatch(got: dict, want: dict) -> str | None:
     for key in ("argv", "ladder", "exit", "stderr"):
         if got[key] != want[key]:
             return key
+    if got.get("inputs") != want.get("inputs"):
+        return "inputs"
     if not _lines_match(got["stdout"], want["stdout"], want["ladder"]):
         return "stdout"
     if sorted(got["files"]) != sorted(want["files"]):
@@ -172,7 +211,7 @@ def main() -> int:
             old.unlink()
     for name, argv in listed.items():
         path = HERE / f"{name}.json"
-        got = run_case(argv)
+        got = run_case(argv, INPUTS.get(name))
         if path.exists() and mismatch(got, json.loads(path.read_text())) is None:
             continue
         path.write_text(json.dumps(got, indent=1, ensure_ascii=False) + "\n")

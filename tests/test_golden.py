@@ -28,7 +28,15 @@ def test_corpus_is_present():
 @pytest.mark.parametrize("path", CASES, ids=lambda path: path.stem)
 def test_golden_case(path):
     want = json.loads(path.read_text())
-    assert mismatch(run_case(want["argv"]), want) is None
+    assert mismatch(run_case(want["argv"], want.get("inputs")), want) is None
+
+
+@pytest.mark.parametrize("name", ["bell-set-g-2pi-hz", "bell-config-file"])
+def test_spelled_out_rubidium_is_plain_bell(name):
+    # g_2pi_hz = 112e3 and the preset spelled out in a file are the preset itself
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert want["exit"] == 0
+    assert want["stdout"] == run_case(["bell"])["stdout"]
 
 
 def test_one_ulp_fails_an_adiabatic_case_and_passes_only_within_tolerance_on_the_ladder():
