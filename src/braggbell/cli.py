@@ -194,12 +194,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"duration must be finite, got {duration}")
 
     h = ladder.build_hamiltonian(n, p.l0, d)
-    if duration == 0:
-        times = np.array([0.0])
-        amps = ladder.initial_state(h)[np.newaxis, :]
-    else:
-        times = np.linspace(0.0, duration, args.samples)
-        amps = ladder.evolve(h, rate, times)
+    times = np.linspace(0.0, duration, args.samples)
+    amps = ladder.evolve(h, rate, times)
     header = ["t_s", "tau", *(f"p_{l}" for l in h.orders.tolist())]
     rows = np.column_stack([times, d.recoil_frequency * times, np.abs(amps) ** 2])
     _emit(_csv_text(header, rows.tolist()), args.output)

@@ -193,22 +193,23 @@ def default_range(l0: int) -> tuple[int, int]:
 
 # --- flat key=value configuration -------------------------------------------
 #
-# Recognized keys; *_2pi_hz variants take a value in Hz and multiply by 2*pi,
-# matching how such couplings are usually quoted.
+# Each recognized key -> (PhysicalParams field, value type, factor). The
+# *_2pi_hz keys take a value in Hz and multiply it by 2*pi, matching how such
+# couplings are usually quoted; the keys with factor 1 are the plain names
+# physical_dict reports.
 
-_FLOAT_KEYS = {
-    "mass_kg": "mass",
-    "wavelength_m": "wavelength",
-    "g_rad_s": "coupling_g",
-    "detuning_rad_s": "detuning",
+_KEYS = {
+    "mass_kg": ("mass", float, 1.0),
+    "wavelength_m": ("wavelength", float, 1.0),
+    "g_rad_s": ("coupling_g", float, 1.0),
+    "detuning_rad_s": ("detuning", float, 1.0),
+    "n0": ("n0", int, 1),
+    "l0": ("l0", int, 1),
+    "g_2pi_hz": ("coupling_g", float, 2.0 * math.pi),
+    "detuning_2pi_hz": ("detuning", float, 2.0 * math.pi),
 }
-_TWO_PI_KEYS = {
-    "g_2pi_hz": "coupling_g",
-    "detuning_2pi_hz": "detuning",
-}
-_INT_KEYS = {"n0": "n0", "l0": "l0"}
 
-CONFIG_KEYS = tuple(sorted({**_FLOAT_KEYS, **_TWO_PI_KEYS, **_INT_KEYS}))
+CONFIG_KEYS = tuple(sorted(_KEYS))
 
 ENV_CONFIG_VAR = "BRAGG_CONFIG"
 
@@ -263,12 +264,12 @@ def apply_config(base: PhysicalParams, values: dict[str, str]) -> PhysicalParams
     fields: dict[str, object] = {}
     targets_seen: dict[str, str] = {}
     for key, raw in values.items():
-        if key in _FLOAT_KEYS:
-            target, val = _FLOAT_KEYS[key], _parse_float(key, raw)
-        elif key in _TWO_PI_KEYS:
-            target, val = _TWO_PI_KEYS[key], 2.0 * math.pi * _parse_float(key, raw)
-        else:
-            target, val = _INT_KEYS[key], _parse_int(key, raw)
+        target, kind, factor = _KEYS[key]
+        try:
+            val = factor * kind(raw)
+        except ValueError:
+            what = "a number" if kind is float else "an integer"
+            raise ParameterError(f"key {key!r}: cannot parse {raw!r} as {what}") from None
         if target in targets_seen:
             raise ParameterError(
                 f"keys {targets_seen[target]!r} and {key!r} both set {target}"
@@ -280,21 +281,7 @@ def apply_config(base: PhysicalParams, values: dict[str, str]) -> PhysicalParams
 
 def physical_dict(p: PhysicalParams) -> dict:
     """The parameters keyed by their plain config-file names (mass_kg, ..., l0)."""
-    return {key: getattr(p, attr) for key, attr in {**_FLOAT_KEYS, **_INT_KEYS}.items()}
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParameterError(f"key {key!r}: cannot parse {raw!r} as a number") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"key {key!r}: cannot parse {raw!r} as an integer") from None
+    return {key: getattr(p, field) for key, (field, _, factor) in _KEYS.items() if factor == 1}
 
 
 def resolve_params(

@@ -104,6 +104,8 @@ def cases() -> dict[str, list[str]]:
             # the vacuum branch, n = 0: no coupling, each order only turns its phase
             "simulate-vacuum": ["simulate", "--n", "0", "--duration", "0.01", "--samples", "9"],
             "simulate-vacuum-l6": ["simulate", "--n", "0", "--l0", "6", "--duration", "3.7", "--samples", "33"],
+            # a zero duration: --samples rows at t = 0, under the guards of any duration
+            "simulate-zero-duration": ["simulate", "--duration", "0", "--samples", "3"],
             # each documented refusal: exit 1 usage, 2 physics, 3 I/O
             "refuse-even-s": ["bell", "--s", "2"],
             "refuse-zero-flip-rate": ["validate", "--set", "g_rad_s=0"],
@@ -118,6 +120,7 @@ def cases() -> dict[str, list[str]]:
             "refuse-no-convergence": ["coeffs", "--l0", "4", "--chi-ratio", "8"],
             "refuse-resolution": ["validate", "--l0", "8", "--chi-ratio", "0.02"],
             "refuse-simulate-resolution": ["simulate", "--l0", "10", "--chi-ratio", "0.05"],
+            "refuse-simulate-resolution-at-zero-duration": ["simulate", "--l0", "10", "--chi-ratio", "0.05", "--duration", "0"],
             "refuse-unwritable-output": ["bell", "--output", "no-such-dir/report.json"],
             # the parameter keys, through --set and through a config file (INPUTS)
             "bell-set-g-2pi-hz": ["bell", "--set", "g_2pi_hz=112e3"],

@@ -108,14 +108,27 @@ def test_simulate_row_count(capsys):
     assert lines[0].startswith("t_s,tau,p_")
 
 
-def test_simulate_duration_zero_single_row(capsys):
+def test_simulate_duration_zero_gives_every_sample_at_time_zero(capsys):
+    # a zero duration is propagated like any other: --samples rows, each the
+    # t = 0 row of a nonzero duration
     code, out, _ = run(capsys, "simulate", "--duration", "0", "--samples", "50")
     assert code == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 2
-    cells = lines[1].split(",")
-    header = lines[0].split(",")
-    assert float(cells[header.index("p_0")]) == 1.0
+    header, *rows = out.strip().split("\n")
+    code, ref, _ = run(capsys, "simulate", "--duration", "0.01", "--samples", "9")
+    assert code == 0
+    assert ref.split("\n")[:2] == [header, rows[0]]
+    assert rows == rows[:1] * 50
+    p_0 = float(rows[0].split(",")[header.split(",").index("p_0")])
+    assert abs(p_0 - 1.0) <= 1e-15  # test_evolve_at_time_zero_is_the_initial_state's bound
+
+
+def test_simulate_duration_zero_is_refused_like_any_duration(capsys):
+    # the resolution guard refuses the l0 = 10 ladder before anything is propagated
+    argv = ("simulate", "--l0", "10", "--chi-ratio", "0.05", "--duration")
+    code, out, err = run(capsys, *argv, "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: flip frequency |b_n|")
+    assert run(capsys, *argv, "1e-9") == (code, out, err)
 
 
 def test_simulate_vacuum_rows_identical(capsys):
