@@ -25,7 +25,9 @@ them and `simulate`, while `validate` reports it and exits 2.
 
 `validate` and `sweep` read each point's flip cycle off one decomposition of
 the ladder (ladder.cycle_readout) and sample no time grid; they parse
---samples and ignore it. `simulate` is the one sampler of a time grid.
+--samples and ignore it. `simulate` is the one sampler of a time grid: every
+duration, zero included, is linspace(0, duration, --samples) propagated by
+ladder.evolve under its resolution, edge and norm guards.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,

@@ -24,7 +24,7 @@ from braggbell.entangle import (
     run_scenario,
     superposition_basis,
 )
-from braggbell.params import RegimeError, derive, rubidium_preset
+from braggbell.params import RegimeError, derive, rubidium_preset, with_regime_ratio
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -669,6 +669,45 @@ def test_outcome_minus_at_r_scores_as_plus_at_r_plus_one(at_ratio, engine, tol):
         assert minus["kind"] == plus["kind"], (l0, s, r, ratio)
         assert abs(minus["fidelity"] - plus["fidelity"]) <= tol[0], (l0, s, r, ratio)
         assert abs(minus["probability"] - plus["probability"]) <= tol[1], (l0, s, r, ratio)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    l0=st.sampled_from((2, 4, 6, 8, 10, 12)),
+    k=st.integers(2, 10),
+    s=st.sampled_from((1, 3, 5, 7)),
+    r=st.integers(0, 2),
+    ratio=st.floats(1e-3, 0.05),
+    sign=st.sampled_from((1, -1)),
+    include_stark=st.booleans(),
+)
+def test_adiabatic_relations_hold_across_the_grid(l0, k, s, r, ratio, sign, include_stark):
+    # the relations above, each at its bound, on random points of a wider grid.
+    # Without Stark the detuning sign is bit-equal at k = 2 only: at larger k
+    # the products of the (2, k, 2) pairs round differently (up to 4.4e-16 at
+    # k = 7 and 9), so there it is held to 2e-15 like the s + 4 relation.
+    base = rubidium_preset()
+    p = with_regime_ratio(replace(base, l0=l0, detuning=sign * base.detuning), ratio)
+    mode = "opposite" if k == 2 else "same"
+    kw = dict(engine="adiabatic", k=k, include_stark=include_stark)
+    rep = run_scenario(p, s=s, r=r, mode=mode, **kw)
+    if k == 2:
+        assert run_scenario(p, s=s, r=r, mode="same", **kw).fidelity == rep.fidelity
+    if not include_stark:
+        flipped = with_regime_ratio(replace(p, detuning=-p.detuning), ratio)
+        other = run_scenario(flipped, s=s, r=r, mode=mode, **kw)
+        scores = [(x.fidelity, x.leakage, *x.outcome_probabilities.values()) for x in (rep, other)]
+        if k == 2:
+            assert scores[0] == scores[1]
+        else:
+            assert np.max(np.abs(np.subtract(*scores))) <= 2e-15
+    later = run_scenario(p, s=s + 4, r=r, mode=mode, **kw)
+    assert abs(later.fidelity - rep.fidelity) <= 2e-15
+    minus = rep.outcomes["minus"]
+    plus = run_scenario(p, s=s, r=r + 1, mode=mode, **kw).outcomes["plus"]
+    assert minus["kind"] == plus["kind"]
+    assert abs(minus["fidelity"] - plus["fidelity"]) <= 2e-15
+    assert abs(minus["probability"] - plus["probability"]) <= 1e-15
 
 
 def test_fit_phase_isolates_population_error(rubidium):
