@@ -25,7 +25,11 @@ them and `simulate`, while `validate` reports it and exits 2.
 
 `validate` and `sweep` read each point's flip cycle off one decomposition of
 the ladder (ladder.cycle_readout) and sample no time grid; they parse
---samples and ignore it. `simulate` is the one sampler of a time grid: every
+--samples and ignore it. A point is scheduled on its own (parameters, regime
+verdict, two-level record, t1); `sweep` then decomposes the ladders of its
+scheduled points in one stack per ladder size (l0), and `validate` is a stack
+of one. A ladder refusal (resolution, truncation, norm drift) keeps the
+point's two-level numbers and gives an `error` in place of the ladder's. `simulate` is the one sampler of a time grid: every
 duration, zero included, is linspace(0, duration, --samples) propagated by
 ladder.evolve under its resolution, edge and norm guards.
 
@@ -245,39 +249,58 @@ def validate_point(p: params.PhysicalParams, s: int = 1) -> dict:
     the flip frequency the ladder shows, its ratio to |b_n|, the mean leakage
     out of the resonant pair, bounds on that leakage and on the pointwise
     population deviation from the closed form, and a phase-agnostic Bell
-    fidelity at t1 = s*pi/|b_n|. An even s or a zero flip rate raises
-    ValueError from adiabatic.pulse_times, as for `bell`.
+    fidelity at t1 = s*pi/|b_n|. A ladder that cannot be trusted at the
+    point leaves an `error` in place of its numbers. An even s or a zero flip
+    rate raises ValueError from adiabatic.pulse_times, as for `bell`.
     """
-    from . import ladder
+    point = _schedule(p, s)
+    _read_cycles([point])
+    return point[0]
 
+
+def _schedule(p: params.PhysicalParams, s: int) -> tuple[dict, adiabatic.TwoLevelCoeffs, float]:
+    """A point's two-level half: its report so far, its branch record and t1."""
     d = params.derive(p)
     verdict = params.validate_bragg_regime(d, p.n0)
     c = adiabatic.coeffs(p.n0, p.l0, d)
     t1, _ = adiabatic.pulse_times(c, s)
-    rate = abs(c.b_n)
-    report: dict = {
+    report = {
         "l0": p.l0,
         "n0": p.n0,
         "chi_ratio": d.regime_ratio,
         "verdict": verdict.value,
         "a_rad_s": c.a_n,
-        "b_rad_s": rate,
+        "b_rad_s": abs(c.b_n),
     }
-    try:
-        fields, pair = ladder.cycle_readout(c, t1)
-    except ladder.ResolutionError as exc:
-        report["error"] = f"ladder resolution: {exc}"
-        return report
-    except ladder.TruncationError as exc:
-        report["error"] = f"ladder truncation: {exc}"
-        return report
+    return report, c, t1
 
-    report.update(fields, freq_ratio=fields["freq_rad_s"] / rate)
-    # opposite incidence: |+-> in, |-+> flipped
-    state, _ = entangle.prepare([pair.tolist()] * 2, (0, 1))
-    _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
-    report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
-    return report
+
+def _read_cycles(points: list[tuple[dict, adiabatic.TwoLevelCoeffs, float]]) -> None:
+    """Complete the report of each scheduled point (_schedule) from one
+    ladder.cycle_readout per ladder size (l0): the ladder's numbers and the
+    Bell fidelity, or the reason the ladder refuses the point."""
+    from . import ladder
+
+    refusals = {
+        ladder.ResolutionError: "ladder resolution",
+        ladder.TruncationError: "ladder truncation",
+        ladder.NormDriftError: "ladder norm drift",
+    }
+    by_l0: dict[int, list] = {}
+    for point in points:
+        by_l0.setdefault(point[1].l0, []).append(point)
+    for group in by_l0.values():
+        results = ladder.cycle_readout([c for _, c, _ in group], [t1 for _, _, t1 in group])
+        for (report, _, _), result in zip(group, results):
+            if isinstance(result, params.PhysicsError):
+                report["error"] = f"{refusals[type(result)]}: {result}"
+                continue
+            fields, pair = result
+            report.update(fields, freq_ratio=fields["freq_rad_s"] / report["b_rad_s"])
+            # opposite incidence: |+-> in, |-+> flipped
+            state, _ = entangle.prepare([pair.tolist()] * 2, (0, 1))
+            _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
+            report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -307,14 +330,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _physical(args)
     values = _parse_list(args.values, SWEEP_VARS[args.var])
 
-    points = []
+    reports, scheduled = [], []
     for value in values:
         try:
-            p, s = _sweep_param(base, args.var, value)
-            point = validate_point(p, s=s)
+            point = _schedule(*_sweep_param(base, args.var, value))
         except (ValueError, params.PhysicsError) as exc:
-            point = {"error": str(exc), "l0": None, "n0": None}
-        points.append({"var": args.var, "value": value, **point})
+            reports.append({"error": str(exc), "l0": None, "n0": None})
+        else:
+            reports.append(point[0])
+            scheduled.append(point)
+    _read_cycles(scheduled)
+    points = [{"var": args.var, "value": v, **report} for v, report in zip(values, reports)]
 
     if args.format == "json":
         _emit(entangle.json_text(points), args.output)

@@ -20,11 +20,19 @@ uses the exact propagator from one eigendecomposition H = V E V^T of the
 is conserved to machine precision: the amplitudes at time t are
 V exp(-iE*t) V^T C(0), one row of phases per time.
 
-cycle_readout(c, t1), which `validate` calls, samples nothing: it reads a
-whole flip cycle off the same decomposition (the flip frequency as an
-eigenvalue splitting, the time-averaged leakage out of the resonant pair and
-bounds on the leakage and on the deviation from the two-level populations at
-every time) and propagates the one row at t1, under the same guards.
+cycle_readout(records, t1s), which `validate` and `sweep` call, samples
+nothing: it reads a whole flip cycle of each branch off the same
+decomposition (the flip frequency as an eigenvalue splitting, the
+time-averaged leakage out of the resonant pair and bounds on the leakage and
+on the deviation from the two-level populations at every time) and
+propagates the one row at t1, under the same guards. Branches that share l0
+share the ladder's size, so their matrices are stacked and decomposed by one
+np.linalg.eigh call, and every readout is computed for all rows at once;
+a branch the resolution guard refuses is left out of the stack. The stack
+holds each branch's own build_hamiltonian(...).matrix(), bit for bit: the
+readout is ill-conditioned where the resonant splitting nears eps*||H||, and
+a diagonal rounded as w_rec*(l*(l+l0)) instead of (w_rec*l)*(l+l0), one ulp
+apart, moves pop_dev_bound by 9 % at l0 = 8, chi*n0/w_rec = 0.03.
 
 Truncation is policed, not assumed: with c = V^T C(0),
 max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2, and a bound above
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,29 +177,39 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
     # each guard is written so that a nan fails it
     if not (times >= 0).all():
         raise ValueError("sample times must be >= 0 and not nan")
-    evals, evecs, coeffs = _decompose(s, h)
-    return _phases(evals, times) * coeffs @ evecs.T
+    evals, evecs, coeffs, edge = _decompose(s, h.matrix())
+    _check_edge(edge, h)
+    return _propagate(evals, evecs, coeffs, times)
 
 
-def _decompose(s: np.ndarray, h: LadderHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, V, c = V^T s) of H = V E V^T, eigenvalues ascending; raises
-    TruncationError when the edge bound exceeds EDGE_THRESHOLD."""
-    evals, evecs = np.linalg.eigh(h.matrix())
-    coeffs = evecs.T @ s
-    edge = np.abs(evecs[[0, -1]] * coeffs).sum(axis=1) ** 2
-    if not (edge <= EDGE_THRESHOLD).all():
-        worst = float(edge.max())
+def _decompose(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(E, V, c = V^T s, edge) of each H = V E V^T of the matrix or stack of
+    matrices m, eigenvalues ascending, edge the bound on the population of
+    either end of the ladder (module docstring)."""
+    evals, evecs = np.linalg.eigh(m)
+    coeffs = np.swapaxes(evecs, -1, -2) @ s
+    edge = np.abs(evecs[..., [0, -1], :] * coeffs[..., None, :]).sum(axis=-1) ** 2
+    return evals, evecs, coeffs, edge.max(axis=-1)
+
+
+def _propagate(evals: np.ndarray, evecs: np.ndarray, coeffs: np.ndarray, times) -> np.ndarray:
+    """V exp(-i*E*t) c, one row per time, of a decomposition or a stack of them."""
+    return _phases(evals, times) * coeffs[..., None, :] @ np.swapaxes(evecs, -1, -2)
+
+
+def _phases(evals: np.ndarray, times) -> np.ndarray:
+    """exp(-i*E*t), one row per time, one column per eigenvalue."""
+    return np.exp(-1j * (np.asarray(times)[..., None] * evals[..., None, :]))
+
+
+def _check_edge(edge: float, h: LadderHamiltonian) -> None:
+    """Raise TruncationError if the edge bound of a branch of h's ladder exceeds EDGE_THRESHOLD."""
+    if not edge <= EDGE_THRESHOLD:
         raise TruncationError(
-            f"boundary population bound {worst:.3e} exceeds edge threshold "
+            f"boundary population bound {float(edge):.3e} exceeds edge threshold "
             f"{EDGE_THRESHOLD:.1e}; the coupling is too strong for the l0={h.l0} "
             f"ladder [{h.l_min}, {h.l_max}]"
         )
-    return evals, evecs, coeffs
-
-
-def _phases(evals: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i*E*t), one row per time, one column per eigenvalue."""
-    return np.exp(-1j * np.outer(times, evals))
 
 
 def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
@@ -217,9 +236,17 @@ def _resolution_limit(h: LadderHamiltonian) -> float:
 
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
     """Raise NormDriftError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
-    drift = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s)))
+    _check_drift(np.max(_norm_drift(amplitudes, s)))
+
+
+def _norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|norm - norm(s)| of each row of `amplitudes`."""
+    return np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s))
+
+
+def _check_drift(drift: float) -> None:
     if not drift <= NORM_TOL:
-        raise NormDriftError(f"norm drift {drift:.3e} exceeds tol {NORM_TOL:.1e}")
+        raise NormDriftError(f"norm drift {float(drift):.3e} exceeds tol {NORM_TOL:.1e}")
 
 
 def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
@@ -245,12 +272,15 @@ def branch_pairs(c: TwoLevelCoeffs, times) -> np.ndarray:
     return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
 
 
-def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
-    """One flip cycle of an atom entering on +P_{l0}, read off one decomposition
-    of the branch of the record c, and its (kept, flipped) pair at t1.
+def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> list:
+    """One flip cycle of an atom entering on +P_{l0}, per branch of the records c
+    (adiabatic.TwoLevelCoeffs, all of one l0), read off one stacked
+    decomposition, and its (kept, flipped) pair at the matching t1.
 
-    With H = V E V^T, c_j = V_{0,j}, w_j = c_j^2 and u_j = V_{0,j} V_{-l0,j},
-    the keys are
+    Returns one entry per record, in order: (fields, pair), or the
+    ResolutionError, TruncationError or NormDriftError that refuses the
+    branch. With H = V E V^T, c_j = V_{0,j}, w_j = c_j^2 and
+    u_j = V_{0,j} V_{-l0,j}, the keys of fields are
     - freq_rad_s: |E_a - E_b|, a and b the two largest w_j;
     - mean_leakage: sum over l outside {0, -l0} and runs g of |sum_{j in g} V_lj c_j|^2,
       the time average of the population outside the pair;
@@ -260,49 +290,69 @@ def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
       0 <= t <= 2*pi/|b_n|, pi*|freq_rad_s/|b_n| - 1| +
       max(4 rho_A + (w_a - w_b)^2, (u_a + u_b)^2 + |1 - (u_a - u_b)^2| + 2 rho_B + rho_B^2),
       where rho_A = sum_{j not a, b} w_j and rho_B = sum_g |sum_{j in g, j not a, b} u_j|.
-    A run g is a stretch of sorted eigenvalues spaced within the resolution
+    A run g is a stretch of ascending eigenvalues spaced within the resolution
     limit (check_resolution): the solver returns a degenerate run, such as an
     off-resonant mirror pair, in an arbitrary basis, so each run is summed
-    coherently. The guards are those of evolve, and the pair row is checked
-    for norm drift.
+    coherently. The guards are those of evolve, each applied per branch; a
+    branch the resolution guard refuses is not decomposed, and the pair row
+    is checked for norm drift.
     """
-    h = build_hamiltonian(c.n, c.l0, c.d, c.include_stark)
-    check_resolution(h, c.b_n)
+    hs = [build_hamiltonian(c.n, c.l0, c.d, c.include_stark) for c in records]
+    out: list = [None] * len(hs)
+    kept = []
+    for k, (c, h) in enumerate(zip(records, hs)):
+        try:
+            check_resolution(h, c.b_n)
+        except ResolutionError as exc:
+            out[k] = exc
+        else:
+            kept.append(k)
+    if not kept:
+        return out
+
+    h = hs[kept[0]]
     s = initial_state(h)
-    evals, evecs, coeffs = _decompose(s, h)
-    row = _phases(evals, [t1])[0] * coeffs @ evecs.T
-    check_norm_drift(row, s)
+    evals, evecs, coeffs, edge = _decompose(s, np.stack([hs[k].matrix() for k in kept]))
+    t1 = np.array([t1s[k] for k in kept])
+    rows = _propagate(evals, evecs, coeffs, t1[:, None])[:, 0]
+    drift = _norm_drift(rows, s)
 
-    pair = [h.index_of(0), h.index_of(-c.l0)]
-    v0 = evecs[pair[0]]
-    w, u = v0 * v0, v0 * evecs[pair[1]]
-    a, b = np.argsort(w)[-2:]
-    freq = abs(float(evals[a] - evals[b]))
-    order = np.argsort(evals)
-    starts = np.flatnonzero(np.diff(evals[order]) > _resolution_limit(h)) + 1
-    starts = np.concatenate(([0], starts))
+    pair = [h.index_of(0), h.index_of(-h.l0)]
+    v0 = evecs[:, pair[0]]
+    w, u = v0 * v0, v0 * evecs[:, pair[1]]
+    ab = np.argsort(w, axis=-1)[:, -2:]
+    (w_a, w_b), (u_a, u_b), (e_a, e_b) = (np.take_along_axis(x, ab, -1).T for x in (w, u, evals))
+    freq = np.abs(e_a - e_b)
+    limits = np.array([_resolution_limit(hs[k]) for k in kept])
+    runs = np.cumsum(np.diff(evals, prepend=evals[:, :1]) > limits[:, None], axis=-1)
+    in_run = (runs[..., None] == np.arange(h.size)).astype(float)  # [k, j, g]: E_j in run g
 
-    def by_run(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(x[..., order], starts, axis=-1)
-
-    outside = np.ones(h.size, dtype=bool)
-    outside[pair] = False
-    rest = np.ones(h.size, dtype=bool)
-    rest[[a, b]] = False
-    leak = by_run(evecs[outside] * v0)
-    rho_a = float(w[rest].sum())
-    rho_b = float(np.abs(by_run(np.where(rest, u, 0.0))).sum())
-    pop_dev = max(
-        4.0 * rho_a + (w[a] - w[b]) ** 2,
-        (u[a] + u[b]) ** 2 + abs(1.0 - (u[a] - u[b]) ** 2) + 2.0 * rho_b + rho_b**2,
+    rest = np.ones(w.shape, dtype=bool)
+    np.put_along_axis(rest, ab, False, axis=-1)
+    leak = evecs[:, np.delete(np.arange(h.size), pair)] * v0[:, None, :] @ in_run
+    rho_a = np.where(rest, w, 0.0).sum(axis=-1)
+    rho_b = np.abs(np.where(rest, u, 0.0)[:, None, :] @ in_run).sum(axis=(-2, -1))
+    pop_dev = np.maximum(
+        4.0 * rho_a + (w_a - w_b) ** 2,
+        (u_a + u_b) ** 2 + np.abs(1.0 - (u_a - u_b) ** 2) + 2.0 * rho_b + rho_b**2,
     )
-    fields = {
+    rates = np.abs([records[k].b_n for k in kept])
+    columns = {
         "freq_rad_s": freq,
-        "mean_leakage": float(np.sum(leak**2)),
-        "leakage_bound": float(np.sum(np.abs(leak).sum(axis=1) ** 2)),
-        "pop_dev_bound": math.pi * abs(freq / abs(c.b_n) - 1.0) + float(pop_dev),
+        "mean_leakage": (leak**2).sum(axis=(-2, -1)),
+        "leakage_bound": (np.abs(leak).sum(axis=-1) ** 2).sum(axis=-1),
+        "pop_dev_bound": math.pi * np.abs(freq / rates - 1.0) + pop_dev,
     }
-    return fields, row[pair]
+    values = zip(*(x.tolist() for x in columns.values()))
+    for i, (k, row_values) in enumerate(zip(kept, values)):
+        try:
+            _check_edge(edge[i], h)
+            _check_drift(drift[i])
+        except (TruncationError, NormDriftError) as exc:
+            out[k] = exc
+        else:
+            out[k] = dict(zip(columns, row_values)), rows[i, pair]
+    return out
 
 
 def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.ndarray) -> float:

@@ -16,6 +16,7 @@ import braggbell
 import oracles
 from braggbell import adiabatic, cli, entangle, ladder, params
 from braggbell.cli import main
+from golden.regenerate import LADDER_RTOL
 
 
 def run(capsys, *argv):
@@ -541,7 +542,29 @@ def test_norm_drift_is_a_physics_error(capsys, monkeypatch):
     assert code == 0
     points = json.loads(out)
     assert [pt["value"] for pt in points] == [0.01, 0.02]
-    assert all(pt["error"].startswith("norm drift ") for pt in points)
+    assert all(pt["error"].startswith("ladder norm drift: norm drift ") for pt in points)
+
+
+def test_norm_drift_is_a_ladder_refusal_like_the_other_two(capsys, monkeypatch):
+    # as a resolution or truncation refusal: the schedule fields stay, the
+    # ladder's numbers give way to the reason, validate exits 2 and says why
+    monkeypatch.setattr(ladder, "NORM_TOL", -1.0)
+    code, out, err = run(capsys, "validate")
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["error"].startswith("ladder norm drift: norm drift ")
+    assert rep["error"].endswith(" exceeds tol -1.0e+00")
+    assert (rep["l0"], rep["n0"], rep["verdict"]) == (2, 1, "good")
+    assert rep["b_rad_s"] > 0
+    assert "freq_rad_s" not in rep and "bell_fidelity" not in rep
+    assert err == f"error: {rep['error']}\n"
+    code, out, _ = run(
+        capsys, "sweep", "--var", "l0", "--values", "2,4", "--chi-ratio", "0.02", "--format", "json",
+    )
+    assert code == 0
+    points = json.loads(out)
+    assert [pt["l0"] for pt in points] == [2, 4]
+    assert all(pt["error"].startswith("ladder norm drift: ") and pt["b_rad_s"] > 0 for pt in points)
 
 
 @pytest.mark.parametrize("l0, ratio", [("8", "0.005"), ("10", "0.02"), ("12", "0.02")])
@@ -615,6 +638,43 @@ def test_sweep_nonconvergent_point_becomes_error_row(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["error"] == "" and float(rows[0]["freq_ratio"]) == pytest.approx(1.0, abs=1e-3)
     assert rows[1]["error"].startswith("level shift a_1 at l0=4 did not converge")
+
+
+# sweeps that mix ladder sizes, an odd l0, a resolution refusal (l0 = 8 at
+# chi*n0/w_rec = 0.02), a truncation (2.35 at l0 = 2) and a repeated value
+MIXED_SWEEPS = [
+    ("sweep", "--var", "l0", "--values", "2,4,2,6,8,3", "--chi-ratio", "0.02", "--format", "json"),
+    ("sweep", "--var", "chi_ratio", "--values", "0.02,2.35,0.05", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", MIXED_SWEEPS, ids=["l0", "chi_ratio"])
+def test_sweep_rows_are_one_point_validates_in_input_order(capsys, argv):
+    # a point's row does not depend on the points it is decomposed with
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)
+    var, values = argv[2], [cli.SWEEP_VARS[argv[2]](v) for v in argv[4].split(",")]
+    assert [(row.pop("var"), row.pop("value")) for row in rows] == [(var, v) for v in values]
+    for value, row in zip(values, rows):
+        flags = ["--l0", str(value), "--chi-ratio", "0.02"] if var == "l0" else ["--chi-ratio", str(value)]
+        code, out, err = run(capsys, "validate", *flags)
+        if code == 1:  # refused before the ladder: the odd l0
+            assert row == {"error": err.removeprefix("error: ").rstrip("\n"), "l0": None, "n0": None}
+            continue
+        want = json.loads(out)
+        assert code == (2 if "error" in want or want["verdict"] == "violated" else 0), value
+        assert list(row) == list(want), value
+        for key, expected in want.items():
+            if isinstance(expected, float):
+                assert math.isclose(row[key], expected, rel_tol=LADDER_RTOL), (value, key)
+            else:
+                assert row[key] == expected, (value, key)
+    errors = [row.get("error", "").split(":")[0] for row in rows]
+    assert errors == (
+        ["", "", "", "", "ladder resolution", "l0 must be a positive even integer, got 3"]
+        if var == "l0" else ["", "ladder truncation", ""]
+    )
 
 
 def test_sweep_empty_values(capsys):
@@ -857,13 +917,13 @@ def test_bell_report_byte_identical(tmp_path, capsys):
 
 
 def test_sweep_byte_identical(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path in (a, b):
-        code, _, _ = run(capsys, "sweep", "--var", "chi_ratio",
-                         "--values", "0.01,0.02,0.03,0.04",
-                         "--output", str(path))
-        assert code == 0
-    assert a.read_bytes() == b.read_bytes()
+    sweeps = [("sweep", "--var", "chi_ratio", "--values", "0.01,0.02,0.03,0.04"), *MIXED_SWEEPS]
+    for i, argv in enumerate(sweeps):
+        a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        for path in (a, b):
+            code, _, _ = run(capsys, *argv, "--output", str(path))
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes(), argv
 
 
 @pytest.mark.parametrize(

@@ -372,8 +372,28 @@ def _readout(at_ratio, l0, ratio):
     p = at_ratio(ratio, l0=l0)
     d = derive(p)
     c = adiabatic.coeffs(p.n0, l0, d)
-    fields, _ = ladder.cycle_readout(c, math.pi / abs(c.b_n))
+    [(fields, _)] = ladder.cycle_readout([c], [math.pi / abs(c.b_n)])
     return fields, c, build_hamiltonian(p.n0, l0, d)
+
+
+@pytest.mark.parametrize("l0", [2, 4, 8])
+def test_stacked_matrices_are_the_branch_hamiltonians_bit_for_bit(monkeypatch, at_ratio, l0):
+    # the readout is ill-conditioned near the resolution limit: a diagonal one
+    # ulp off moves pop_dev_bound by 9 % at l0 = 8, so each stacked matrix must
+    # be the branch's own build_hamiltonian(...).matrix(), bit for bit
+    eigh, stacks = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: stacks.append(m) or eigh(m))
+    records = [
+        adiabatic.coeffs(n, l0, derive(at_ratio(ratio, l0=l0, sign=sign)), include_stark=stark)
+        for ratio, sign, stark, n in itertools.product((0.005, 0.03), (1, -1), (False, True), (1, 2))
+    ]
+    results = ladder.cycle_readout(records, [math.pi / abs(c.b_n) for c in records])
+    kept = [c for c, result in zip(records, results) if not isinstance(result, ladder.ResolutionError)]
+    assert len(stacks) == 1 and len(stacks[0]) == len(kept)
+    # at l0 = 8 the eight branches at chi*n0/w_rec = 0.005 are refused, and never stacked
+    assert len(kept) == (8 if l0 == 8 else len(records))
+    for m, c in zip(stacks[0], kept):
+        assert np.array_equal(m, build_hamiltonian(c.n, l0, c.d, c.include_stark).matrix())
 
 
 @pytest.mark.parametrize("l0, ratio", CYCLE_POINTS)

@@ -93,17 +93,22 @@ def test_tracer_installs_on_the_package_and_records_a_ladder_op():
 
 
 def test_validate_propagates_the_ladder_once(monkeypatch, capsys):
-    # the cycle readout and the Bell fidelity read one decomposition, and a
-    # point the resolution guard refuses is never decomposed
+    # the cycle readout and the Bell fidelity read one decomposition, a sweep
+    # decomposes one stack per ladder size, and a point the resolution guard
+    # refuses is never decomposed: each entry is the stack size of one eigh call
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-    for argv, code, decompositions in (
-        (["validate"], 0, 1),
-        (["validate", "--l0", "8", "--chi-ratio", "0.02"], 2, 0),
+    for argv, code, stacks in (
+        (["validate"], 0, [1]),
+        (["validate", "--l0", "8", "--chi-ratio", "0.02"], 2, []),
+        (["sweep", "--var", "chi_ratio", "--values", "0.002,0.005,0.01,0.02,0.03,0.05,0.08,0.12"],
+         0, [8]),
+        (["sweep", "--var", "l0", "--values", "2,4,2,8", "--chi-ratio", "0.02"], 0, [2, 1]),
     ):
         calls.clear()
         assert cli.main(argv) == code, capsys.readouterr().err
-        assert len(calls) == decompositions, argv
+        assert [len(m) for m in calls] == stacks, argv
+    capsys.readouterr()
     traced = _traced('assert cli.main(["validate"]) == 0')
     assert traced["spans"].count("cli.validate_point") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
