@@ -29,9 +29,11 @@ the ladder (ladder.cycle_readout) and sample no time grid; they parse
 verdict, two-level record, t1); `sweep` then decomposes the ladders of its
 scheduled points in one stack per ladder size (l0), and `validate` is a stack
 of one. A ladder refusal (resolution, truncation, norm drift) keeps the
-point's two-level numbers and gives an `error` in place of the ladder's. `simulate` is the one sampler of a time grid: every
-duration, zero included, is linspace(0, duration, --samples) propagated by
-ladder.evolve under its resolution, edge and norm guards.
+point's two-level numbers and gives an `error` in place of the ladder's.
+
+`simulate` is the one sampler of a time grid: every duration, zero included,
+is linspace(0, duration, --samples) propagated by ladder.evolve under its
+resolution, edge and norm guards.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,

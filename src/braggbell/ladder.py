@@ -304,7 +304,7 @@ def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> li
         try:
             check_resolution(h, c.b_n)
         except ResolutionError as exc:
-            out[k] = exc
+            out[k] = exc.with_traceback(None)  # its traceback would keep this frame alive
         else:
             kept.append(k)
     if not kept:
@@ -325,7 +325,7 @@ def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> li
     freq = np.abs(e_a - e_b)
     limits = np.array([_resolution_limit(hs[k]) for k in kept])
     runs = np.cumsum(np.diff(evals, prepend=evals[:, :1]) > limits[:, None], axis=-1)
-    in_run = (runs[..., None] == np.arange(h.size)).astype(float)  # [k, j, g]: E_j in run g
+    in_run = np.eye(h.size)[runs]  # [k, j, g] = 1 where E_j is in run g
 
     rest = np.ones(w.shape, dtype=bool)
     np.put_along_axis(rest, ab, False, axis=-1)
@@ -349,7 +349,7 @@ def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> li
             _check_edge(edge[i], h)
             _check_drift(drift[i])
         except (TruncationError, NormDriftError) as exc:
-            out[k] = exc
+            out[k] = exc.with_traceback(None)
         else:
             out[k] = dict(zip(columns, row_values)), rows[i, pair]
     return out
