@@ -320,16 +320,18 @@ def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> li
     pair = [h.index_of(0), h.index_of(-h.l0)]
     v0 = evecs[:, pair[0]]
     w, u = v0 * v0, v0 * evecs[:, pair[1]]
-    ab = np.argsort(w, axis=-1)[:, -2:]
-    (w_a, w_b), (u_a, u_b), (e_a, e_b) = (np.take_along_axis(x, ab, -1).T for x in (w, u, evals))
+    # per branch, the indices a and b of its two largest w_j
+    ab = np.arange(len(kept))[:, None], np.argsort(w, axis=-1)[:, -2:]
+    (w_a, w_b), (u_a, u_b), (e_a, e_b) = (x[ab].T for x in (w, u, evals))
     freq = np.abs(e_a - e_b)
     limits = np.array([_resolution_limit(hs[k]) for k in kept])
     runs = np.cumsum(np.diff(evals, prepend=evals[:, :1]) > limits[:, None], axis=-1)
     in_run = np.eye(h.size)[runs]  # [k, j, g] = 1 where E_j is in run g
 
     rest = np.ones(w.shape, dtype=bool)
-    np.put_along_axis(rest, ab, False, axis=-1)
-    leak = evecs[:, np.delete(np.arange(h.size), pair)] * v0[:, None, :] @ in_run
+    rest[ab] = False
+    outside = [j for j in range(h.size) if j not in pair]
+    leak = evecs[:, outside] * v0[:, None, :] @ in_run
     rho_a = np.where(rest, w, 0.0).sum(axis=-1)
     rho_b = np.abs(np.where(rest, u, 0.0)[:, None, :] @ in_run).sum(axis=(-2, -1))
     pop_dev = np.maximum(
