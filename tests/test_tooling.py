@@ -108,7 +108,6 @@ def test_validate_propagates_the_ladder_once(monkeypatch, capsys):
         calls.clear()
         assert cli.main(argv) == code, capsys.readouterr().err
         assert [len(m) for m in calls] == stacks, argv
-    capsys.readouterr()
     traced = _traced('assert cli.main(["validate"]) == 0')
     assert traced["spans"].count("cli.validate_point") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
