@@ -40,7 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .params import DerivedParams, PhysicsError, default_range
 
@@ -51,17 +51,14 @@ class ConvergenceError(PhysicsError):
     """The level shift a = alpha(a) did not converge; the coupling is far too strong."""
 
 
-@dataclass(frozen=True)
-class TwoLevelCoeffs:
-    """Shift a_n and signed coupling b_n (rad/s) of the n-photon branch at order l0,
-    from d; include_stark keeps the light shift -chi*n, which moves neither."""
+class TwoLevelCoeffs(
+    namedtuple("TwoLevelCoeffs", "a_n b_n n l0 d include_stark", defaults=(False,))
+):
+    """Shift a_n and signed coupling b_n (float, rad/s) of the n-photon branch (int)
+    at order l0 (int), from d (DerivedParams); include_stark (bool, default
+    False) keeps the light shift -chi*n, which moves neither."""
 
-    a_n: float
-    b_n: float
-    n: int
-    l0: int
-    d: DerivedParams
-    include_stark: bool = False
+    __slots__ = ()
 
 
 def _chain(e: float, energies: list[float], v: float) -> tuple[float, float, float]:

@@ -38,12 +38,12 @@ resolution, edge and norm guards.
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,
 `coeffs` and the default adiabatic `bell`/`ghz` run on the standard library.
+Only the CSV writers (`coeffs`, `simulate`, `sweep`) load `csv`; none loads `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -106,6 +106,8 @@ def _cell(v) -> str:
 
 def _csv_text(header, rows) -> str:
     """CSV text of a header and rows of cells (module docstring for the cell rule)."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -51,14 +51,15 @@ tuples and ndarrays are all accepted where a basis or pairs are taken. Only
 the ladder engine loads `ladder`, and with it numpy, when run_scenario calls
 it. json_text is the one JSON emitter of the package: the text of
 json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
+Its report, EntanglementReport, is a namedtuple (params docstring).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
-from json.encoder import encode_basestring_ascii
+from collections import namedtuple
+from _json import encode_basestring_ascii  # json.encoder's escaper, without loading json
 
 from . import adiabatic
 from .params import PhysicalParams, check_regime, derive, physical_dict
@@ -352,28 +353,24 @@ _BASES = {
 _SIGN_NAMES = {1: "plus", -1: "minus"}
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Flat result record for one Bell/GHZ preparation run."""
+_REPORT_FIELDS = """scenario engine parameters target_kind fidelity concurrence
+    phase_measured_rad phase_reference_rad leakage outcome_probabilities outcomes
+    vacuum_deviation verdict selected_outcome ghz_collapse"""
 
-    scenario: str
-    engine: str
-    parameters: dict
-    target_kind: str
-    fidelity: float
-    concurrence: float | None
-    phase_measured_rad: float
-    phase_reference_rad: float
-    leakage: float
-    outcome_probabilities: dict
-    outcomes: dict
-    vacuum_deviation: float
-    verdict: str
-    selected_outcome: str
-    ghz_collapse: dict | None = None
+
+class EntanglementReport(namedtuple("EntanglementReport", _REPORT_FIELDS, defaults=(None,))):
+    """Flat result record for one Bell/GHZ preparation run.
+
+    str: scenario, engine, target_kind, verdict, selected_outcome. dict:
+    parameters, outcome_probabilities, outcomes. float: fidelity, leakage,
+    vacuum_deviation, the phases (rad) and concurrence, None beyond two atoms.
+    ghz_collapse: dict, default None (two atoms), which to_dict leaves out.
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         if self.ghz_collapse is None:
             del out["ghz_collapse"]
         return out

@@ -5,11 +5,11 @@ even. In the rotating frame the amplitude C_l obeys
 
     i dC_l/dt = w_rec*l*(l+l0)*C_l - (chi*n/2)*(C_{l+2} + C_{l-2}),
 
-a real symmetric tridiagonal generator once the even orders are packed into a
-contiguous index. Orders l=0 and l=-l0 are degenerate at zero energy (the two
-Bragg-resonant propagation directions); everything else is detuned by
-multiples of w_rec, which is what confines the dynamics to two modes when
-w_rec >> chi*n.
+a real symmetric tridiagonal generator, the namedtuple LadderHamiltonian, once
+the even orders are packed into a contiguous index. Orders l=0 and l=-l0 are
+degenerate at zero energy (the two Bragg-resonant propagation directions);
+everything else is detuned by multiples of w_rec, which is what confines the
+dynamics to two modes when w_rec >> chi*n.
 
 Propagation has one entry point, evolve(h, b_n, times), which checks that
 the flip frequency b_n is resolved, starts the atom at order l = 0 and
@@ -42,7 +42,8 @@ Resolution is policed too: the flip frequency b_n of the resonant pair is an
 eigenvalue splitting, which the eigen-solver resolves only down to about
 eps*||H||. check_resolution refuses a coupled branch whose |b_n| is within
 RESOLUTION_LIMIT*eps*||H||, with ||H|| bounded by Gershgorin's
-max|diagonal| + 2|off_diagonal|, and raises ResolutionError. A row whose norm
+max|diagonal| + 2|off_diagonal|, and raises ResolutionError, as evolve does
+for a duration whose product with that bound overflows. A row whose norm
 drifts from the initial one by more than NORM_TOL raises NormDriftError. The
 three thresholds are constants. The ladder's range is fixed by l0 alone,
 params.default_range(l0), the grid the two-level reduction is taken on too;
@@ -59,8 +60,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,21 +85,18 @@ class NormDriftError(PhysicsError):
     """The propagation did not conserve the norm to within NORM_TOL."""
 
 
-@dataclass(frozen=True)
-class LadderHamiltonian:
+_HAMILTONIAN_FIELDS = "diagonal off_diagonal l_min l_max l0 n include_stark"
+
+
+class LadderHamiltonian(namedtuple("LadderHamiltonian", _HAMILTONIAN_FIELDS, defaults=(False,))):
     """Tridiagonal generator of the ladder equations, rad/s.
 
-    diagonal[i] = w_rec*l*(l+l0) for order l at index i (minus chi*n when the
-    constant light shift is kept); off_diagonal couples l <-> l+-2.
+    diagonal (ndarray): w_rec*l*(l+l0) for order l at index i (minus chi*n when
+    the constant light shift is kept); off_diagonal (float) couples l <-> l+-2;
+    l_min, l_max, l0 and n are ints; include_stark is a bool, default False.
     """
 
-    diagonal: np.ndarray
-    off_diagonal: float
-    l_min: int
-    l_max: int
-    l0: int
-    n: int
-    include_stark: bool = False
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -219,7 +217,7 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
     """
     if h.off_diagonal == 0.0:
         return
-    limit = _resolution_limit(h)
+    limit = RESOLUTION_LIMIT * sys.float_info.epsilon * _h_norm(h)
     if not abs(b_n) > limit:
         raise ResolutionError(
             f"flip frequency |b_n| = {abs(b_n):.3e} rad/s is not above "
@@ -228,10 +226,9 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
         )
 
 
-def _resolution_limit(h: LadderHamiltonian) -> float:
-    """RESOLUTION_LIMIT*eps*||H||, ||H|| bounded by Gershgorin (module docstring)."""
-    h_norm = float(np.abs(h.diagonal).max()) + 2.0 * abs(h.off_diagonal)
-    return RESOLUTION_LIMIT * sys.float_info.epsilon * h_norm
+def _h_norm(h: LadderHamiltonian) -> float:
+    """Gershgorin's bound max|diagonal| + 2|off_diagonal| on ||H|| (module docstring)."""
+    return float(np.abs(h.diagonal).max()) + 2.0 * abs(h.off_diagonal)
 
 
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
@@ -253,11 +250,14 @@ def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
     """Amplitudes of an atom entering at l = 0, at each of `times` (seconds) under h.
 
     Shape (len(times), size). b_n is the branch's flip frequency (its sign
-    is not used), which check_resolution checks before anything is
-    propagated; the edge bound and the norm are checked after (module
-    docstring).
+    is not used). Before anything is propagated, check_resolution checks it
+    and a duration that overflows the phases E*t is refused; the edge bound
+    and the norm are checked after (module docstring).
     """
     check_resolution(h, b_n)
+    duration = float(np.max(times, initial=0.0))  # a nan is sample_evolution's to refuse
+    if math.isinf(duration * _h_norm(h)):
+        raise ResolutionError(f"duration {duration:.3e} s overflows the phases of the ladder")
     s = initial_state(h)
     amps = sample_evolution(s, h, times)
     check_norm_drift(amps, s)
@@ -324,7 +324,7 @@ def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> li
     ab = np.arange(len(kept))[:, None], np.argsort(w, axis=-1)[:, -2:]
     (w_a, w_b), (u_a, u_b), (e_a, e_b) = (x[ab].T for x in (w, u, evals))
     freq = np.abs(e_a - e_b)
-    limits = np.array([_resolution_limit(hs[k]) for k in kept])
+    limits = RESOLUTION_LIMIT * sys.float_info.epsilon * np.array([_h_norm(hs[k]) for k in kept])
     runs = np.cumsum(np.diff(evals, prepend=evals[:, :1]) > limits[:, None], axis=-1)
     in_run = np.eye(h.size)[runs]  # [k, j, g] = 1 where E_j is in run g
 

@@ -10,6 +10,8 @@ reports with exit 2, and the one refusal of a violated regime (check_regime,
 raising RegimeError) live here too, so that the two-level engine and the CLI
 need neither `ladder` nor numpy. The range is fixed by l0 alone:
 default_range(l0) reaches GUARD beyond the resonant pair on each side.
+PhysicalParams, which callers vary with dataclasses.replace, is the one
+dataclass; every other record is a namedtuple, immutable and cheaper to define.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 HBAR = 1.054571817e-34  # J*s (CODATA 2018)
@@ -71,9 +74,8 @@ class PhysicalParams:
             raise ParameterError(f"l0 must be a positive even integer, got {self.l0}")
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Scales computed from PhysicalParams.
+class DerivedParams(namedtuple("DerivedParams", "wavenumber recoil_frequency chi regime_ratio")):
+    """Scales computed from PhysicalParams (floats).
 
     wavenumber: k = 2*pi/wavelength, rad/m
     recoil_frequency: w_rec = hbar*k^2/2M, rad/s
@@ -81,10 +83,7 @@ class DerivedParams:
     regime_ratio: chi*n0/w_rec, dimensionless
     """
 
-    wavenumber: float
-    recoil_frequency: float
-    chi: float
-    regime_ratio: float
+    __slots__ = ()
 
 
 def derive(p: PhysicalParams) -> DerivedParams:

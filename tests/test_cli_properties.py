@@ -1,9 +1,10 @@
 """Property tests over the CLI argument space.
 
 Any mix of valid and invalid flags must end in a documented exit code (0, 1
-or 2; 3 needs a file system error) and never in an uncaught exception. A
-coefficient table printed with exit 0 must hold a converged level shift: a
-fixed point a = alpha(a) of the dense ladder partition in `oracles`. Each
+or 2; 3 needs a file system error), never in an uncaught exception and never
+with a Python warning on stderr. A coefficient table printed with exit 0 must
+hold a converged level shift: a fixed point a = alpha(a) of the dense ladder
+partition in `oracles`. Each
 good-regime point of a validate or sweep that exits 0 shows the flip
 frequency it predicts: |freq_ratio - 1| < FREQ_TOL.
 """
@@ -12,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +63,9 @@ OVERRIDES = st.sampled_from(
     ]
 )
 
+# simulate's durations reach the bounds of a float
+DURATIONS = st.sampled_from(["0", "-0.0", "1e-300", "1e20", "1e308", "inf", "nan"])
+
 # flags each command takes, with the values drawn for them
 FLAGS = {
     "bell": {"--s": S, "--r": R, "--set": OVERRIDES},
@@ -70,7 +75,7 @@ FLAGS = {
     "validate": {"--l0": L0, "--s": S, "--set": OVERRIDES},
     "sweep": {"--var": st.sampled_from(["chi_ratio", "l0", "n0", "s", "mass"]),
               "--values": SWEEP_VALUES, "--set": OVERRIDES},
-    "simulate": {"--l0": L0, "--set": OVERRIDES},
+    "simulate": {"--l0": L0, "--set": OVERRIDES, "--n": st.just("0"), "--duration": DURATIONS},
 }
 # what every example of a command starts with: simulate's few samples keep
 # it cheap, and validate and sweep always draw an ignored --samples
@@ -95,10 +100,15 @@ def invocations(draw):
 
 
 def _run(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), with every warning it
+    raises appended to stderr, where a fresh process would print it."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+    shown = [warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return code, out.getvalue(), err.getvalue() + "".join(shown)
 
 
 def _check_converged_table(argv, text):
@@ -129,10 +139,13 @@ def _check_measured_frequency(argv, points):
 @example(["validate", "--chi-ratio", "0.02", "--l0", "12", "--samples", "32"])
 @example(["validate", "--chi-ratio", "0.02", "--samples", "3"])
 @example(["sweep", "--chi-ratio", "0.02", "--var", "s", "--values", "1", "--samples", "3"])
+@example(["simulate", "--duration", "1e308", "--samples", "3"])
+@example(["simulate", "--n", "0", "--duration", "1e308", "--samples", "3"])
 def test_cli_exit_codes_and_no_traceback(argv):
     code, out, err = _run(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PHYSICS), (argv, code, err)
     assert "Traceback" not in err
+    assert "Warning" not in err, (argv, err)
     if code != cli.EXIT_OK:
         return
     if argv[0] == "coeffs":

@@ -24,7 +24,7 @@ from braggbell.entangle import (
     run_scenario,
     superposition_basis,
 )
-from braggbell.params import RegimeError, derive, rubidium_preset, with_regime_ratio
+from braggbell.params import DerivedParams, RegimeError, derive, rubidium_preset, with_regime_ratio
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -871,3 +871,42 @@ def test_json_text_refuses_what_json_dumps_refuses(obj):
         _dumps(obj)
     with pytest.raises(TypeError):
         entangle.json_text(obj)
+
+
+# --- records -----------------------------------------------------------------
+
+REPORT_KEYS = [
+    "scenario", "engine", "parameters", "target_kind", "fidelity", "concurrence",
+    "phase_measured_rad", "phase_reference_rad", "leakage", "outcome_probabilities", "outcomes",
+    "vacuum_deviation", "verdict", "selected_outcome", "ghz_collapse",
+]
+# each record with values for its fields without a default, then those defaults
+RECORDS = [
+    (DerivedParams, dict(wavenumber=1.0, recoil_frequency=2.0, chi=3.0, regime_ratio=4.0), {}),
+    (adiabatic.TwoLevelCoeffs, dict(a_n=1.0, b_n=-2.0, n=1, l0=2, d=derive(rubidium_preset())),
+     {"include_stark": False}),
+    (ladder.LadderHamiltonian, dict(diagonal=np.zeros(3), off_diagonal=1.0, l_min=-2, l_max=2,
+                                    l0=2, n=1), {"include_stark": False}),
+    (entangle.EntanglementReport, {key: f"v{i}" for i, key in enumerate(REPORT_KEYS[:-1])},
+     {"ghz_collapse": None}),
+]
+
+
+@pytest.mark.parametrize("cls, required, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_and_built_by_keyword_or_position(cls, required, defaults):
+    assert cls._fields == (*required, *defaults)
+    by_keyword, by_position = cls(**required), cls(*required.values())
+    expected = [*required.values(), *defaults.values()]
+    for record in (by_keyword, by_position):
+        assert all(getattr(record, f) is v for f, v in zip(cls._fields, expected))
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], 0.0)
+        with pytest.raises(AttributeError):
+            record.unknown_field = 0.0
+
+
+def test_report_to_dict_keeps_the_keys_and_drops_a_missing_ghz_collapse():
+    ghz = run_scenario(rubidium_preset(), k=3, mode="same").to_dict()
+    assert list(ghz) == REPORT_KEYS
+    assert ghz["ghz_collapse"] is not None
+    assert list(run_scenario(rubidium_preset()).to_dict()) == REPORT_KEYS[:-1]

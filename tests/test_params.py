@@ -24,6 +24,13 @@ from braggbell.params import (
 TWO_PI = 2.0 * math.pi
 
 
+def test_derived_params_repr():
+    assert repr(derive(rubidium_preset())) == (
+        "DerivedParams(wavenumber=7853981.633974483, recoil_frequency=22905.384344911978, "
+        "chi=492.6017280828795, regime_ratio=0.021505935926034885)"
+    )
+
+
 def test_rubidium_preset_values():
     p = rubidium_preset()
     assert p.mass == 1.42e-25

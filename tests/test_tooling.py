@@ -7,7 +7,8 @@ text, so nothing is written under `bench/`. The benchmark's reference ladder
 (`bench/reference.py`) is read the same way, from its syntax tree, and must
 keep the orders the package keeps.
 
-The last test keeps every JSON document on the package's one emitter.
+The last tests keep every JSON document on the package's one emitter, and
+keep `import braggbell.cli` off numpy, scipy, json and csv.
 """
 
 import ast
@@ -180,3 +181,39 @@ def test_src_emits_json_only_through_json_text():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
     ]
     assert calls == []
+
+
+# Imports braggbell.cli in a fresh interpreter, lists the modules it adds, then
+# runs commands in-process and records whether csv is loaded after each one.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import braggbell.cli
+added = sorted(set(sys.modules) - before)
+csv_loaded = {}
+for argv in (["preset", "show"], ["bell"], ["ghz", "--k", "4"], ["coeffs"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = braggbell.cli.main(argv)
+    csv_loaded[" ".join(argv)] = (code, "csv" in sys.modules)
+print(repr((added, csv_loaded)))
+"""
+
+
+def test_import_fence():
+    # numpy loads with the ladder, scipy only in the test oracles, csv with
+    # the CSV writers; entangle.json_text needs none of json
+    src = str(Path(braggbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != params.ENV_CONFIG_VAR}
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
+        env=dict(env, PYTHONPATH=path), timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    added, csv_loaded = ast.literal_eval(res.stdout)
+    assert "braggbell.cli" in added
+    fenced = [m for m in added if m.split(".")[0] in ("numpy", "scipy", "json", "csv")]
+    assert fenced == []
+    assert csv_loaded == {
+        "preset show": (0, False), "bell": (0, False), "ghz --k 4": (0, False), "coeffs": (0, True),
+    }
