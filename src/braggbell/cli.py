@@ -23,12 +23,12 @@ I/O error. A sweep reports a point that fails with a usage or physics error
 `ghz` share cmd_scenario; params.check_regime refuses a violated regime for
 them and `simulate`, while `validate` reports it and exits 2.
 
-`validate` and `sweep` read each point's flip cycle off one decomposition of
-the ladder (ladder.cycle_readout) and sample no time grid; they parse
---samples and ignore it. A point is scheduled on its own (parameters, regime
-verdict, two-level record, t1); `sweep` then decomposes the ladders of its
-scheduled points in one stack per ladder size (l0), and `validate` is a stack
-of one. A ladder refusal (resolution, truncation, norm drift) keeps the
+`validate` and `sweep` read each point's flip cycle off the one cached
+decomposition of its branch (ladder.cycle_readout) and sample no time grid;
+they parse --samples and ignore it. A point is scheduled on its own
+(parameters, regime verdict, two-level record, t1) and then read on its own,
+so a sweep row is the report `validate` gives for that point. A ladder
+refusal (resolution, truncation, norm drift), raised per point, keeps the
 point's two-level numbers and gives an `error` in place of the ladder's.
 
 `simulate` is the one sampler of a time grid: every duration, zero included,
@@ -284,9 +284,9 @@ def _schedule(p: params.PhysicalParams, s: int) -> tuple[dict, adiabatic.TwoLeve
 
 
 def _read_cycles(points: list[tuple[dict, adiabatic.TwoLevelCoeffs, float]]) -> None:
-    """Complete the report of each scheduled point (_schedule) from one
-    ladder.cycle_readout per ladder size (l0): the ladder's numbers and the
-    Bell fidelity, or the reason the ladder refuses the point."""
+    """Complete the report of each scheduled point (_schedule) from its
+    ladder.cycle_readout: the ladder's numbers and the Bell fidelity, or the
+    reason the ladder refuses the point."""
     from . import ladder
 
     refusals = {
@@ -294,21 +294,17 @@ def _read_cycles(points: list[tuple[dict, adiabatic.TwoLevelCoeffs, float]]) -> 
         ladder.TruncationError: "ladder truncation",
         ladder.NormDriftError: "ladder norm drift",
     }
-    by_l0: dict[int, list] = {}
-    for point in points:
-        by_l0.setdefault(point[1].l0, []).append(point)
-    for group in by_l0.values():
-        results = ladder.cycle_readout([c for _, c, _ in group], [t1 for _, _, t1 in group])
-        for (report, _, _), result in zip(group, results):
-            if isinstance(result, params.PhysicsError):
-                report["error"] = f"{refusals[type(result)]}: {result}"
-                continue
-            fields, pair = result
-            report.update(fields, freq_ratio=fields["freq_rad_s"] / report["b_rad_s"])
-            # opposite incidence: |+-> in, |-+> flipped
-            state, _ = entangle.prepare([pair.tolist()] * 2, (0, 1))
-            _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
-            report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
+    for report, c, t1 in points:
+        try:
+            fields, pair = ladder.cycle_readout(c, t1)
+        except tuple(refusals) as exc:
+            report["error"] = f"{refusals[type(exc)]}: {exc}"
+            continue
+        report.update(fields, freq_ratio=fields["freq_rad_s"] / report["b_rad_s"])
+        # opposite incidence: |+-> in, |-+> flipped
+        state, _ = entangle.prepare([pair.tolist()] * 2, (0, 1))
+        _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
+        report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

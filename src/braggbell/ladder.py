@@ -20,19 +20,12 @@ uses the exact propagator from one eigendecomposition H = V E V^T of the
 is conserved to machine precision: the amplitudes at time t are
 V exp(-iE*t) V^T C(0), one row of phases per time.
 
-cycle_readout(records, t1s), which `validate` and `sweep` call, samples
-nothing: it reads a whole flip cycle of each branch off the same
-decomposition (the flip frequency as an eigenvalue splitting, the
+cycle_readout(c, t1), which `validate` and `sweep` call for each point,
+samples nothing: it propagates the one row at t1 through evolve, under its
+guards, and reads a whole flip cycle of the branch off the decomposition
+that propagation used (the flip frequency as an eigenvalue splitting, the
 time-averaged leakage out of the resonant pair and bounds on the leakage and
-on the deviation from the two-level populations at every time) and
-propagates the one row at t1, under the same guards. Branches that share l0
-share the ladder's size, so their matrices are stacked and decomposed by one
-np.linalg.eigh call, and every readout is computed for all rows at once;
-a branch the resolution guard refuses is left out of the stack. The stack
-holds each branch's own build_hamiltonian(...).matrix(), bit for bit: the
-readout is ill-conditioned where the resonant splitting nears eps*||H||, and
-a diagonal rounded as w_rec*(l*(l+l0)) instead of (w_rec*l)*(l+l0), one ulp
-apart, moves pop_dev_bound by 9 % at l0 = 8, chi*n0/w_rec = 0.03.
+on the deviation from the two-level populations at every time).
 
 Truncation is policed, not assumed: with c = V^T C(0),
 max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2, and a bound above
@@ -60,7 +53,9 @@ branch, so the cache serves all its atoms, pulse multiples, offsets and field
 bases. The guards stay outside the cache: each runs on every call and reads
 its threshold then, the resolution and duration checks before any lookup,
 the edge bound and the norm drift after it, and a refusal is never cached.
-cycle_readout's stacked decomposition is not cached.
+The cycle's readout terms are computed once per branch as well, by
+_cycle_terms, a functools.lru_cache keyed on the same bytes and on the
+resolution limit RESOLUTION_LIMIT*eps*||H|| read at call time.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -74,7 +69,6 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -207,18 +201,18 @@ def _cached_decompose(shape: tuple[int, int], m: bytes, s: bytes) -> tuple:
 
 
 def _decompose(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(E, V, c = V^T s, edge) of each H = V E V^T of the matrix or stack of
-    matrices m, eigenvalues ascending, edge the bound on the population of
-    either end of the ladder (module docstring)."""
+    """(E, V, c = V^T s, edge) of H = V E V^T of the matrix m, eigenvalues
+    ascending, edge the bound on the population of either end of the ladder
+    (module docstring)."""
     evals, evecs = np.linalg.eigh(m)
-    coeffs = np.swapaxes(evecs, -1, -2) @ s
-    edge = np.abs(evecs[..., [0, -1], :] * coeffs[..., None, :]).sum(axis=-1) ** 2
-    return evals, evecs, coeffs, edge.max(axis=-1)
+    coeffs = evecs.T @ s
+    edge = np.abs(evecs[[0, -1]] * coeffs).sum(axis=-1) ** 2
+    return evals, evecs, coeffs, edge.max()
 
 
 def _propagate(evals: np.ndarray, evecs: np.ndarray, coeffs: np.ndarray, times) -> np.ndarray:
-    """V exp(-i*E*t) c, one row per time, of a decomposition or a stack of them."""
-    return _phases(evals, times) * coeffs[..., None, :] @ np.swapaxes(evecs, -1, -2)
+    """V exp(-i*E*t) c, one row per time."""
+    return _phases(evals, times) * coeffs @ evecs.T
 
 
 def _phases(evals: np.ndarray, times) -> np.ndarray:
@@ -259,15 +253,7 @@ def _h_norm(h: LadderHamiltonian) -> float:
 
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
     """Raise NormDriftError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
-    _check_drift(np.max(_norm_drift(amplitudes, s)))
-
-
-def _norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """|norm - norm(s)| of each row of `amplitudes`."""
-    return np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s))
-
-
-def _check_drift(drift: float) -> None:
+    drift = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s)))
     if not drift <= NORM_TOL:
         raise NormDriftError(f"norm drift {float(drift):.3e} exceeds tol {NORM_TOL:.1e}")
 
@@ -298,15 +284,14 @@ def branch_pairs(c: TwoLevelCoeffs, times) -> np.ndarray:
     return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
 
 
-def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> list:
-    """One flip cycle of an atom entering on +P_{l0}, per branch of the records c
-    (adiabatic.TwoLevelCoeffs, all of one l0), read off one stacked
-    decomposition, and its (kept, flipped) pair at the matching t1.
+def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
+    """One flip cycle of an atom entering on +P_{l0}, read off the decomposition
+    of the branch of the record c (adiabatic.TwoLevelCoeffs), and its
+    (kept, flipped) pair at t1.
 
-    Returns one entry per record, in order: (fields, pair), or the
-    ResolutionError, TruncationError or NormDriftError that refuses the
-    branch. With H = V E V^T, c_j = V_{0,j}, w_j = c_j^2 and
-    u_j = V_{0,j} V_{-l0,j}, the keys of fields are
+    The pair comes from evolve, so its guards refuse the branch as they
+    refuse branch_pairs. With H = V E V^T, c_j = V_{0,j}, w_j = c_j^2 and
+    u_j = V_{0,j} V_{-l0,j}, the keys of the returned fields are
     - freq_rad_s: |E_a - E_b|, a and b the two largest w_j;
     - mean_leakage: sum over l outside {0, -l0} and runs g of |sum_{j in g} V_lj c_j|^2,
       the time average of the population outside the pair;
@@ -319,68 +304,50 @@ def cycle_readout(records: Sequence[TwoLevelCoeffs], t1s: Sequence[float]) -> li
     A run g is a stretch of ascending eigenvalues spaced within the resolution
     limit (check_resolution): the solver returns a degenerate run, such as an
     off-resonant mirror pair, in an arbitrary basis, so each run is summed
-    coherently. The guards are those of evolve, each applied per branch; a
-    branch the resolution guard refuses is not decomposed, and the pair row
-    is checked for norm drift.
+    coherently. Everything but pop_dev_bound's first term, which reads c.b_n,
+    is computed once per branch (module docstring).
     """
-    hs = [build_hamiltonian(c.n, c.l0, c.d, c.include_stark) for c in records]
-    out: list = [None] * len(hs)
-    kept = []
-    for k, (c, h) in enumerate(zip(records, hs)):
-        try:
-            check_resolution(h, c.b_n)
-        except ResolutionError as exc:
-            out[k] = exc.with_traceback(None)  # its traceback would keep this frame alive
-        else:
-            kept.append(k)
-    if not kept:
-        return out
+    h = build_hamiltonian(c.n, c.l0, c.d, c.include_stark)
+    pair = h.index_of(0), h.index_of(-c.l0)
+    row = evolve(h, c.b_n, [t1])[0]
+    m = h.matrix()
+    limit = RESOLUTION_LIMIT * sys.float_info.epsilon * _h_norm(h)
+    key = m.shape, m.tobytes(), initial_state(h).tobytes(), limit, pair
+    freq, mean_leakage, leakage_bound, pop_dev = _cycle_terms(*key)
+    fields = {
+        "freq_rad_s": freq,
+        "mean_leakage": mean_leakage,
+        "leakage_bound": leakage_bound,
+        "pop_dev_bound": math.pi * abs(freq / abs(c.b_n) - 1.0) + pop_dev,
+    }
+    return fields, row[list(pair)]
 
-    h = hs[kept[0]]
-    s = initial_state(h)
-    evals, evecs, coeffs, edge = _decompose(s, np.stack([hs[k].matrix() for k in kept]))
-    t1 = np.array([t1s[k] for k in kept])
-    rows = _propagate(evals, evecs, coeffs, t1[:, None])[:, 0]
-    drift = _norm_drift(rows, s)
 
-    pair = [h.index_of(0), h.index_of(-h.l0)]
-    v0 = evecs[:, pair[0]]
-    w, u = v0 * v0, v0 * evecs[:, pair[1]]
-    # per branch, the indices a and b of its two largest w_j
-    ab = np.arange(len(kept))[:, None], np.argsort(w, axis=-1)[:, -2:]
-    (w_a, w_b), (u_a, u_b), (e_a, e_b) = (x[ab].T for x in (w, u, evals))
-    freq = np.abs(e_a - e_b)
-    limits = RESOLUTION_LIMIT * sys.float_info.epsilon * np.array([_h_norm(hs[k]) for k in kept])
-    runs = np.cumsum(np.diff(evals, prepend=evals[:, :1]) > limits[:, None], axis=-1)
-    in_run = np.eye(h.size)[runs]  # [k, j, g] = 1 where E_j is in run g
+@functools.lru_cache
+def _cycle_terms(shape, m: bytes, s: bytes, limit: float, pair: tuple[int, int]) -> tuple:
+    """(freq_rad_s, mean_leakage, leakage_bound, the max(...) term of
+    pop_dev_bound) of cycle_readout, from the decomposition _cached_decompose
+    holds for these bytes, with runs spaced within limit."""
+    evals, evecs, _, _ = _cached_decompose(shape, m, s)
+    v0 = evecs[pair[0]]
+    w, u = v0 * v0, v0 * evecs[pair[1]]
+    ab = np.argsort(w)[-2:]  # the indices a and b of the two largest w_j
+    (w_a, w_b), (u_a, u_b), (e_a, e_b) = w[ab], u[ab], evals[ab]
+    runs = np.cumsum(np.diff(evals, prepend=evals[:1]) > limit)
+    in_run = np.eye(len(evals))[runs]  # [j, g] = 1 where E_j is in run g
 
     rest = np.ones(w.shape, dtype=bool)
     rest[ab] = False
-    outside = [j for j in range(h.size) if j not in pair]
-    leak = evecs[:, outside] * v0[:, None, :] @ in_run
-    rho_a = np.where(rest, w, 0.0).sum(axis=-1)
-    rho_b = np.abs(np.where(rest, u, 0.0)[:, None, :] @ in_run).sum(axis=(-2, -1))
+    outside = [j for j in range(len(evals)) if j not in pair]
+    leak = evecs[outside] * v0 @ in_run
+    rho_a = np.where(rest, w, 0.0).sum()
+    rho_b = np.abs(np.where(rest, u, 0.0) @ in_run).sum()
     pop_dev = np.maximum(
         4.0 * rho_a + (w_a - w_b) ** 2,
         (u_a + u_b) ** 2 + np.abs(1.0 - (u_a - u_b) ** 2) + 2.0 * rho_b + rho_b**2,
     )
-    rates = np.abs([records[k].b_n for k in kept])
-    columns = {
-        "freq_rad_s": freq,
-        "mean_leakage": (leak**2).sum(axis=(-2, -1)),
-        "leakage_bound": (np.abs(leak).sum(axis=-1) ** 2).sum(axis=-1),
-        "pop_dev_bound": math.pi * np.abs(freq / rates - 1.0) + pop_dev,
-    }
-    values = zip(*(x.tolist() for x in columns.values()))
-    for i, (k, row_values) in enumerate(zip(kept, values)):
-        try:
-            _check_edge(edge[i], h)
-            _check_drift(drift[i])
-        except (TruncationError, NormDriftError) as exc:
-            out[k] = exc.with_traceback(None)
-        else:
-            out[k] = dict(zip(columns, row_values)), rows[i, pair]
-    return out
+    terms = abs(e_a - e_b), (leak**2).sum(), (np.abs(leak).sum(axis=-1) ** 2).sum(), pop_dev
+    return tuple(float(x) for x in terms)
 
 
 def extract_flip_frequency(times: np.ndarray, p_plus: np.ndarray, p_flip: np.ndarray) -> float:

@@ -13,6 +13,7 @@ def _cold_caches():
     """Each test starts with empty per-branch caches, so no result depends on test order."""
     adiabatic._partition.cache_clear()
     ladder._cached_decompose.cache_clear()
+    ladder._cycle_terms.cache_clear()
 
 
 @pytest.fixture

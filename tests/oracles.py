@@ -115,6 +115,69 @@ def propagate_rk4(h, v0, t, steps=20000):
     return y
 
 
+def phases_mp(evals, t, dps=50):
+    """exp(-i*E*t) of each float E of evals and the float t, worked at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(e)) * mpmath.mpf(float(t)) for e in evals]
+        return np.array([complex(mpmath.cos(v), -mpmath.sin(v)) for v in x])
+
+
+class LadderMp:
+    """The float64 symmetric matrix m decomposed at dps digits by mpmath.eigsy.
+
+    The matrix is taken as given, bit for bit, so what this measures is the
+    float64 solver's error on that matrix, not the ladder's rounding.
+    """
+
+    def __init__(self, m, dps=50):
+        import mpmath
+
+        self.dps = dps
+        with mpmath.workdps(dps):
+            evals, vecs = mpmath.eigsy(mpmath.matrix(np.asarray(m, dtype=np.float64).tolist()))
+            order = sorted(range(len(evals)), key=lambda j: evals[j])
+            self.evals = [evals[j] for j in order]
+            self.vecs = [[vecs[i, j] for j in order] for i in range(len(evals))]
+
+    def propagate(self, v0, t):
+        """V exp(-i*E*t) V^T v0 at dps digits, as complex128."""
+        import mpmath
+
+        size = len(self.evals)
+        with mpmath.workdps(self.dps):
+            v0 = [mpmath.mpc(complex(x)) for x in v0]
+            phases = [mpmath.expj(-e * mpmath.mpf(float(t))) for e in self.evals]
+            c = [phases[j] * mpmath.fsum(self.vecs[i][j] * v0[i] for i in range(size)) for j in range(size)]
+            return np.array([complex(mpmath.fsum(self.vecs[i][j] * c[j] for j in range(size)))
+                             for i in range(size)])
+
+    def cycle(self, i0, im, limit):
+        """(freq_rad_s, mean_leakage, leakage_bound) of ladder.cycle_readout's
+        definitions for an atom starting at index i0, its pair (i0, im), with
+        the eigenvalues grouped into runs spaced within limit and each run
+        summed coherently, as floats."""
+        import mpmath
+
+        size = len(self.evals)
+        with mpmath.workdps(self.dps):
+            runs = [[0]]
+            for j in range(1, size):
+                if self.evals[j] - self.evals[j - 1] > limit:
+                    runs.append([j])
+                else:
+                    runs[-1].append(j)
+            c = self.vecs[i0]
+            a, b = sorted(range(size), key=lambda j: c[j] ** 2)[-2:]
+            mean = bound = mpmath.mpf(0)
+            for l in set(range(size)) - {i0, im}:
+                amps = [mpmath.fsum(self.vecs[l][j] * c[j] for j in run) for run in runs]
+                mean += mpmath.fsum(x**2 for x in amps)
+                bound += mpmath.fsum(abs(x) for x in amps) ** 2
+            return float(abs(self.evals[a] - self.evals[b])), float(mean), float(bound)
+
+
 def kron_product_state(branch_pairs, field_amps):
     """Unnormalized joint vector, one np.kron chain of qubit pairs per branch.
 

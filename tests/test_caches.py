@@ -1,5 +1,6 @@
 """The per-branch caches: adiabatic._partition (the fixed point of the
-reduction) and ladder._cached_decompose (the ladder's eigendecomposition).
+reduction), ladder._cached_decompose (the ladder's eigendecomposition) and
+ladder._cycle_terms (the flip cycle read off it).
 
 A warm call must give the bits of a cold one, a cached array must refuse a
 write, and every guard must still run on every call with the threshold it
@@ -7,6 +8,7 @@ reads at that moment: the caches hold results, never refusals.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -71,22 +73,81 @@ def test_a_patched_guard_changes_both_results(monkeypatch, rubidium_derived):
     assert _bits(cold, _branch(cold)) == _bits(patched, patched_rows)
 
 
+def _warm_scenario(p):
+    return entangle.run_scenario(p, engine="ladder")
+
+
+REPORTED_AS = {
+    ladder.NormDriftError: "ladder norm drift: ",
+    ladder.TruncationError: "ladder truncation: ",
+    ladder.ResolutionError: "ladder resolution: ",
+}
+
+
+def _warm_validate(p):
+    """validate_point's report, its ladder refusal raised as the scenario raises it."""
+    report = cli.validate_point(p)
+    for error, prefix in REPORTED_AS.items():
+        if report.get("error", "").startswith(prefix):
+            raise error(report["error"])
+    return report
+
+
+THRESHOLDS = [
+    ("NORM_TOL", 0.0, ladder.NormDriftError),
+    ("EDGE_THRESHOLD", 0.0, ladder.TruncationError),
+    ("RESOLUTION_LIMIT", 1e300, ladder.ResolutionError),
+]
+
+
 @pytest.mark.parametrize(
-    "name, value, error",
-    [
-        ("NORM_TOL", 0.0, ladder.NormDriftError),
-        ("EDGE_THRESHOLD", 0.0, ladder.TruncationError),
-        ("RESOLUTION_LIMIT", 1e300, ladder.ResolutionError),
-    ],
+    "run, name, value, error",
+    [pytest.param(_warm_scenario, *case, id="-".join(map(str, case[:2])) + f"-{case[2].__name__}")
+     for case in THRESHOLDS]
+    + [pytest.param(_warm_validate, *case, id=f"validate-{case[0]}") for case in THRESHOLDS],
 )
-def test_a_threshold_set_after_a_warm_run_still_refuses_it(monkeypatch, name, value, error):
+def test_a_threshold_set_after_a_warm_run_still_refuses_it(monkeypatch, run, name, value, error):
     p = params.rubidium_preset()
-    warm = entangle.run_scenario(p, engine="ladder")
-    assert entangle.run_scenario(p, engine="ladder") == warm
+    warm = run(p)
+    assert run(p) == warm
     assert ladder._cached_decompose.cache_info().hits >= 1
     monkeypatch.setattr(ladder, name, value)
     with pytest.raises(error):
-        entangle.run_scenario(p, engine="ladder")
+        run(p)
+
+
+def _cycle_bits(c):
+    """cycle_readout of c at t1 = pi/|b_n|, its fields and pair as exact bit patterns."""
+    fields, pair = ladder.cycle_readout(c, math.pi / abs(c.b_n))
+    return {k: v.hex() for k, v in fields.items()}, pair.tobytes()
+
+
+@pytest.mark.parametrize("l0, ratio", [(2, 0.02), (6, 0.02), (8, 0.03)])
+def test_a_warm_cycle_readout_gives_the_bits_of_a_cold_one(at_ratio, l0, ratio):
+    c = adiabatic.coeffs(1, l0, derive(at_ratio(ratio, l0=l0)))
+    cold = _cycle_bits(c)
+    hits = ladder._cycle_terms.cache_info().hits
+    assert _cycle_bits(c) == cold
+    assert ladder._cycle_terms.cache_info().hits == hits + 1
+    # the cached terms hold no b_n: a record with another rate shares them
+    other = c._replace(b_n=2.0 * c.b_n)
+    fields, _ = ladder.cycle_readout(other, math.pi / abs(c.b_n))
+    assert fields["freq_rad_s"].hex() == cold[0]["freq_rad_s"]
+    assert fields["pop_dev_bound"].hex() != cold[0]["pop_dev_bound"]
+    assert ladder._cycle_terms.cache_info().currsize == 1
+
+
+def test_a_patched_resolution_limit_is_a_new_readout_key(monkeypatch, at_ratio):
+    # the runs are grouped within the limit read at call time, so a warm
+    # readout cannot serve a branch under another limit
+    c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
+    ladder.cycle_readout(c, math.pi / abs(c.b_n))
+    monkeypatch.setattr(ladder, "RESOLUTION_LIMIT", 2.0 * ladder.RESOLUTION_LIMIT)
+    ladder.cycle_readout(c, math.pi / abs(c.b_n))
+    info = ladder._cycle_terms.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    # ... and the one decomposition serves both
+    assert ladder._cached_decompose.cache_info().currsize == 1
 
 
 def test_a_resolution_refused_branch_is_never_decomposed(monkeypatch, at_ratio):

@@ -7,8 +7,12 @@ hold a converged level shift: a fixed point a = alpha(a) of the dense ladder
 partition in `oracles`. Each
 good-regime point of a validate or sweep that exits 0 shows the flip
 frequency it predicts: |freq_ratio - 1| < FREQ_TOL. No row of a time series
-printed with exit 0 holds more than the atom. The examples run in one process,
-so the per-branch caches are warm when each refusal is met.
+printed with exit 0 holds more than the atom, nor more rows than the
+`--samples` cap, which is patched down to SAMPLES_CAP so that a draw at it
+stays cheap. A ladder `bell` or `ghz` report printed with exit 0 has field
+outcome probabilities that sum to 1 and a leakage in [0, 1]. The examples
+run in one process, so the per-branch caches are warm when each refusal is
+met.
 """
 
 import contextlib
@@ -17,6 +21,7 @@ import io
 import json
 import math
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -66,6 +71,10 @@ OVERRIDES = st.sampled_from(
     ]
 )
 
+# simulate's --samples at and just above its cap, patched down to this
+SAMPLES_CAP = 24
+SIM_SAMPLES = st.one_of(st.sampled_from([str(SAMPLES_CAP), str(SAMPLES_CAP + 1)]), INTS)
+
 # simulate's durations and cycle counts reach the bounds of a float
 FLOATS = st.sampled_from(["0", "-0.0", "1e-300", "1e20", "1e308", "inf", "nan"])
 CYCLES = st.one_of(FLOATS, st.sampled_from(["1", "2.5", "-1"]))
@@ -92,7 +101,7 @@ FLAGS = {
     "sweep": {"--var": st.sampled_from(["chi_ratio", "l0", "n0", "s", "mass"]),
               "--values": SWEEP_VALUES, "--set": OVERRIDES},
     "simulate": {"--l0": L0, "--set": OVERRIDES, "--n": st.just("0"), "--duration": FLOATS,
-                 "--cycles": CYCLES},
+                 "--cycles": CYCLES, "--samples": SIM_SAMPLES},
 }
 # what every example of a command starts with: simulate's few samples keep
 # it cheap, and validate and sweep always draw an ignored --samples
@@ -150,6 +159,21 @@ def _check_populations(argv, text):
         assert total <= 1.0 + 1e-9, (argv, row)
 
 
+def _check_ladder_report(argv, text):
+    """The field outcomes of a ladder report exhaust the state, and its leakage
+    is a probability."""
+    rep = json.loads(text)
+    total = math.fsum(rep["outcome_probabilities"].values())
+    assert abs(total - 1.0) <= 1e-9, (argv, total)
+    assert 0.0 <= rep["leakage"] <= 1.0, (argv, rep["leakage"])
+
+
+def _last(argv, flag):
+    """The value argparse keeps for flag: its last occurrence, or None."""
+    values = [value for key, value in zip(argv, argv[1:]) if key == flag]
+    return values[-1] if values else None
+
+
 def _check_measured_frequency(argv, points):
     """A good-regime point with a measured frequency measured the predicted one."""
     for point in points:
@@ -174,8 +198,15 @@ def _check_measured_frequency(argv, points):
 @example(["bell", "--chi-ratio", "0.02", "--engine", "ladder", "--r", "-1"])
 @example(["ghz", "--chi-ratio", "0.02", "--engine", "ladder", "--k", str(entangle.MAX_ATOMS)])
 @example(["ghz", "--chi-ratio", "0.02", "--engine", "ladder", "--k", str(entangle.MAX_ATOMS + 1)])
+@example(["bell", "--chi-ratio", "0.05", "--engine", "ladder", "--mode", "same", "--s", "3",
+          "--r", "1", "--set", "l0=4", "--set", "detuning_2pi_hz=-80e6"])
+@example(["ghz", "--chi-ratio", "0.02", "--engine", "ladder", "--k", "4", "--basis", "computational",
+          "--outcome", "1", "--set", "l0=6"])
+@example(["simulate", "--chi-ratio", "0.02", "--samples", str(SAMPLES_CAP)])
+@example(["simulate", "--chi-ratio", "0.02", "--samples", str(SAMPLES_CAP + 1)])
 def test_cli_exit_codes_and_no_traceback(argv):
-    code, out, err = _run(argv)
+    with mock.patch.object(cli, "MAX_SAMPLES", SAMPLES_CAP):
+        code, out, err = _run(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PHYSICS), (argv, code, err)
     assert "Traceback" not in err
     assert "Warning" not in err, (argv, err)
@@ -185,6 +216,9 @@ def test_cli_exit_codes_and_no_traceback(argv):
         _check_converged_table(argv, out)
     if argv[0] == "simulate":
         _check_populations(argv, out)
+        assert len(out.splitlines()) - 1 <= SAMPLES_CAP, argv
+    if argv[0] in ("bell", "ghz") and _last(argv, "--engine") == "ladder":
+        _check_ladder_report(argv, out)
     if argv[0] == "validate":
         _check_measured_frequency(argv, [json.loads(out)])
     elif argv[0] == "sweep":

@@ -336,8 +336,6 @@ def _phase_grids(cycle):
 
 @pytest.mark.parametrize("l0, ratio", [(2, 0.02), (8, 0.05)])
 def test_phase_table_matches_60_digit_exponential(l0, ratio):
-    import mpmath
-
     h, cycle = _cycle_ladder(l0, ratio)
     evals = np.linalg.eigh(h.matrix())[0]
     st = initial_state(h)
@@ -347,9 +345,7 @@ def test_phase_table_matches_60_digit_exponential(l0, ratio):
         phases = ladder._phases(evals, times)
         for t, row in zip(times, phases):
             if t not in reference:
-                with mpmath.workdps(60):
-                    x = [mpmath.mpf(float(e)) * mpmath.mpf(float(t)) for e in evals]
-                    reference[t] = np.array([complex(mpmath.cos(v), -mpmath.sin(v)) for v in x])
+                reference[t] = oracles.phases_mp(evals, t, dps=60)
             et = np.abs(evals * t)
             worst_et = max(worst_et, float(et.max()))
             err = np.abs(row - reference[t])
@@ -372,27 +368,32 @@ def _readout(at_ratio, l0, ratio):
     p = at_ratio(ratio, l0=l0)
     d = derive(p)
     c = adiabatic.coeffs(p.n0, l0, d)
-    [(fields, _)] = ladder.cycle_readout([c], [math.pi / abs(c.b_n)])
+    fields, _ = ladder.cycle_readout(c, math.pi / abs(c.b_n))
     return fields, c, build_hamiltonian(p.n0, l0, d)
 
 
 @pytest.mark.parametrize("l0", [2, 4, 8])
-def test_stacked_matrices_are_the_branch_hamiltonians_bit_for_bit(monkeypatch, at_ratio, l0):
+def test_each_decomposed_matrix_is_its_branch_hamiltonian_bit_for_bit(monkeypatch, at_ratio, l0):
     # the readout is ill-conditioned near the resolution limit: a diagonal one
-    # ulp off moves pop_dev_bound by 9 % at l0 = 8, so each stacked matrix must
-    # be the branch's own build_hamiltonian(...).matrix(), bit for bit
-    eigh, stacks = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: stacks.append(m) or eigh(m))
+    # ulp off moves pop_dev_bound by 9 % at l0 = 8, so each matrix eigh
+    # receives must be the branch's own build_hamiltonian(...).matrix(), bit for bit
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m) or eigh(m))
     records = [
         adiabatic.coeffs(n, l0, derive(at_ratio(ratio, l0=l0, sign=sign)), include_stark=stark)
         for ratio, sign, stark, n in itertools.product((0.005, 0.03), (1, -1), (False, True), (1, 2))
     ]
-    results = ladder.cycle_readout(records, [math.pi / abs(c.b_n) for c in records])
-    kept = [c for c, result in zip(records, results) if not isinstance(result, ladder.ResolutionError)]
-    assert len(stacks) == 1 and len(stacks[0]) == len(kept)
-    # at l0 = 8 the eight branches at chi*n0/w_rec = 0.005 are refused, and never stacked
+    kept = []
+    for c in records:
+        try:
+            ladder.cycle_readout(c, math.pi / abs(c.b_n))
+        except ladder.ResolutionError:
+            continue
+        kept.append(c)
+    # at l0 = 8 the eight branches at chi*n0/w_rec = 0.005 are refused, and never decomposed
     assert len(kept) == (8 if l0 == 8 else len(records))
-    for m, c in zip(stacks[0], kept):
+    assert len(seen) == len(kept)
+    for m, c in zip(seen, kept):
         assert np.array_equal(m, build_hamiltonian(c.n, l0, c.d, c.include_stark).matrix())
 
 
@@ -430,32 +431,39 @@ def test_cycle_readout_bounds_a_dense_sampling_of_the_cycle(at_ratio, l0, ratio)
 def test_cycle_readout_matches_a_50_digit_decomposition(at_ratio, l0, ratio):
     # the same float matrix decomposed at 50 digits, its eigenvalues grouped
     # into runs by the same resolution limit, each run summed coherently
-    import mpmath
-
     fields, _, h = _readout(at_ratio, l0, ratio)
-    i0, im = h.index_of(0), h.index_of(-l0)
     limit = ladder.RESOLUTION_LIMIT * np.finfo(float).eps
     limit *= np.abs(h.diagonal).max() + 2.0 * abs(h.off_diagonal)
-    with mpmath.workdps(50):
-        evals, vecs = mpmath.eigsy(mpmath.matrix(h.matrix().tolist()))
-        order = sorted(range(h.size), key=lambda j: evals[j])
-        runs = [[order[0]]]
-        for j, k in zip(order, order[1:]):
-            if evals[k] - evals[j] > limit:
-                runs.append([k])
-            else:
-                runs[-1].append(k)
-        c = [vecs[i0, j] for j in range(h.size)]
-        a, b = sorted(range(h.size), key=lambda j: c[j] ** 2)[-2:]
-        mean = bound = mpmath.mpf(0)
-        for l in set(range(h.size)) - {i0, im}:
-            amps = [sum(vecs[l, j] * c[j] for j in run) for run in runs]
-            mean += sum(x**2 for x in amps)
-            bound += sum(abs(x) for x in amps) ** 2
-        freq = abs(evals[a] - evals[b])
-    assert fields["mean_leakage"] == pytest.approx(float(mean), rel=1e-7)
-    assert fields["leakage_bound"] == pytest.approx(float(bound), rel=1e-7)
-    assert fields["freq_rad_s"] == pytest.approx(float(freq), rel=1e-6)
+    freq, mean, bound = oracles.LadderMp(h.matrix()).cycle(h.index_of(0), h.index_of(-l0), limit)
+    assert fields["mean_leakage"] == pytest.approx(mean, rel=1e-7)
+    assert fields["leakage_bound"] == pytest.approx(bound, rel=1e-7)
+    assert fields["freq_rad_s"] == pytest.approx(freq, rel=1e-6)
+
+
+def test_50_digit_oracle_propagates_as_expm_and_the_ladder_do(at_ratio):
+    # at l0 = 2 the float64 eigensolver is accurate to about 1e-12 (ROADMAP item 18)
+    h, cycle = _cycle_ladder(2, 0.02)
+    oracle, st = oracles.LadderMp(h.matrix()), initial_state(h)
+    for t in (0.0, 0.3719 * cycle, 0.5 * cycle):
+        ref = oracle.propagate(st, t)
+        assert np.max(np.abs(ref - oracles.propagate_expm(h.matrix(), st, t))) <= 1e-11
+        assert np.max(np.abs(ref - sample_evolution(st, h, [t])[0])) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "l0",
+    [pytest.param(l0, marks=pytest.mark.xfail(
+        l0 == 8, strict=True, reason="(w_rec*l)*(l+l0) rounds l = -14 and l = 6 one ulp apart"))
+     for l0 in range(2, 13, 2)],
+)
+def test_the_diagonal_is_mirror_symmetric_bit_for_bit(at_ratio, l0):
+    # l -> -l0 - l leaves l*(l+l0) unchanged, and the grid default_range(l0) is
+    # its own mirror image, so the diagonal must read the same reversed; + 0.0
+    # turns the -0.0 at l = -l0 into the +0.0 at l = 0, as matrix() does
+    for sign, stark, ratio in itertools.product((1, -1), (False, True), (0.005, 0.03)):
+        h = build_hamiltonian(1, l0, derive(at_ratio(ratio, l0=l0, sign=sign)), include_stark=stark)
+        bits = (h.diagonal + 0.0).tobytes()
+        assert bits == (h.diagonal[::-1] + 0.0).tobytes(), (sign, stark, ratio)
 
 
 @pytest.mark.parametrize("include_stark", [False, True])

@@ -7,8 +7,9 @@ text, so nothing is written under `bench/`. The benchmark's reference ladder
 (`bench/reference.py`) is read the same way, from its syntax tree, and must
 keep the orders the package keeps.
 
-The last tests keep every JSON document on the package's one emitter, and
-keep `import braggbell.cli` off numpy, scipy, json and csv.
+The last tests keep every JSON document on the package's one emitter, keep
+`import braggbell.cli` off numpy, scipy, json and csv, and keep the mutant
+table of `tests/mutants.py` applicable to the package and its tests.
 """
 
 import ast
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import braggbell
-from braggbell import cli, ladder, params
+from braggbell import adiabatic, cli, ladder, params
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SPANS = BENCH / "spans.py"
@@ -94,21 +95,27 @@ def test_tracer_installs_on_the_package_and_records_a_ladder_op():
 
 
 def test_validate_propagates_the_ladder_once(monkeypatch, capsys):
-    # the cycle readout and the Bell fidelity read one decomposition, a sweep
-    # decomposes one stack per ladder size, and a point the resolution guard
-    # refuses is never decomposed: each entry is the stack size of one eigh call
+    # the cycle readout and the Bell fidelity read one decomposition, which a
+    # cold command computes once per distinct branch and a warm one reuses, and
+    # a point the resolution guard refuses (l0 = 8 at 0.02) is never
+    # decomposed: each entry is the number of eigh calls, each on one matrix
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-    for argv, code, stacks in (
-        (["validate"], 0, [1]),
-        (["validate", "--l0", "8", "--chi-ratio", "0.02"], 2, []),
+    for argv, code, cold, warm in (
+        (["validate"], 0, 1, 0),
+        (["validate", "--l0", "8", "--chi-ratio", "0.02"], 2, 0, 0),
         (["sweep", "--var", "chi_ratio", "--values", "0.002,0.005,0.01,0.02,0.03,0.05,0.08,0.12"],
-         0, [8]),
-        (["sweep", "--var", "l0", "--values", "2,4,2,8", "--chi-ratio", "0.02"], 0, [2, 1]),
+         0, 8, 0),
+        (["sweep", "--var", "l0", "--values", "2,4,2,8", "--chi-ratio", "0.02"], 0, 2, 0),
     ):
-        calls.clear()
-        assert cli.main(argv) == code, capsys.readouterr().err
-        assert [len(m) for m in calls] == stacks, argv
+        adiabatic._partition.cache_clear()
+        ladder._cached_decompose.cache_clear()
+        ladder._cycle_terms.cache_clear()
+        for expected in (cold, warm):
+            calls.clear()
+            assert cli.main(argv) == code, capsys.readouterr().err
+            assert len(calls) == expected, argv
+            assert all(m.ndim == 2 for m in calls), argv
     traced = _traced('assert cli.main(["validate"]) == 0')
     assert traced["spans"].count("cli.validate_point") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
@@ -217,3 +224,30 @@ def test_import_fence():
     assert csv_loaded == {
         "preset show": (0, False), "bell": (0, False), "ghz --k 4": (0, False), "coeffs": (0, True),
     }
+
+
+def test_every_mutant_applies_once_and_names_existing_tests(request):
+    # tests/mutants.py is run by hand; here each mutant's text must occur
+    # exactly once in its file, and pytest must collect each of its node ids:
+    # a full run has collected them already, and any other run collects the
+    # rest in a child process
+    import mutants
+
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        text = (mutants.SRC / "braggbell" / m.path).read_text()
+        assert text.count(m.old) == 1 and m.old != m.new, m.name
+        assert m.nodes, m.name
+    collected = {item.nodeid.split("[")[0] for item in request.session.items}
+    collected |= {item.nodeid for item in request.session.items}
+    rest = [node for node in mutants.node_ids() if node not in collected]
+    if not rest:
+        return
+    src = str(Path(braggbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-B", "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *rest],
+        cwd=mutants.ROOT, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
