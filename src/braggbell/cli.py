@@ -35,9 +35,13 @@ point's two-level numbers and gives an `error` in place of the ladder's.
 is linspace(0, duration, --samples) propagated by ladder.evolve under its
 resolution, edge and norm guards.
 
-The per-branch caches of adiabatic.coeffs and of the ladder's
-decompositions serve callers that run many scenarios in one process; a
-one-shot command starts with them empty and gains nothing from them.
+The per-branch caches of adiabatic.coeffs and of the ladder's branch
+records serve every point of a process that meets a branch again: a ladder
+record holds the branch's Hamiltonian, its decomposition and its readout
+terms, keyed on n, l0, the Stark flag, the ladder range and the bytes of
+w_rec and chi, so a warm point only runs the guards and forms its phases. A
+one-shot command starts with the caches empty; a sweep over s, whose points
+share one branch, builds and decomposes it once.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,

@@ -43,19 +43,28 @@ params.default_range(l0), the grid the two-level reduction is taken on too;
 the two-level engine and the CLI read it without loading this module or
 numpy.
 
-A process decomposes each branch once. sample_evolution takes its
-decomposition from _cached_decompose, a functools.lru_cache of the default
-size (128 entries) keyed on (m.shape, m.tobytes(), s.tobytes()) of the dense
-matrix and the initial amplitudes, so equal keys are bit-identical inputs and
-a warm call returns the bits of a cold one; the cached arrays are read-only.
-Every scenario of one (l0, chi*n0/w_rec, detuning sign) meets the same Fock
-branch, so the cache serves all its atoms, pulse multiples, offsets and field
-bases. The guards stay outside the cache: each runs on every call and reads
-its threshold then, the resolution and duration checks before any lookup,
-the edge bound and the norm drift after it, and a refusal is never cached.
-The cycle's readout terms are computed once per branch as well, by
-_cycle_terms, a functools.lru_cache keyed on the same bytes and on the
-resolution limit RESOLUTION_LIMIT*eps*||H|| read at call time.
+A process decomposes each branch once. branch_pairs and cycle_readout take
+the branch's record from _branch, a functools.lru_cache of the default size
+(128 entries) keyed on exactly the numbers that build it: n, l0, include_stark,
+params.default_range(l0) read at call time (so a patched GUARD is a new key)
+and the bytes of w_rec and chi (so -0.0 and 0.0 are two keys and a nan meets
+itself). Equal keys are bit-identical Hamiltonians, and a warm call returns
+the bits of a cold one. The record is the branch's LadderHamiltonian with, each
+derived on first use and then kept, its Gershgorin norm, the indices of the
+pair (0, -l0), the start amplitudes and their norm, the decomposition (E, V),
+c = V^T s with the edge bound, and the cycle's readout terms; its arrays are
+read-only. Every scenario of one (l0, chi*n0/w_rec, detuning sign) meets the
+same Fock branch, so one record serves all its atoms, pulse multiples,
+offsets and field bases. A warm call builds, decomposes and normalizes
+nothing: it runs the guards, each reading its threshold at call time (the
+resolution and duration checks before anything is decomposed, the edge
+bound and the norm drift after), forms the phases exp(-iEt), multiplies by
+V, takes the norm of each propagated row and slices out the pair. A refusal
+is never cached. The readout terms depend on the resolution limit
+RESOLUTION_LIMIT*eps*||H||, so the record keeps them for the last limit asked,
+compared by its bytes, and computes them again under another. evolve and
+sample_evolution given any other LadderHamiltonian derive the same fields for
+that call only.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -67,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import sys
 from collections import namedtuple
 
@@ -168,6 +178,82 @@ def initial_state(h: LadderHamiltonian) -> np.ndarray:
     return amps
 
 
+class _Branch(LadderHamiltonian):
+    """A LadderHamiltonian with what evolve and cycle_readout read off it, each
+    field derived on first use and kept in the instance's __dict__ (the base
+    has none), its arrays read-only (module docstring)."""
+
+    @functools.cached_property
+    def h_norm(self) -> float:
+        """Gershgorin's bound max|diagonal| + 2|off_diagonal| on ||H|| (module docstring)."""
+        return float(np.abs(self.diagonal).max()) + 2.0 * abs(self.off_diagonal)
+
+    @functools.cached_property
+    def start(self) -> np.ndarray:
+        """initial_state of the ladder."""
+        return _frozen(initial_state(self))
+
+    @functools.cached_property
+    def start_norm(self) -> float:
+        """The norm the propagated rows must keep."""
+        return np.linalg.norm(self.start)
+
+    @functools.cached_property
+    def pair(self) -> tuple[int, int]:
+        """The indices of the resonant orders 0 and -l0."""
+        return self.index_of(0), self.index_of(-self.l0)
+
+    @functools.cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, V) of H = V E V^T, eigenvalues ascending."""
+        evals, evecs = np.linalg.eigh(self.matrix())
+        return _frozen(evals), _frozen(evecs)
+
+    @functools.cached_property
+    def start_projection(self) -> tuple:
+        """_project of the start amplitudes."""
+        coeffs, edge = _project(self.eigen[1], self.start)
+        return _frozen(coeffs), edge
+
+    def cycle_terms(self, limit: float) -> tuple:
+        """_cycle_terms with runs spaced within limit, kept for the last limit
+        asked, which is compared by its bytes."""
+        key = struct.pack("<d", limit)
+        kept = getattr(self, "_terms", None)
+        if kept is None or kept[0] != key:
+            kept = self._terms = key, _cycle_terms(*self.eigen, limit, self.pair)
+        return kept[1]
+
+
+def _as_branch(h: LadderHamiltonian) -> _Branch:
+    """h itself if it is a _Branch, else a new, uncached _Branch of h's fields."""
+    return h if isinstance(h, _Branch) else _Branch._make(h)
+
+
+@functools.lru_cache
+def _branch(n: int, l0: int, include_stark: bool, l_range: tuple[int, int], rates: bytes) -> _Branch:
+    """The record of the n-photon branch, rates the bytes of (w_rec, chi) (module
+    docstring). build_hamiltonian reads the range again; l_range, the
+    params.default_range(l0) of the caller, keys a patched GUARD apart."""
+    w, chi = struct.unpack("<2d", rates)
+    # build_hamiltonian reads the recoil frequency and chi of d, nothing else
+    h = build_hamiltonian(n, l0, DerivedParams(math.nan, w, chi, math.nan), include_stark)
+    _frozen(h.diagonal)
+    return _Branch._make(h)
+
+
+def _branch_of(c: TwoLevelCoeffs) -> _Branch:
+    """The cached record of the branch of c."""
+    rates = struct.pack("<2d", c.d.recoil_frequency, c.d.chi)
+    return _branch(c.n, c.l0, c.include_stark, default_range(c.l0), rates)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: a cached array is shared by every warm call."""
+    array.flags.writeable = False
+    return array
+
+
 def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> np.ndarray:
     """Amplitudes at each requested time (seconds) from the amplitudes s at t = 0.
 
@@ -175,6 +261,7 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
     the time-independent edge bound (module docstring), which also holds
     between the requested times, exceeds EDGE_THRESHOLD.
     """
+    h = _as_branch(h)
     s = np.asarray(s, dtype=np.complex128)
     if s.shape != (h.size,):
         raise ValueError(f"expected {h.size} amplitudes for the ladder, got shape {s.shape}")
@@ -182,32 +269,19 @@ def sample_evolution(s: np.ndarray, h: LadderHamiltonian, times: np.ndarray) -> 
     # each guard is written so that a nan fails it
     if not (times >= 0).all():
         raise ValueError("sample times must be >= 0 and not nan")
-    m = h.matrix()
-    evals, evecs, coeffs, edge = _cached_decompose(m.shape, m.tobytes(), s.tobytes())
+    evals, evecs = h.eigen
+    # the cached projection serves the record's own start array, which evolve passes
+    coeffs, edge = h.start_projection if s is vars(h).get("start") else _project(evecs, s)
     _check_edge(edge, h)
     return _propagate(evals, evecs, coeffs, times)
 
 
-@functools.lru_cache
-def _cached_decompose(shape: tuple[int, int], m: bytes, s: bytes) -> tuple:
-    """_decompose of the matrix and amplitudes with these bytes, its arrays read-only
-    (the edge bound is a numpy scalar, immutable already)."""
-    evals, evecs, coeffs, edge = _decompose(
-        np.frombuffer(s, dtype=np.complex128), np.frombuffer(m).reshape(shape)
-    )
-    for array in (evals, evecs, coeffs):
-        array.flags.writeable = False
-    return evals, evecs, coeffs, edge
-
-
-def _decompose(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(E, V, c = V^T s, edge) of H = V E V^T of the matrix m, eigenvalues
-    ascending, edge the bound on the population of either end of the ladder
-    (module docstring)."""
-    evals, evecs = np.linalg.eigh(m)
+def _project(evecs: np.ndarray, s: np.ndarray) -> tuple:
+    """(c = V^T s, edge) of the amplitudes s, edge the bound on the population of
+    either end of the ladder (module docstring)."""
     coeffs = evecs.T @ s
     edge = np.abs(evecs[[0, -1]] * coeffs).sum(axis=-1) ** 2
-    return evals, evecs, coeffs, edge.max()
+    return coeffs, edge.max()
 
 
 def _propagate(evals: np.ndarray, evecs: np.ndarray, coeffs: np.ndarray, times) -> np.ndarray:
@@ -237,7 +311,7 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
     """
     if h.off_diagonal == 0.0:
         return
-    limit = RESOLUTION_LIMIT * sys.float_info.epsilon * _h_norm(h)
+    limit = _resolution_limit(h)
     if not abs(b_n) > limit:
         raise ResolutionError(
             f"flip frequency |b_n| = {abs(b_n):.3e} rad/s is not above "
@@ -246,14 +320,19 @@ def check_resolution(h: LadderHamiltonian, b_n: float) -> None:
         )
 
 
-def _h_norm(h: LadderHamiltonian) -> float:
-    """Gershgorin's bound max|diagonal| + 2|off_diagonal| on ||H|| (module docstring)."""
-    return float(np.abs(h.diagonal).max()) + 2.0 * abs(h.off_diagonal)
+def _resolution_limit(h: LadderHamiltonian) -> float:
+    """RESOLUTION_LIMIT * eps * ||H||, read at call time."""
+    return RESOLUTION_LIMIT * sys.float_info.epsilon * _as_branch(h).h_norm
 
 
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
     """Raise NormDriftError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
-    drift = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - np.linalg.norm(s)))
+    _check_drift(amplitudes, np.linalg.norm(s))
+
+
+def _check_drift(amplitudes: np.ndarray, norm: float) -> None:
+    """check_norm_drift against the norm of the start, already taken."""
+    drift = abs(np.linalg.norm(amplitudes, axis=-1) - norm).max()
     if not drift <= NORM_TOL:
         raise NormDriftError(f"norm drift {float(drift):.3e} exceeds tol {NORM_TOL:.1e}")
 
@@ -266,22 +345,22 @@ def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
     and a duration that overflows the phases E*t is refused; the edge bound
     and the norm are checked after (module docstring).
     """
+    h = _as_branch(h)
     check_resolution(h, b_n)
-    duration = float(np.max(times, initial=0.0))  # a nan is sample_evolution's to refuse
-    if math.isinf(duration * _h_norm(h)):
+    times = np.asarray(times)
+    duration = float(times.max(initial=0.0))  # a nan is sample_evolution's to refuse
+    if math.isinf(duration * h.h_norm):
         raise ResolutionError(f"duration {duration:.3e} s overflows the phases of the ladder")
-    s = initial_state(h)
-    amps = sample_evolution(s, h, times)
-    check_norm_drift(amps, s)
+    amps = sample_evolution(h.start, h, times)
+    _check_drift(amps, h.start_norm)
     return amps
 
 
 def branch_pairs(c: TwoLevelCoeffs, times) -> np.ndarray:
     """(kept, flipped) of an atom entering on +P_{l0}, one row per time, from the
     branch of the record c (adiabatic.TwoLevelCoeffs), whose b_n the guard checks."""
-    h = build_hamiltonian(c.n, c.l0, c.d, c.include_stark)
-    amps = evolve(h, c.b_n, times)
-    return amps[:, [h.index_of(0), h.index_of(-c.l0)]]
+    h = _branch_of(c)
+    return evolve(h, c.b_n, times)[:, list(h.pair)]
 
 
 def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
@@ -307,28 +386,22 @@ def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
     coherently. Everything but pop_dev_bound's first term, which reads c.b_n,
     is computed once per branch (module docstring).
     """
-    h = build_hamiltonian(c.n, c.l0, c.d, c.include_stark)
-    pair = h.index_of(0), h.index_of(-c.l0)
+    h = _branch_of(c)
     row = evolve(h, c.b_n, [t1])[0]
-    m = h.matrix()
-    limit = RESOLUTION_LIMIT * sys.float_info.epsilon * _h_norm(h)
-    key = m.shape, m.tobytes(), initial_state(h).tobytes(), limit, pair
-    freq, mean_leakage, leakage_bound, pop_dev = _cycle_terms(*key)
+    freq, mean_leakage, leakage_bound, pop_dev = h.cycle_terms(_resolution_limit(h))
     fields = {
         "freq_rad_s": freq,
         "mean_leakage": mean_leakage,
         "leakage_bound": leakage_bound,
         "pop_dev_bound": math.pi * abs(freq / abs(c.b_n) - 1.0) + pop_dev,
     }
-    return fields, row[list(pair)]
+    return fields, row[list(h.pair)]
 
 
-@functools.lru_cache
-def _cycle_terms(shape, m: bytes, s: bytes, limit: float, pair: tuple[int, int]) -> tuple:
+def _cycle_terms(evals: np.ndarray, evecs: np.ndarray, limit: float, pair: tuple[int, int]) -> tuple:
     """(freq_rad_s, mean_leakage, leakage_bound, the max(...) term of
-    pop_dev_bound) of cycle_readout, from the decomposition _cached_decompose
-    holds for these bytes, with runs spaced within limit."""
-    evals, evecs, _, _ = _cached_decompose(shape, m, s)
+    pop_dev_bound) of cycle_readout, from the decomposition (E, V) of the
+    branch, with runs spaced within limit."""
     v0 = evecs[pair[0]]
     w, u = v0 * v0, v0 * evecs[pair[1]]
     ab = np.argsort(w)[-2:]  # the indices a and b of the two largest w_j

@@ -12,8 +12,7 @@ from braggbell import adiabatic, ladder, params
 def _cold_caches():
     """Each test starts with empty per-branch caches, so no result depends on test order."""
     adiabatic._partition.cache_clear()
-    ladder._cached_decompose.cache_clear()
-    ladder._cycle_terms.cache_clear()
+    ladder._branch.cache_clear()
 
 
 @pytest.fixture

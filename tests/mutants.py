@@ -89,9 +89,42 @@ MUTANTS = (
     Mutant(
         "norm-drift-guard-dropped",
         "ladder.py",
-        "    check_norm_drift(amps, s)\n",
+        "    _check_drift(amps, h.start_norm)\n",
         "",
         ("tests/test_caches.py::test_a_threshold_set_after_a_warm_run_still_refuses_it",),
+    ),
+    Mutant(
+        "threshold-frozen-in-record",
+        "ladder.py",
+        "    return RESOLUTION_LIMIT * sys.float_info.epsilon * _as_branch(h).h_norm\n",
+        "    b = _as_branch(h)\n"
+        "    return vars(b).setdefault('limit', RESOLUTION_LIMIT * sys.float_info.epsilon * b.h_norm)\n",
+        ("tests/test_caches.py::test_a_threshold_set_after_a_warm_run_still_refuses_it",),
+    ),
+    Mutant(
+        "partition-reads-GUARD",
+        "adiabatic.py",
+        "    _, l_max = default_range(l0)\n"
+        "    if n < 0:\n"
+        "        raise ValueError(f\"photon number must be >= 0, got {n}\")\n"
+        "    a, b = _partition(n, l0, l_max, d.recoil_frequency, d.chi)\n"
+        "    return TwoLevelCoeffs(a, b, n, l0, d, include_stark)\n"
+        "\n"
+        "\n"
+        "@functools.lru_cache\n"
+        "def _partition(n: int, l0: int, l_max: int, w: float, chi: float) -> tuple[float, float]:\n"
+        "    \"\"\"(a_n, b_n) of the n-photon ladder on the orders -l0-l_max..l_max (module docstring).\"\"\"\n",
+        "    if n < 0:\n"
+        "        raise ValueError(f\"photon number must be >= 0, got {n}\")\n"
+        "    a, b = _partition(n, l0, d.recoil_frequency, d.chi)\n"
+        "    return TwoLevelCoeffs(a, b, n, l0, d, include_stark)\n"
+        "\n"
+        "\n"
+        "@functools.lru_cache\n"
+        "def _partition(n: int, l0: int, w: float, chi: float) -> tuple[float, float]:\n"
+        "    \"\"\"(a_n, b_n) of the n-photon ladder on the orders -l0-l_max..l_max (module docstring).\"\"\"\n"
+        "    _, l_max = default_range(l0)\n",
+        ("tests/test_caches.py::test_a_patched_guard_changes_both_results",),
     ),
     Mutant(
         "closed-form-time-reversal-lost",

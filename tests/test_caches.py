@@ -1,12 +1,16 @@
 """The per-branch caches: adiabatic._partition (the fixed point of the
-reduction), ladder._cached_decompose (the ladder's eigendecomposition) and
-ladder._cycle_terms (the flip cycle read off it).
+reduction) and ladder._branch (each branch's record: its Hamiltonian, its
+decomposition and the flip cycle read off it).
 
 A warm call must give the bits of a cold one, a cached array must refuse a
 write, and every guard must still run on every call with the threshold it
-reads at that moment: the caches hold results, never refusals.
+reads at that moment: the caches hold results, never refusals. The tests
+count the calls that do the work (building and decomposing a Hamiltonian,
+iterating the partition, reading a cycle), not cache hits, so that they hold
+whatever the caches are keyed on.
 """
 
+import collections
 import itertools
 import math
 
@@ -15,6 +19,28 @@ import pytest
 
 from braggbell import adiabatic, cli, entangle, ladder, params
 from braggbell.params import derive
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """A Counter of the calls, by name, of the functions that build, decompose
+    and read a branch; 'norm(s)' counts np.linalg.norm of one vector only."""
+    counted = collections.Counter()
+
+    def counting(name, fn, counts=lambda *args, **kwargs: True):
+        def wrapper(*args, **kwargs):
+            counted[name] += counts(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((ladder, "build_hamiltonian"), (ladder, "initial_state"),
+                        (ladder, "_cycle_terms"), (ladder.LadderHamiltonian, "matrix"),
+                        (np.linalg, "eigh"), (adiabatic, "_self_energies")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    monkeypatch.setattr(np.linalg, "norm", counting("norm(s)", np.linalg.norm,
+                                                    lambda x, *args, **kwargs: np.ndim(x) == 1))
+    return counted
 
 
 def _bits(c, rows):
@@ -27,37 +53,44 @@ def _branch(c):
     return ladder.branch_pairs(c, adiabatic.pulse_times(c, 1, 1))
 
 
+def _work(calls):
+    """The counts of the calls that build or decompose a branch or iterate a partition."""
+    return {name: calls[name] for name in ("build_hamiltonian", "eigh", "_self_energies")}
+
+
 @pytest.mark.parametrize("l0, sign, stark", itertools.product((2, 4, 6), (1, -1), (False, True)))
-def test_a_warm_call_gives_the_bits_of_a_cold_one(at_ratio, l0, sign, stark):
+def test_a_warm_call_gives_the_bits_of_a_cold_one(at_ratio, calls, l0, sign, stark):
     d = derive(at_ratio(0.02, l0=l0, sign=sign))
     cold_c = adiabatic.coeffs(1, l0, d, stark)
     cold = _bits(cold_c, _branch(cold_c))
-    hits = adiabatic._partition.cache_info().hits, ladder._cached_decompose.cache_info().hits
+    work = _work(calls)
+    assert work["build_hamiltonian"] == work["eigh"] == 1 and work["_self_energies"] > 0
     warm_c = adiabatic.coeffs(1, l0, d, stark)
     assert _bits(warm_c, _branch(warm_c)) == cold
-    assert adiabatic._partition.cache_info().hits == hits[0] + 1
-    assert ladder._cached_decompose.cache_info().hits == hits[1] + 1
+    assert _work(calls) == work
     # the record is built on each call: the other Stark flag shares the
     # partition and carries its own flag
     other = adiabatic.coeffs(1, l0, d, not stark)
     assert other == cold_c._replace(include_stark=not stark)
+    assert calls["_self_energies"] == work["_self_energies"]
 
 
 def test_cached_arrays_refuse_in_place_writes(rubidium_derived):
-    h = ladder.build_hamiltonian(1, 2, rubidium_derived)
-    s, m = ladder.initial_state(h), h.matrix()
-    ladder.sample_evolution(s, h, [0.0, 1e-3])
-    evals, evecs, coeffs, _ = ladder._cached_decompose(m.shape, m.tobytes(), s.tobytes())
-    assert ladder._cached_decompose.cache_info().hits == 1
-    for array in (evals, evecs, coeffs):
+    c = adiabatic.coeffs(1, 2, rubidium_derived)
+    _branch(c)
+    record = ladder._branch_of(c)
+    evals, evecs = record.eigen
+    for array in (record.diagonal, record.start, evals, evecs, record.start_projection[0]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # what a caller receives is its own
-    rows = ladder.sample_evolution(s, h, [1e-3])
+    rows = _branch(c)
     rows[0, 0] = 0.0
+    _, pair = ladder.cycle_readout(c, math.pi / abs(c.b_n))
+    pair[0] = 0.0
 
 
-def test_a_patched_guard_changes_both_results(monkeypatch, rubidium_derived):
+def test_a_patched_guard_changes_both_results(monkeypatch, calls, rubidium_derived):
     c = adiabatic.coeffs(1, 2, rubidium_derived)
     rows = _branch(c)
     # at l0 = 2 the orders beyond l = 4 move a_n by less than an ulp
@@ -66,9 +99,11 @@ def test_a_patched_guard_changes_both_results(monkeypatch, rubidium_derived):
     patched_rows = _branch(patched)
     assert patched.a_n != c.a_n
     assert not np.array_equal(patched_rows, rows)
-    # and they are the patched ladder's, as a cold call computes them
+    # the patched ladder is a new key of both caches
+    assert calls["build_hamiltonian"] == calls["eigh"] == 2
+    # ... and the results are the patched ladder's, as a cold call computes them
     adiabatic._partition.cache_clear()
-    ladder._cached_decompose.cache_clear()
+    ladder._branch.cache_clear()
     cold = adiabatic.coeffs(1, 2, rubidium_derived)
     assert _bits(cold, _branch(cold)) == _bits(patched, patched_rows)
 
@@ -106,11 +141,14 @@ THRESHOLDS = [
      for case in THRESHOLDS]
     + [pytest.param(_warm_validate, *case, id=f"validate-{case[0]}") for case in THRESHOLDS],
 )
-def test_a_threshold_set_after_a_warm_run_still_refuses_it(monkeypatch, run, name, value, error):
+def test_a_threshold_set_after_a_warm_run_still_refuses_it(monkeypatch, calls, run, name, value,
+                                                          error):
     p = params.rubidium_preset()
     warm = run(p)
+    work = _work(calls)
+    assert work["eigh"] >= 1
     assert run(p) == warm
-    assert ladder._cached_decompose.cache_info().hits >= 1
+    assert _work(calls) == work
     monkeypatch.setattr(ladder, name, value)
     with pytest.raises(error):
         run(p)
@@ -123,68 +161,87 @@ def _cycle_bits(c):
 
 
 @pytest.mark.parametrize("l0, ratio", [(2, 0.02), (6, 0.02), (8, 0.03)])
-def test_a_warm_cycle_readout_gives_the_bits_of_a_cold_one(at_ratio, l0, ratio):
+def test_a_warm_cycle_readout_gives_the_bits_of_a_cold_one(at_ratio, calls, l0, ratio):
     c = adiabatic.coeffs(1, l0, derive(at_ratio(ratio, l0=l0)))
     cold = _cycle_bits(c)
-    hits = ladder._cycle_terms.cache_info().hits
+    assert calls["_cycle_terms"] == calls["eigh"] == 1
     assert _cycle_bits(c) == cold
-    assert ladder._cycle_terms.cache_info().hits == hits + 1
     # the cached terms hold no b_n: a record with another rate shares them
     other = c._replace(b_n=2.0 * c.b_n)
     fields, _ = ladder.cycle_readout(other, math.pi / abs(c.b_n))
     assert fields["freq_rad_s"].hex() == cold[0]["freq_rad_s"]
     assert fields["pop_dev_bound"].hex() != cold[0]["pop_dev_bound"]
-    assert ladder._cycle_terms.cache_info().currsize == 1
+    assert calls["_cycle_terms"] == calls["eigh"] == 1
 
 
-def test_a_patched_resolution_limit_is_a_new_readout_key(monkeypatch, at_ratio):
+def test_a_patched_resolution_limit_is_a_new_readout_key(monkeypatch, calls, at_ratio):
     # the runs are grouped within the limit read at call time, so a warm
     # readout cannot serve a branch under another limit
     c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
     ladder.cycle_readout(c, math.pi / abs(c.b_n))
     monkeypatch.setattr(ladder, "RESOLUTION_LIMIT", 2.0 * ladder.RESOLUTION_LIMIT)
-    ladder.cycle_readout(c, math.pi / abs(c.b_n))
-    info = ladder._cycle_terms.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    patched = _cycle_bits(c)
+    assert calls["_cycle_terms"] == 2
     # ... and the one decomposition serves both
-    assert ladder._cached_decompose.cache_info().currsize == 1
+    assert calls["eigh"] == 1
+    # ... with the terms a cold readout under the patched limit computes
+    ladder._branch.cache_clear()
+    assert _cycle_bits(c) == patched
 
 
-def test_a_resolution_refused_branch_is_never_decomposed(monkeypatch, at_ratio):
-    decompose, calls = ladder._decompose, []
-    monkeypatch.setattr(ladder, "_decompose", lambda s, m: calls.append(m) or decompose(s, m))
+def test_a_resolution_refused_branch_is_never_decomposed(calls, at_ratio):
     # at l0 = 8 and chi*n0/w_rec = 0.005, |b_n| is below the resolution limit
     refused = adiabatic.coeffs(1, 8, derive(at_ratio(0.005, l0=8)))
     for _ in range(2):
         with pytest.raises(ladder.ResolutionError):
             ladder.branch_pairs(refused, [1.0])
-    assert calls == []
-    # a branch whose matrix is cached is refused as well, before any lookup,
-    # for a flip frequency below the limit or a duration that overflows
+    assert calls["eigh"] == 0
+    # a branch whose record is cached is refused as well, before anything is
+    # propagated, for a flip frequency below the limit or a duration that overflows
     c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
     _branch(c)
-    lookups = ladder._cached_decompose.cache_info()
+    work = _work(calls)
     with pytest.raises(ladder.ResolutionError, match="flip frequency"):
         ladder.branch_pairs(c._replace(b_n=1e-300), [1.0])
     with pytest.raises(ladder.ResolutionError, match="overflows"):
         ladder.branch_pairs(c, [1e308])
-    assert ladder._cached_decompose.cache_info() == lookups
-    assert len(calls) == 1
+    assert _work(calls) == work
+    assert calls["eigh"] == 1
 
 
-def test_a_refused_partition_is_refused_on_every_call(capsys):
-    for _ in range(3):
+def test_a_refused_partition_is_refused_on_every_call(capsys, calls):
+    for run in range(1, 4):
         assert cli.main(["coeffs", "--l0", "4", "--chi-ratio", "8"]) == cli.EXIT_PHYSICS
         assert capsys.readouterr().err.startswith("error: level shift a_1 at l0=4 did not converge")
-    assert adiabatic._partition.cache_info().currsize == 0
+        # every call iterates to the cap again: the refusal was not kept
+        assert calls["_self_energies"] == run * adiabatic.MAX_ITERATIONS
 
 
-def test_the_caches_keep_what_a_grid_of_scenarios_shares():
+def test_the_caches_keep_what_a_grid_of_scenarios_shares(calls):
     # every atom, pulse multiple and offset of one (l0, ratio, sign) meets the
     # same two branches: one partition and one decomposition serve them all
     p = params.rubidium_preset()
-    for s, r, mode in itertools.product((1, 3), (0, 1), ("opposite", "same")):
+    for i, (s, r, mode) in enumerate(itertools.product((1, 3), (0, 1), ("opposite", "same"))):
         entangle.run_scenario(p, s=s, r=r, mode=mode, engine="ladder")
-    assert adiabatic._partition.cache_info().currsize == 1
-    assert ladder._cached_decompose.cache_info().currsize == 1
-    assert ladder._cached_decompose.cache_info().hits == 7
+        if i == 0:
+            partition = calls["_self_energies"]
+    assert calls["_self_energies"] == partition
+    assert calls["build_hamiltonian"] == calls["eigh"] == 1
+
+
+@pytest.mark.parametrize("readout", [False, True], ids=["branch_pairs", "cycle_readout"])
+def test_a_warm_call_builds_and_decomposes_nothing(calls, at_ratio, readout):
+    # a warm call reads the branch's record: it runs the guards and propagates,
+    # and builds, decomposes, starts and normalizes nothing
+    c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
+    t1 = math.pi / abs(c.b_n)
+
+    def call():
+        return ladder.cycle_readout(c, t1)[1] if readout else _branch(c)
+
+    cold = call()
+    assert calls["build_hamiltonian"] == calls["matrix"] == calls["eigh"] == 1
+    calls.clear()
+    for _ in range(3):
+        assert call().tobytes() == cold.tobytes()
+    assert not +calls, calls

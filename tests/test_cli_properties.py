@@ -13,6 +13,10 @@ stays cheap. A ladder `bell` or `ghz` report printed with exit 0 has field
 outcome probabilities that sum to 1 and a leakage in [0, 1]. The examples
 run in one process, so the per-branch caches are warm when each refusal is
 met.
+
+A drawn `--config` value is the text of a parameter file: keys of `params`'
+table with plausible, non-finite and unparsable values. The test writes it
+to a file and passes the file's path in its place.
 """
 
 import contextlib
@@ -20,7 +24,9 @@ import csv
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -80,10 +86,17 @@ FLOATS = st.sampled_from(["0", "-0.0", "1e-300", "1e20", "1e308", "inf", "nan"])
 CYCLES = st.one_of(FLOATS, st.sampled_from(["1", "2.5", "-1"]))
 # a switch takes no value
 SWITCH = st.none()
+# parameter files: up to three key = value lines, a key possibly repeated
+CONFIG_VALUES = st.sampled_from(["2", "4", "1.5", "-80e6", "0", "nan", "inf", "-inf", "1e400",
+                                 "abc", ""])
+CONFIG = st.lists(st.tuples(st.sampled_from(params.CONFIG_KEYS), CONFIG_VALUES), max_size=3).map(
+    lambda lines: "".join(f"{key} = {value}\n" for key, value in lines)
+)
+COMMON_FLAGS = {"--set": OVERRIDES, "--config": CONFIG}
 SCENARIO_FLAGS = {
     "--s": S,
     "--r": R,
-    "--set": OVERRIDES,
+    **COMMON_FLAGS,
     "--engine": st.sampled_from(["ladder", "adiabatic", "x"]),
     "--basis": st.sampled_from(["superposition", "computational", "x"]),
     "--outcome": _mostly("0", "1"),
@@ -96,11 +109,11 @@ FLAGS = {
     "bell": SCENARIO_FLAGS,
     "ghz": {**SCENARIO_FLAGS, "--k": K},
     "coeffs": {"--l0": L0_LISTS, "--n": st.sampled_from(["0,1,2", "1", "3", "-1", "y"]),
-               "--set": OVERRIDES},
-    "validate": {"--l0": L0, "--s": S, "--set": OVERRIDES},
+               **COMMON_FLAGS},
+    "validate": {"--l0": L0, "--s": S, **COMMON_FLAGS},
     "sweep": {"--var": st.sampled_from(["chi_ratio", "l0", "n0", "s", "mass"]),
-              "--values": SWEEP_VALUES, "--set": OVERRIDES},
-    "simulate": {"--l0": L0, "--set": OVERRIDES, "--n": st.just("0"), "--duration": FLOATS,
+              "--values": SWEEP_VALUES, **COMMON_FLAGS},
+    "simulate": {"--l0": L0, **COMMON_FLAGS, "--n": st.just("0"), "--duration": FLOATS,
                  "--cycles": CYCLES, "--samples": SIM_SAMPLES},
 }
 # what every example of a command starts with: simulate's few samples keep
@@ -138,11 +151,22 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue() + "".join(shown)
 
 
+def _with_config_files(argv, directory):
+    """argv with each --config text written to a file in directory and replaced by its path."""
+    argv = list(argv)
+    for i, flag in enumerate(argv[:-1]):
+        if flag == "--config":
+            path = Path(directory) / f"config{i}.txt"
+            path.write_text(argv[i + 1])
+            argv[i + 1] = str(path)
+    return argv
+
+
 def _check_converged_table(argv, text):
     """Every row's a_n is a fixed point of the dense partition of its ladder."""
     opts = dict(zip(argv[1::2], argv[2::2]))
     overrides = [v for k, v in zip(argv[1::2], argv[2::2]) if k == "--set"]
-    p = params.resolve_params("rubidium", None, overrides)
+    p = params.resolve_params("rubidium", opts.get("--config"), overrides)
     d = params.derive(params.with_regime_ratio(p, float(opts["--chi-ratio"])))
     for row in csv.DictReader(io.StringIO(text)):
         n, l0, a = int(row["n"]), int(row["l0"]), float(row["a_n_rad_s"])
@@ -204,9 +228,22 @@ def _check_measured_frequency(argv, points):
           "--outcome", "1", "--set", "l0=6"])
 @example(["simulate", "--chi-ratio", "0.02", "--samples", str(SAMPLES_CAP)])
 @example(["simulate", "--chi-ratio", "0.02", "--samples", str(SAMPLES_CAP + 1)])
+@example(["validate", "--chi-ratio", "0.02", "--config", "g_rad_s = nan\n"])
+@example(["bell", "--chi-ratio", "0.02", "--engine", "ladder", "--config", "detuning_rad_s = inf\n"])
+@example(["coeffs", "--chi-ratio", "0.02", "--config", "l0 = 1e400\nn0 = \n"])
+@example(["simulate", "--chi-ratio", "0.02", "--samples", "3", "--config", "mass_kg = 1e400\n"])
+@example(["sweep", "--chi-ratio", "0.02", "--var", "s", "--values", "1", "--config",
+          "wavelength_m = abc\ng_2pi_hz = -inf\n"])
 def test_cli_exit_codes_and_no_traceback(argv):
-    with mock.patch.object(cli, "MAX_SAMPLES", SAMPLES_CAP):
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(cli, "MAX_SAMPLES", SAMPLES_CAP):
+        argv = _with_config_files(argv, directory)
         code, out, err = _run(argv)
+        _check_output(argv, code, out, err)
+
+
+def _check_output(argv, code, out, err):
+    """The exit code, the stderr and, on exit 0, the output of one invocation (module docstring)."""
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PHYSICS), (argv, code, err)
     assert "Traceback" not in err
     assert "Warning" not in err, (argv, err)

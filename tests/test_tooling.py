@@ -109,8 +109,7 @@ def test_validate_propagates_the_ladder_once(monkeypatch, capsys):
         (["sweep", "--var", "l0", "--values", "2,4,2,8", "--chi-ratio", "0.02"], 0, 2, 0),
     ):
         adiabatic._partition.cache_clear()
-        ladder._cached_decompose.cache_clear()
-        ladder._cycle_terms.cache_clear()
+        ladder._branch.cache_clear()
         for expected in (cold, warm):
             calls.clear()
             assert cli.main(argv) == code, capsys.readouterr().err
