@@ -12,8 +12,12 @@ from that form in O(k) complex products; no 2^k vector is built. The norm of
 a state needs only the Gram summary of its two products (their norms, their
 overlap and the gap AB - |O|^2), which depends on the pairs alone: compose
 and measure_atom return the pairs as Products, which computes that summary
-once, so every later norm is O(1). A qubit string is a sequence of per-atom
-indices, 0 for |+> and 1 for |->.
+once, so every later norm is O(1). compose takes each atom's norm once, in
+that loop. Products also keeps each qubit string's amplitude in either
+product, which both field outcomes and the concurrence read, and the
+products measure_atom leaves at an atom index, which both of its outcomes
+share. Every guard runs on every call. A qubit string is a sequence of
+per-atom indices, 0 for |+> and 1 for |->.
 
 Projecting the field onto {|0>, |n0>} keeps one branch, a product state;
 projecting onto (|0> +- |n0>)/sqrt(2) transfers the branch coherence to the
@@ -46,17 +50,24 @@ run_scenario refuses a run outside the Bragg regime with params.RegimeError,
 through params.check_regime, the one refusal that `simulate` shares.
 
 The module is plain Python (cmath and math): a basis is a pair of rows, and
-superposition_basis/computational_basis return tuples of them; lists,
-tuples and ndarrays are all accepted where a basis or pairs are taken. Only
-the ladder engine loads `ladder`, and with it numpy, when run_scenario calls
-it. json_text is the one JSON emitter of the package: the text of
-json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
-Its report, EntanglementReport, is a namedtuple (params docstring).
+superposition_basis/computational_basis return one module-level tuple of
+them each, whose rows are checked once, at import; lists, tuples and
+ndarrays are all accepted where a basis or pairs are taken, and any other
+basis is checked on every call. Only the ladder engine loads `ladder`, and
+with it numpy, when run_scenario calls it. json_text is the one JSON emitter
+of the package: the text of json.dumps(obj, sort_keys=True, indent=2) and a
+newline, byte for byte. A dict whose keys are all exactly str is written
+from a key plan, its sorted keys and their encoded `"key": ` prefixes at
+its depth, made once per depth and key tuple (an lru_cache of the default
+size); scalars inside a container are written in place. Any other dict
+takes json's own key rules. Its report, EntanglementReport, is a namedtuple
+(params docstring).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from _json import encode_basestring_ascii  # json.encoder's escaper, without loading json
@@ -76,41 +87,72 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 FIELD = (INV_SQRT2,) * 2
 
 
-def _norm2(pair) -> float:
-    return abs(pair[0]) ** 2 + abs(pair[1]) ** 2
-
-
 # json's texts of the float reprs nan, inf and -inf; no other scalar's text is one of these
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# keyed by exact type, so repr is float.__repr__ or int.__repr__, json's text for each
 _SCALARS = {
     str: encode_basestring_ascii,
-    float: float.__repr__,
-    int: int.__repr__,
+    float: repr,
+    int: repr,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
 
 
+# the key types of a dict that a key plan writes; a str subclass may sort its own way
+_PLANNED_KEYS = {str}
+
+
+@functools.lru_cache
+def _plan(newline: str, keys: tuple) -> tuple[tuple, str]:
+    """(sorted keys, %-template of the text) of a dict with these str keys
+    nested below `newline`: each key's encoded `"key": ` prefix at that depth,
+    followed by a slot for its value."""
+    inner = newline + "  "
+    ordered = tuple(sorted(keys))
+    items = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ordered]
+    return ordered, "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+def _texts(values, inner: str) -> list[str]:
+    """json text of each value nested at `inner`, a scalar's looked up in place."""
+    texts = []
+    for value in values:
+        scalar = _SCALARS.get(type(value))
+        if scalar is None:
+            texts.append(_json(value, inner))
+        else:
+            text = scalar(value)
+            texts.append(_NONFINITE.get(text, text))
+    return texts
+
+
 def _json(obj, newline: str) -> str:
     """json.dumps text of obj (sort_keys, indent=2) nested below `newline`,
     a newline and the indentation of the enclosing container."""
-    scalar = _SCALARS.get(type(obj))
-    if scalar is None:  # a subclass, in json's isinstance order
-        if isinstance(obj, str):
-            scalar = encode_basestring_ascii
-        elif isinstance(obj, int):
-            scalar = int.__repr__
-        elif isinstance(obj, float):
-            scalar = float.__repr__
-    if scalar is not None:
-        text = scalar(obj)
-        return _NONFINITE.get(text, text)
+    kind = type(obj)
+    if kind is dict:
+        if obj and {*map(type, obj)} == _PLANNED_KEYS:
+            keys, template = _plan(newline, tuple(obj))
+            return template % tuple(_texts(map(obj.__getitem__, keys), newline + "  "))
+    elif kind is not list and kind is not tuple:
+        scalar = _SCALARS.get(kind)
+        if scalar is None:  # a subclass, in json's isinstance order
+            if isinstance(obj, str):
+                scalar = encode_basestring_ascii
+            elif isinstance(obj, int):
+                scalar = int.__repr__
+            elif isinstance(obj, float):
+                scalar = float.__repr__
+        if scalar is not None:
+            text = scalar(obj)
+            return _NONFINITE.get(text, text)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + newline + "]"
-    if isinstance(obj, dict):
+        return "[" + inner + ("," + inner).join(_texts(obj, inner)) + newline + "]"
+    if isinstance(obj, dict):  # a subclass, or keys not all exactly str
         if not obj:
             return "{}"
         items = []
@@ -131,7 +173,8 @@ def json_text(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
 
     The standard library falls back to its pure-Python encoder for an
-    indented dump; this one looks each scalar's text up by its exact type.
+    indented dump; this one looks each scalar's text up by its exact type
+    and writes a dict whose keys are all exactly str from its key plan.
     """
     return _json(obj, "\n") + "\n"
 
@@ -152,15 +195,13 @@ def compose(pairs) -> tuple[tuple, float]:
         shaped = False
     if not shaped:
         raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2)")
-    norms = [[_norm2(pair) for pair in branch] for branch in pairs]
-    # each guard is written so that a nan fails it
-    if not all(norm <= 1.0 + 1e-9 for branch in norms for norm in branch):
-        raise ValueError("an atom's branch norm exceeds 1 or is not a number")
+    pairs = Products(pairs, checked=True)
     # the field branches are orthogonal, so their norms add
-    raw = sum(f * f * math.prod(branch) for f, branch in zip(FIELD, norms))
-    if not raw > 0.0:
+    (f_vacuum, f_fock), (norm_vacuum, norm_fock) = FIELD, pairs.norms
+    raw = 0 + f_vacuum * f_vacuum * norm_vacuum + f_fock * f_fock * norm_fock
+    if not raw > 0.0:  # written so that a nan fails it
         raise ValueError("joint state has zero norm")
-    return ([f / math.sqrt(raw) for f in FIELD], Products(pairs)), max(0.0, 1.0 - raw)
+    return ([f / math.sqrt(raw) for f in FIELD], pairs), max(0.0, 1.0 - raw)
 
 
 def prepare(fock, init_bits) -> tuple[tuple, float]:
@@ -176,18 +217,22 @@ def prepare(fock, init_bits) -> tuple[tuple, float]:
     return compose([vacuum, fock])
 
 
+_SUPERPOSITION = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+_COMPUTATIONAL = ((1.0, 0.0), (0.0, 1.0))
+
+
 def superposition_basis() -> tuple:
-    """Field basis {(|0> + |n0>)/sqrt2, (|0> - |n0>)/sqrt2} as rows."""
-    return ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+    """Field basis {(|0> + |n0>)/sqrt2, (|0> - |n0>)/sqrt2} as rows, one immutable tuple."""
+    return _SUPERPOSITION
 
 
 def computational_basis() -> tuple:
-    """Field basis {|0>, |n0>} as rows."""
-    return ((1.0, 0.0), (0.0, 1.0))
+    """Field basis {|0>, |n0>} as rows, one immutable tuple."""
+    return _COMPUTATIONAL
 
 
-def _basis_row(basis, outcome: int, what: str) -> list[complex]:
-    """Conjugated row `outcome` of a 2x2 basis whose rows are orthonormal within 1e-12."""
+def _conjugated_rows(basis, what: str) -> tuple:
+    """Conjugated rows of a 2x2 basis whose rows are orthonormal within 1e-12."""
     try:
         (u0, u1), (v0, v1) = rows = [(complex(x), complex(y)) for x, y in basis]
     except (TypeError, ValueError):
@@ -197,38 +242,79 @@ def _basis_row(basis, outcome: int, what: str) -> list[complex]:
             abs(u0 * v0.conjugate() + u1 * v1.conjugate()))
     if not all(abs(g) <= 1e-12 for g in gram):
         raise MeasurementError(f"{what} basis is not orthonormal within 1e-12")
+    return tuple([(x.conjugate(), y.conjugate()) for x, y in rows])
+
+
+# the named bases live as long as the module: their rows are checked once, here
+_NAMED_ROWS = {
+    id(basis): _conjugated_rows(basis, "field") for basis in (_SUPERPOSITION, _COMPUTATIONAL)
+}
+
+
+def _basis_row(basis, outcome: int, what: str) -> tuple[complex, complex]:
+    """Conjugated row `outcome` of a 2x2 basis whose rows are orthonormal within 1e-12."""
+    rows = _NAMED_ROWS.get(id(basis))
+    if rows is None:
+        rows = _conjugated_rows(basis, what)
     if outcome not in (0, 1):
         raise MeasurementError(f"outcome must be 0 or 1, got {outcome}")
-    return [x.conjugate() for x in rows[outcome]]
+    return rows[outcome]
 
 
 class Products(tuple):
     """The two products of atom pairs of a state, (vacuum branch, Fock branch).
 
-    A tuple, so `weights, pairs = state` and pairs[b][i] read as before; it
-    also holds `summary`, the Gram summary of the two products (_summary),
-    computed once when it is made. Any other sequence of two branches is
-    wrapped by _products on use.
+    A tuple of tuples of pairs, so `weights, pairs = state` and pairs[b][i]
+    read as before and no caller's edit makes what it keeps stale: `norms`,
+    (A, B), and `summary` (_summary), made with it (`checked` runs compose's
+    norm guard there), then terms and without, each made on first use. Any
+    other sequence of two branches is wrapped by _products on use.
     """
 
-    def __new__(cls, branches):
+    def __new__(cls, branches, checked: bool = False):
+        # tuple() of a list, not of an iterator: CPython sizes a tuple built from
+        # an iterator by resizing, off the free list that its release then fills
+        branches = [tuple([tuple(pair) for pair in branch]) for branch in branches]
         self = super().__new__(cls, branches)
-        self.summary = _summary(self)
+        self.norms, self.summary = _summary(self, checked)
+        self._terms, self._without = {}, {}
         return self
+
+    def terms(self, bits) -> tuple[complex, complex]:
+        """Amplitudes of the qubit string `bits` in the vacuum and the Fock product."""
+        key = tuple(bits)
+        terms = self._terms.get(key)
+        if terms is None:
+            terms = self._terms[key] = (_product(self[0], bits), _product(self[1], bits))
+        return terms
+
+    def without(self, atom: int) -> Products:
+        """The two products with atom `atom` (a valid index) left out."""
+        rest = self._without.get(atom)
+        if rest is None:
+            rest = self._without[atom] = _spliced(self, atom)
+        return rest
+
+
+def _spliced(pairs, atom: int) -> Products:
+    # spliced, not added: `+` on two ndarray rows would sum them elementwise
+    return Products([[*branch[:atom], *branch[atom + 1 :]] for branch in pairs])
 
 
 def _products(pairs) -> Products:
     return pairs if type(pairs) is Products else Products(pairs)
 
 
-def _summary(pairs) -> tuple:
-    """O(k) part of the norm of sum_b weights[b] * (x)_i pairs[b][i].
+def _summary(pairs, checked: bool) -> tuple[tuple, tuple]:
+    """(A, B) and the O(k) part of the norm of sum_b weights[b] * (x)_i pairs[b][i].
 
-    With A = <a|a>, B = <b|b> and O = <a|b> for the two products, returns
-    (sqrt A, sqrt B, O, |O|, (AB - |O|^2) / (sqrt(AB) + |O|)), the last
+    With A = <a|a>, B = <b|b> and O = <a|b> for the two products, the part
+    is (sqrt A, sqrt B, O, |O|, (AB - |O|^2) / (sqrt(AB) + |O|)), the last
     sqrt(AB) - |O| without cancellation: AB - |O|^2 is built atom by atom
     from Lagrange's identity (|p|^2 + |m|^2)(|q|^2 + |n|^2) - |p* q + m* n|^2
-    = |p n - m q|^2, so it keeps its relative accuracy.
+    = |p n - m q|^2, so it keeps its relative accuracy. When checked, an
+    atom whose norm in either branch exceeds 1 + 1e-9, or is not a number,
+    is refused as soon as it is read.
     """
     a, b = pairs
     big_a = big_b = 1.0
@@ -236,12 +322,16 @@ def _summary(pairs) -> tuple:
     gap = 0.0  # A*B - |O|^2 over the atoms so far
     for (p, m), (q, n) in zip(a, b):
         norm_a, norm_b = abs(p) ** 2 + abs(m) ** 2, abs(q) ** 2 + abs(n) ** 2
+        # written so that a nan fails it
+        if checked and not (norm_a <= 1.0 + 1e-9 and norm_b <= 1.0 + 1e-9):
+            raise ValueError("an atom's branch norm exceeds 1 or is not a number")
         gap = norm_a * norm_b * gap + abs(p * n - m * q) ** 2 * abs(overlap) ** 2
         big_a, big_b = big_a * norm_a, big_b * norm_b
         overlap *= p.conjugate() * q + m.conjugate() * n
     ao = abs(overlap)
     root = math.sqrt(big_a * big_b)
-    return math.sqrt(big_a), math.sqrt(big_b), overlap, ao, gap / (root + ao) if gap else 0.0
+    summary = math.sqrt(big_a), math.sqrt(big_b), overlap, ao, gap / (root + ao) if gap else 0.0
+    return (big_a, big_b), summary
 
 
 def _gram_norm2(weights, summary: tuple) -> float:
@@ -301,12 +391,12 @@ def measure_atom(
         w * (v_plus * branch[atom_index][0] + v_minus * branch[atom_index][1])
         for w, branch in zip(weights, pairs)
     ]
-    # spliced, not added: `+` on two ndarray rows would sum them elementwise
-    pairs = Products([[*branch[:atom_index], *branch[atom_index + 1 :]] for branch in pairs])
-    return _renormalized(weights, pairs, outcome)
+    # a caller's own pairs are spliced as they are, with nothing kept
+    rest = pairs.without(atom_index) if type(pairs) is Products else _spliced(pairs, atom_index)
+    return _renormalized(weights, rest, outcome)
 
 
-def _product(branch: list, bits) -> complex:
+def _product(branch: tuple, bits) -> complex:
     """Amplitude of the qubit string `bits` in one product of atom pairs."""
     amp = 1 + 0j
     for pair, q in zip(branch, bits, strict=True):
@@ -315,8 +405,9 @@ def _product(branch: list, bits) -> complex:
 
 
 def _amplitude(state: tuple, bits) -> complex:
-    weights, pairs = state
-    return sum(w * _product(branch, bits) for w, branch in zip(weights, pairs))
+    (x, y), pairs = state
+    vacuum, fock = _products(pairs).terms(bits)
+    return 0 + x * vacuum + y * fock
 
 
 def fidelity(state: tuple, init_bits, flip_bits, rel: complex) -> float:
@@ -431,8 +522,7 @@ def run_scenario(
     t1, t2 = adiabatic.pulse_times(c, s, r)
     times = [t1] * (k - 1) + [t2]
     # opposite: |+-> in, |-+> flipped; same: |+...+> in, |-...-> flipped
-    init_bits = [0, 1] if mode == "opposite" else [0] * k
-    flip_bits = [1 - q for q in init_bits]
+    init_bits, flip_bits = ((0, 1), (1, 0)) if mode == "opposite" else ((0,) * k, (1,) * k)
     # the closed form at each distinct time serves the adiabatic engine and
     # the scheduled target of either engine
     closed_form = adiabatic.branch_pairs(c, (t1, t2))
@@ -445,7 +535,7 @@ def run_scenario(
     # the first k - 1 atoms take the pair at t1, the last the pair at t2
     closed_form, fock = ([at_t1] * (k - 1) + [at_t2] for at_t1, at_t2 in (closed_form, fock))
     state, leakage = prepare(fock, init_bits)
-    vacuum, fock_branch = state[1]
+    products = state[1]
 
     # scheduled target: family from the preparation mode, sign from r parity,
     # phase from the closed-form flipped amplitudes
@@ -459,7 +549,7 @@ def run_scenario(
     target = cmath.exp(-1j * target_phase)
 
     # both branch weights are FIELD over the same norm
-    flipped, kept = _product(fock_branch, flip_bits), _product(vacuum, init_bits)
+    flipped, kept = products.terms(flip_bits)[1], products.terms(init_bits)[0]
     phase_measured = -cmath.phase(flipped * kept.conjugate())
 
     # the second outcome of either basis carries the opposite sign
@@ -478,14 +568,14 @@ def run_scenario(
             for x, (x_label, x_sign) in enumerate((("x_plus", 1), ("x_minus", -1))):
                 x_prob, rest = measure_atom(post, 0, superposition_basis(), x)
                 rel = x_sign * out_sign * target
-                collapse[x_label] = _grade(x_prob, rest, [0] * (k - 1), [1] * (k - 1), rel)
+                collapse[x_label] = _grade(x_prob, rest, (0,) * (k - 1), (1,) * (k - 1), rel)
 
     selected_label = labels[selected_outcome]
     selected = outcomes[selected_label]
 
     # the vacuum branch's population outside the initial string, which bounds
     # every other string's population
-    vacuum_deviation = 1.0 - abs(kept) ** 2 / math.prod(map(_norm2, vacuum))
+    vacuum_deviation = 1.0 - abs(kept) ** 2 / products.norms[0]
 
     parameters = {
         **physical_dict(p),

@@ -5,14 +5,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
-from braggbell import adiabatic, ladder, params
+from braggbell import adiabatic, entangle, ladder, params
 
 
 @pytest.fixture(autouse=True)
 def _cold_caches():
-    """Each test starts with empty per-branch caches, so no result depends on test order."""
+    """Each test starts with empty per-branch caches and JSON key plans, so no
+    result depends on test order."""
     adiabatic._partition.cache_clear()
     ladder._branch.cache_clear()
+    entangle._plan.cache_clear()
 
 
 @pytest.fixture

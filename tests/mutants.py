@@ -134,6 +134,27 @@ MUTANTS = (
         ("tests/test_adiabatic.py::test_solve_backwards_is_the_conjugate_forwards",),
     ),
     Mutant(
+        "json-plan-ignores-depth",
+        "entangle.py",
+        "            keys, template = _plan(newline, tuple(obj))\n",
+        "            keys, template = vars(_plan).setdefault(tuple(obj), _plan(newline, tuple(obj)))\n",
+        ("tests/test_entangle.py::test_a_key_plan_gives_json_dumps_bytes_at_two_depths_and_in_two_orders",),
+    ),
+    Mutant(
+        "products-terms-ignore-bits",
+        "entangle.py",
+        "        key = tuple(bits)\n",
+        "        key = ()\n",
+        ("tests/test_entangle.py::test_a_warm_products_gives_the_bits_of_a_fresh_one",),
+    ),
+    Mutant(
+        "basis-check-skipped-for-any-tuple",
+        "entangle.py",
+        "        rows = _conjugated_rows(basis, what)\n",
+        "        rows = tuple(basis) if type(basis) is tuple else _conjugated_rows(basis, what)\n",
+        ("tests/test_entangle.py::test_a_non_orthonormal_basis_is_refused_on_every_call",),
+    ),
+    Mutant(
         "mirror-pairs-not-reversed",
         "entangle.py",
         "pair if q == 0 else pair[::-1]",

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import enum
 import itertools
 import json
@@ -399,6 +400,89 @@ def test_measure_atom_gives_the_same_state_for_ndarray_pairs(k, atom):
     assert prob == as_lists[0]
     assert rest_weights == as_lists[1][0]
     np.testing.assert_array_equal(np.array(rest_pairs), np.array(as_lists[1][1]))
+
+
+# --- what one state keeps for its measurements ---------------------------------
+
+
+def _bits_of(values):
+    """The exact bits of complex or float values, -0.0 and nan included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_warm_products_gives_the_bits_of_a_fresh_one(k):
+    rng = np.random.default_rng(k)
+    raw = rng.normal(size=(2, k, 2)) + 1j * rng.normal(size=(2, k, 2))
+    pairs = (raw / np.linalg.norm(raw, axis=-1, keepdims=True)).tolist()
+    strings = list(itertools.product((0, 1), repeat=k))
+    warm = compose(pairs)[0]
+    # fill every memo, in an order of its own, before reading anything back
+    for bits in reversed(strings):
+        warm[1].terms(list(bits))
+    for atom in reversed(range(k)):
+        measure_atom(warm, atom, superposition_basis(), 1)
+    for bits in strings:
+        fresh = compose(pairs)[0]
+        assert _bits_of(warm[1].terms(bits)) == _bits_of(fresh[1].terms(bits))
+    for atom, outcome in itertools.product(range(k), (0, 1)):
+        fresh = compose(pairs)[0]
+        (prob, (weights, rest)), (fresh_prob, (fresh_weights, fresh_rest)) = (
+            measure_atom(state, atom, superposition_basis(), outcome) for state in (warm, fresh)
+        )
+        assert _bits_of([prob, *weights]) == _bits_of([fresh_prob, *fresh_weights])
+        assert rest == fresh_rest and rest.summary == fresh_rest.summary
+        # both outcomes of one atom share one splice and its Gram summary
+        assert rest is measure_atom(warm, atom, superposition_basis(), 1 - outcome)[1][1]
+    for outcome in (0, 1):
+        post, fresh_post = (
+            measure_field(state, superposition_basis(), outcome)[1] for state in (warm, compose(pairs)[0])
+        )
+        scores = [fitted_fidelity(s, (0,) * k, (1,) * k) for s in (post, fresh_post)]
+        if k == 2:
+            scores += [concurrence(s) for s in (post, fresh_post)]
+        assert _bits_of(scores[::2]) == _bits_of(scores[1::2])
+
+
+def test_products_keep_tuples_so_an_edit_of_the_callers_lists_changes_nothing():
+    state = _bell(PSI, 1.0)  # pairs as the caller's nested lists
+    _, post = measure_field(state, computational_basis(), 1)
+    before = _bits_of(post[1].terms((1, 0)))
+    state[1][1][0][:] = [1.0, 0.0]
+    assert all(type(pair) is tuple for branch in post[1] for pair in branch)
+    assert _bits_of(post[1].terms((1, 0))) == before == _bits_of(
+        measure_field(_bell(PSI, 1.0), computational_basis(), 1)[1][1].terms((1, 0))
+    )
+    # a refusal is never kept: a string of the wrong length fails every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            post[1].terms((0,))
+
+
+def test_the_named_bases_are_immutable_tuples():
+    for basis in (superposition_basis(), computational_basis()):
+        assert type(basis) is tuple and all(type(row) is tuple for row in basis)
+        with pytest.raises(TypeError):
+            basis[0] = (1.0, 0.0)
+    assert superposition_basis() is superposition_basis()
+    assert computational_basis() is computational_basis()
+
+
+@pytest.mark.parametrize("kind", [list, np.array, tuple], ids=["list", "ndarray", "tuple"])
+def test_a_non_orthonormal_basis_is_refused_on_every_call(kind):
+    state, _ = compose(_pairs(FLIPPER, FLIPPER))
+    good = kind([kind(row) for row in superposition_basis()])
+    bad = kind([kind(row) for row in ((1.0, 1e-11), (0.0, 1.0))])
+    for _ in range(3):  # a good basis of this kind first, then the bad one
+        assert measure_field(state, good, 0) == measure_field(state, superposition_basis(), 0)
+        with pytest.raises(MeasurementError, match="orthonormal"):
+            measure_field(state, bad, 0)
+        with pytest.raises(MeasurementError, match="orthonormal"):
+            measure_atom(state, 0, bad, 0)
+    if kind is list:  # a list checked once is checked again after an edit
+        good[1][1] = 1.0 + 1e-11
+        with pytest.raises(MeasurementError, match="orthonormal"):
+            measure_field(state, good, 0)
 
 
 # --- full scenarios ----------------------------------------------------------
@@ -847,6 +931,14 @@ class _Name(str):
     pass
 
 
+class _Backwards(str):
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+
+_Point = collections.namedtuple("_Point", "x y")
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -857,6 +949,9 @@ class _Name(str):
         {None: "null"},
         {True: "t", False: "f"},
         {float("nan"): 0, float("inf"): 1},
+        # str and str-subclass keys together, and a subclass that sorts backwards
+        {"b": 0, _Name("a"): 1, _Name("c"): 2},
+        {_Backwards("a"): 0, _Backwards("b"): [_Point(1.0, 2)]},
         "top-level text",
         7,
     ],
@@ -865,12 +960,31 @@ def test_json_text_matches_json_dumps_on_subclasses_and_keys(obj):
     assert entangle.json_text(obj) == _dumps(obj)
 
 
-@pytest.mark.parametrize("obj", [{"x": object()}, [{1, 2}], {(1, 2): 0}, np.int64(3), {"a": 1, 2: 0}])
+@pytest.mark.parametrize(
+    "obj", [{"x": object()}, [{1, 2}], {(1, 2): 0}, np.int64(3), {"a": 1, 2: 0}, {"a": 1, None: 2}]
+)
 def test_json_text_refuses_what_json_dumps_refuses(obj):
     with pytest.raises(TypeError):
         _dumps(obj)
     with pytest.raises(TypeError):
         entangle.json_text(obj)
+
+
+def test_a_key_plan_gives_json_dumps_bytes_at_two_depths_and_in_two_orders():
+    inner = {"b": 2.5, "a%s": "%d", "c": [None, {"a%s": 1, "b": True, "c": _Point(1, "x")}]}
+    outer = {"c": inner, "a%s": -0.0, "b": [inner]}
+    for obj in (outer, dict(reversed(outer.items())), [outer, {"a%s": 0, "c": 1, "b": 2}]):
+        for _ in range(2):  # the second pass reads every plan back
+            assert entangle.json_text(obj) == _dumps(obj)
+    assert entangle._plan.cache_info().hits > 0
+
+
+def test_the_key_plans_stay_bounded():
+    for i in range(1000):
+        obj = {f"k{i}": i, f"k{i + 1}": {f"k{i}": [i]}}
+        assert entangle.json_text(obj) == _dumps(obj)
+    info = entangle._plan.cache_info()
+    assert info.currsize == info.maxsize == 128
 
 
 # --- records -----------------------------------------------------------------
