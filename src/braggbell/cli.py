@@ -35,11 +35,14 @@ point's two-level numbers and gives an `error` in place of the ladder's.
 is linspace(0, duration, --samples) propagated by ladder.evolve under its
 resolution, edge and norm guards.
 
-The per-branch caches of adiabatic.coeffs and of the ladder's branch
-records serve every point of a process that meets a branch again: a ladder
-record holds the branch's Hamiltonian, its decomposition and its readout
-terms, keyed on n, l0, the Stark flag, the ladder range and the bytes of
-w_rec and chi, so a warm point only runs the guards and forms its phases. A
+The per-branch caches of adiabatic.coeffs and of the ladder serve every
+point of a process that meets a branch again: a ladder record holds the
+branch's Hamiltonian, its decomposition and its readout terms, keyed on n,
+l0, the Stark flag, the ladder range and the bytes of w_rec and chi, and a
+bounded row cache (128 entries) holds its (kept, flipped) pair, keyed on
+that key, the bytes of the point's t1 and b_n. A warm point propagates
+nothing: it runs the ladder's resolution, duration, edge and norm-drift
+guards against the kept numbers, each threshold read at that moment. A
 one-shot command starts with the caches empty; a sweep over s, whose points
 share one branch, builds and decomposes it once.
 
@@ -306,7 +309,7 @@ def _read_cycles(points: list[tuple[dict, adiabatic.TwoLevelCoeffs, float]]) -> 
             continue
         report.update(fields, freq_ratio=fields["freq_rad_s"] / report["b_rad_s"])
         # opposite incidence: |+-> in, |-+> flipped
-        state, _ = entangle.prepare([pair.tolist()] * 2, (0, 1))
+        state, _ = entangle.prepare([pair] * 2, (0, 1))
         _, post = entangle.measure_field(state, entangle.superposition_basis(), 0)
         report["bell_fidelity"] = entangle.fitted_fidelity(post, (0, 1), (1, 0))
 

@@ -16,8 +16,11 @@ once, so every later norm is O(1). compose takes each atom's norm once, in
 that loop. Products also keeps each qubit string's amplitude in either
 product, which both field outcomes and the concurrence read, and the
 products measure_atom leaves at an atom index, which both of its outcomes
-share. Every guard runs on every call. A qubit string is a sequence of
-per-atom indices, 0 for |+> and 1 for |->.
+share. Every guard runs on every call. A norm or probability beyond the
+largest float, or a square on the way to it, is refused by the guard that
+reads it: compose's norm guard, a score's normalization check or a
+measurement's MeasurementError, never an OverflowError. A qubit string is a
+sequence of per-atom indices, 0 for |+> and 1 for |->.
 
 Projecting the field onto {|0>, |n0>} keeps one branch, a product state;
 projecting onto (|0> +- |n0>)/sqrt(2) transfers the branch coherence to the
@@ -195,7 +198,10 @@ def compose(pairs) -> tuple[tuple, float]:
         shaped = False
     if not shaped:
         raise ValueError(f"pairs must have shape (2, k <= {MAX_ATOMS}, 2)")
-    pairs = Products(pairs, checked=True)
+    try:
+        pairs = Products(pairs, checked=True)
+    except OverflowError:  # a square beyond the largest float: a norm far above 1
+        raise ValueError(_NORM_REFUSAL) from None
     # the field branches are orthogonal, so their norms add
     (f_vacuum, f_fock), (norm_vacuum, norm_fock) = FIELD, pairs.norms
     raw = 0 + f_vacuum * f_vacuum * norm_vacuum + f_fock * f_fock * norm_fock
@@ -305,6 +311,9 @@ def _products(pairs) -> Products:
     return pairs if type(pairs) is Products else Products(pairs)
 
 
+_NORM_REFUSAL = "an atom's branch norm exceeds 1 or is not a number"
+
+
 def _summary(pairs, checked: bool) -> tuple[tuple, tuple]:
     """(A, B) and the O(k) part of the norm of sum_b weights[b] * (x)_i pairs[b][i].
 
@@ -324,7 +333,7 @@ def _summary(pairs, checked: bool) -> tuple[tuple, tuple]:
         norm_a, norm_b = abs(p) ** 2 + abs(m) ** 2, abs(q) ** 2 + abs(n) ** 2
         # written so that a nan fails it
         if checked and not (norm_a <= 1.0 + 1e-9 and norm_b <= 1.0 + 1e-9):
-            raise ValueError("an atom's branch norm exceeds 1 or is not a number")
+            raise ValueError(_NORM_REFUSAL)
         gap = norm_a * norm_b * gap + abs(p * n - m * q) ** 2 * abs(overlap) ** 2
         big_a, big_b = big_a * norm_a, big_b * norm_b
         overlap *= p.conjugate() * q + m.conjugate() * n
@@ -355,7 +364,10 @@ def _gram_norm2(weights, summary: tuple) -> float:
 
 def _check_normalized(state: tuple) -> None:
     weights, pairs = state
-    norm = math.sqrt(_gram_norm2(weights, _products(pairs).summary))
+    try:
+        norm = math.sqrt(_gram_norm2(weights, _products(pairs).summary))
+    except OverflowError:  # a square beyond the largest float
+        norm = math.inf
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state must be normalized, got norm {norm}")
 
@@ -365,7 +377,15 @@ def _renormalized(weights: list, pairs: Products, outcome: int) -> tuple[float, 
     prob = _gram_norm2(weights, pairs.summary)
     if not prob >= 1e-14:
         raise MeasurementError(f"outcome {outcome} has zero probability ({prob:.3e})")
+    if prob == math.inf:
+        raise _beyond_floats(outcome)
     return prob, ([w / math.sqrt(prob) for w in weights], pairs)
+
+
+def _beyond_floats(outcome: int) -> MeasurementError:
+    """The refusal of an outcome whose probability, or a square on the way to
+    it, is beyond the largest float."""
+    return MeasurementError(f"outcome {outcome} has a probability beyond the largest float")
 
 
 def measure_field(state: tuple, basis, outcome: int) -> tuple[float, tuple]:
@@ -375,7 +395,10 @@ def measure_field(state: tuple, basis, outcome: int) -> tuple[float, tuple]:
     """
     row = _basis_row(basis, outcome, "field")
     weights, pairs = state
-    return _renormalized([u * w for u, w in zip(row, weights)], _products(pairs), outcome)
+    try:
+        return _renormalized([u * w for u, w in zip(row, weights)], _products(pairs), outcome)
+    except OverflowError:
+        raise _beyond_floats(outcome) from None
 
 
 def measure_atom(
@@ -391,9 +414,12 @@ def measure_atom(
         w * (v_plus * branch[atom_index][0] + v_minus * branch[atom_index][1])
         for w, branch in zip(weights, pairs)
     ]
-    # a caller's own pairs are spliced as they are, with nothing kept
-    rest = pairs.without(atom_index) if type(pairs) is Products else _spliced(pairs, atom_index)
-    return _renormalized(weights, rest, outcome)
+    try:
+        # a caller's own pairs are spliced as they are, with nothing kept
+        rest = pairs.without(atom_index) if type(pairs) is Products else _spliced(pairs, atom_index)
+        return _renormalized(weights, rest, outcome)
+    except OverflowError:
+        raise _beyond_floats(outcome) from None
 
 
 def _product(branch: tuple, bits) -> complex:
@@ -531,7 +557,7 @@ def run_scenario(
     else:
         from . import ladder
 
-        fock = ladder.branch_pairs(c, (t1, t2)).tolist()
+        fock = ladder.branch_pairs(c, (t1, t2))
     # the first k - 1 atoms take the pair at t1, the last the pair at t2
     closed_form, fock = ([at_t1] * (k - 1) + [at_t2] for at_t1, at_t2 in (closed_form, fock))
     state, leakage = prepare(fock, init_bits)

@@ -14,18 +14,20 @@ dynamics to two modes when w_rec >> chi*n.
 Propagation has one entry point, evolve(h, b_n, times), which checks that
 the flip frequency b_n is resolved, starts the atom at order l = 0 and
 samples its amplitudes at every requested time, then checks the norm; the
-engine's branch_pairs(c, times) calls it on the branch of the record c. It
-uses the exact propagator from one eigendecomposition H = V E V^T of the
-(time-independent) generator, for any duration and number of times, so norm
-is conserved to machine precision: the amplitudes at time t are
-V exp(-iE*t) V^T C(0), one row of phases per time.
+engine's branch_pairs(c, times) reads its (kept, flipped) rows from it, on
+the branch of the record c. It uses the exact propagator from one
+eigendecomposition H = V E V^T of the (time-independent) generator, for any
+duration and number of times, so norm is conserved to machine precision:
+the amplitudes at time t are V exp(-iE*t) V^T C(0), one row of phases per
+time.
 
 cycle_readout(c, t1), which `validate` and `sweep` call for each point,
-samples nothing: it propagates the one row at t1 through evolve, under its
-guards, and reads a whole flip cycle of the branch off the decomposition
-that propagation used (the flip frequency as an eigenvalue splitting, the
-time-averaged leakage out of the resonant pair and bounds on the leakage and
-on the deviation from the two-level populations at every time).
+samples nothing: it takes the one row at t1 as branch_pairs does, under
+evolve's guards, and reads a whole flip cycle of the branch off the
+decomposition that propagation used (the flip frequency as an eigenvalue
+splitting, the time-averaged leakage out of the resonant pair and bounds on
+the leakage and on the deviation from the two-level populations at every
+time).
 
 Truncation is policed, not assumed: with c = V^T C(0),
 max_t |C_edge(t)|^2 <= (sum_j |V_edge,j c_j|)^2, and a bound above
@@ -55,16 +57,28 @@ pair (0, -l0), the start amplitudes and their norm, the decomposition (E, V),
 c = V^T s with the edge bound, and the cycle's readout terms; its arrays are
 read-only. Every scenario of one (l0, chi*n0/w_rec, detuning sign) meets the
 same Fock branch, so one record serves all its atoms, pulse multiples,
-offsets and field bases. A warm call builds, decomposes and normalizes
-nothing: it runs the guards, each reading its threshold at call time (the
-resolution and duration checks before anything is decomposed, the edge
-bound and the norm drift after), forms the phases exp(-iEt), multiplies by
-V, takes the norm of each propagated row and slices out the pair. A refusal
-is never cached. The readout terms depend on the resolution limit
+offsets and field bases. The readout terms depend on the resolution limit
 RESOLUTION_LIMIT*eps*||H||, so the record keeps them for the last limit asked,
 compared by its bytes, and computes them again under another. evolve and
 sample_evolution given any other LadderHamiltonian derive the same fields for
 that call only.
+
+A process also propagates each branch once per schedule. _pair_rows, a
+second functools.lru_cache of the default size (128 entries), keeps the
+(kept, flipped) rows of a branch at the times of one call, as tuples of
+Python complex, with the largest time and the norm drift of the whole
+propagated rows. Its key is the branch's key, the "<d" bytes of the whole
+tuple of times, in order, and b_n, which evolve checks on a miss (every
+record adiabatic.coeffs makes of one branch has the same b_n, so it splits
+no entry). A one-row propagation can round differently from a two-row one,
+so no row is keyed on its time alone. Every atom of a scenario reads its
+branch at (t1, t2) and every `validate` or `sweep` point at t1. A miss
+calls evolve(record, b_n, times). A warm call builds, decomposes,
+propagates and normalizes nothing: it runs evolve's guards in its order,
+each reading its threshold at call time: check_resolution on the record's
+norm, the duration overflow on the largest time, the record's edge bound
+against EDGE_THRESHOLD and the kept drift against NORM_TOL. A refusal is
+never cached: it is raised again on every call and leaves no rows.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -242,10 +256,10 @@ def _branch(n: int, l0: int, include_stark: bool, l_range: tuple[int, int], rate
     return _Branch._make(h)
 
 
-def _branch_of(c: TwoLevelCoeffs) -> _Branch:
-    """The cached record of the branch of c."""
+def _branch_key(c: TwoLevelCoeffs) -> tuple:
+    """The key of _branch for the branch of c."""
     rates = struct.pack("<2d", c.d.recoil_frequency, c.d.chi)
-    return _branch(c.n, c.l0, c.include_stark, default_range(c.l0), rates)
+    return c.n, c.l0, c.include_stark, default_range(c.l0), rates
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -327,14 +341,24 @@ def _resolution_limit(h: LadderHamiltonian) -> float:
 
 def check_norm_drift(amplitudes: np.ndarray, s: np.ndarray) -> None:
     """Raise NormDriftError if a row of `amplitudes` differs in norm from s by > NORM_TOL."""
-    _check_drift(amplitudes, np.linalg.norm(s))
+    _check_drift(_drift(amplitudes, np.linalg.norm(s)))
 
 
-def _check_drift(amplitudes: np.ndarray, norm: float) -> None:
-    """check_norm_drift against the norm of the start, already taken."""
-    drift = abs(np.linalg.norm(amplitudes, axis=-1) - norm).max()
+def _drift(amplitudes: np.ndarray, norm: float) -> float:
+    """The largest |norm of a row of amplitudes - norm|."""
+    return float(abs(np.linalg.norm(amplitudes, axis=-1) - norm).max())
+
+
+def _check_drift(drift: float) -> None:
+    """Raise NormDriftError if a norm drift exceeds NORM_TOL."""
     if not drift <= NORM_TOL:
-        raise NormDriftError(f"norm drift {float(drift):.3e} exceeds tol {NORM_TOL:.1e}")
+        raise NormDriftError(f"norm drift {drift:.3e} exceeds tol {NORM_TOL:.1e}")
+
+
+def _check_duration(duration: float, h: _Branch) -> None:
+    """Raise ResolutionError if a duration's product with ||H|| overflows the phases E*t."""
+    if math.isinf(duration * h.h_norm):
+        raise ResolutionError(f"duration {duration:.3e} s overflows the phases of the ladder")
 
 
 def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
@@ -348,29 +372,55 @@ def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
     h = _as_branch(h)
     check_resolution(h, b_n)
     times = np.asarray(times)
-    duration = float(times.max(initial=0.0))  # a nan is sample_evolution's to refuse
-    if math.isinf(duration * h.h_norm):
-        raise ResolutionError(f"duration {duration:.3e} s overflows the phases of the ladder")
+    _check_duration(float(times.max(initial=0.0)), h)  # a nan is sample_evolution's to refuse
     amps = sample_evolution(h.start, h, times)
-    _check_drift(amps, h.start_norm)
+    _check_drift(_drift(amps, h.start_norm))
     return amps
 
 
-def branch_pairs(c: TwoLevelCoeffs, times) -> np.ndarray:
-    """(kept, flipped) of an atom entering on +P_{l0}, one row per time, from the
-    branch of the record c (adiabatic.TwoLevelCoeffs), whose b_n the guard checks."""
-    h = _branch_of(c)
-    return evolve(h, c.b_n, times)[:, list(h.pair)]
+@functools.lru_cache
+def _pair_rows(n: int, l0: int, include_stark: bool, l_range: tuple[int, int], rates: bytes,
+               times: bytes, b_n: float) -> tuple:
+    """(rows, largest time, norm drift) of the branch of _branch's key (the first
+    five arguments) at the times whose "<d" bytes are `times` (module docstring).
+    The rows are the (kept, flipped) pairs as tuples of complex; the drift is
+    that of the whole propagated rows. b_n, which evolve checks on a miss, is
+    the same in every record adiabatic.coeffs makes of one branch."""
+    h = _branch(n, l0, include_stark, l_range, rates)
+    times = struct.unpack(f"<{len(times) // 8}d", times)
+    amps = evolve(h, b_n, times)
+    rows = tuple(map(tuple, amps[:, list(h.pair)].tolist()))
+    return rows, max(times), _drift(amps, h.start_norm)
 
 
-def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
+def _rows_of(c: TwoLevelCoeffs, times) -> tuple[_Branch, tuple]:
+    """The record of the branch of c and its (kept, flipped) rows at times, from
+    _pair_rows, with evolve's guards run on this call, in its order."""
+    key = _branch_key(c)
+    h = _branch(*key)
+    rows, duration, drift = _pair_rows(*key, struct.pack(f"<{len(times)}d", *times), c.b_n)
+    check_resolution(h, c.b_n)
+    _check_duration(duration, h)
+    _check_edge(h.start_projection[1], h)
+    _check_drift(drift)
+    return h, rows
+
+
+def branch_pairs(c: TwoLevelCoeffs, times) -> tuple:
+    """(kept, flipped) of an atom entering on +P_{l0}, one tuple of Python complex
+    per time, from the branch of the record c (adiabatic.TwoLevelCoeffs), whose
+    b_n the guard checks; the tuple is shared with every warm call (module docstring)."""
+    return _rows_of(c, times)[1]
+
+
+def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, tuple]:
     """One flip cycle of an atom entering on +P_{l0}, read off the decomposition
     of the branch of the record c (adiabatic.TwoLevelCoeffs), and its
     (kept, flipped) pair at t1.
 
-    The pair comes from evolve, so its guards refuse the branch as they
-    refuse branch_pairs. With H = V E V^T, c_j = V_{0,j}, w_j = c_j^2 and
-    u_j = V_{0,j} V_{-l0,j}, the keys of the returned fields are
+    The pair is the row of branch_pairs at t1, under the same guards. With
+    H = V E V^T, c_j = V_{0,j}, w_j = c_j^2 and u_j = V_{0,j} V_{-l0,j}, the
+    keys of the returned fields are
     - freq_rad_s: |E_a - E_b|, a and b the two largest w_j;
     - mean_leakage: sum over l outside {0, -l0} and runs g of |sum_{j in g} V_lj c_j|^2,
       the time average of the population outside the pair;
@@ -386,8 +436,7 @@ def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
     coherently. Everything but pop_dev_bound's first term, which reads c.b_n,
     is computed once per branch (module docstring).
     """
-    h = _branch_of(c)
-    row = evolve(h, c.b_n, [t1])[0]
+    h, (pair,) = _rows_of(c, (t1,))
     freq, mean_leakage, leakage_bound, pop_dev = h.cycle_terms(_resolution_limit(h))
     fields = {
         "freq_rad_s": freq,
@@ -395,7 +444,7 @@ def cycle_readout(c: TwoLevelCoeffs, t1: float) -> tuple[dict, np.ndarray]:
         "leakage_bound": leakage_bound,
         "pop_dev_bound": math.pi * abs(freq / abs(c.b_n) - 1.0) + pop_dev,
     }
-    return fields, row[list(h.pair)]
+    return fields, pair
 
 
 def _cycle_terms(evals: np.ndarray, evecs: np.ndarray, limit: float, pair: tuple[int, int]) -> tuple:

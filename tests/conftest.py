@@ -10,10 +10,11 @@ from braggbell import adiabatic, entangle, ladder, params
 
 @pytest.fixture(autouse=True)
 def _cold_caches():
-    """Each test starts with empty per-branch caches and JSON key plans, so no
-    result depends on test order."""
+    """Each test starts with empty per-branch caches, row caches and JSON key
+    plans, so no result depends on test order."""
     adiabatic._partition.cache_clear()
     ladder._branch.cache_clear()
+    ladder._pair_rows.cache_clear()
     entangle._plan.cache_clear()
 
 

@@ -89,9 +89,31 @@ MUTANTS = (
     Mutant(
         "norm-drift-guard-dropped",
         "ladder.py",
-        "    _check_drift(amps, h.start_norm)\n",
+        "    _check_drift(_drift(amps, h.start_norm))\n",
+        "",
+        ("tests/test_caches.py::test_a_refused_call_is_refused_on_every_call_and_leaves_no_entry",),
+    ),
+    Mutant(
+        "pair-rows-hit-skips-drift",
+        "ladder.py",
+        "    _check_drift(drift)\n",
         "",
         ("tests/test_caches.py::test_a_threshold_set_after_a_warm_run_still_refuses_it",),
+    ),
+    Mutant(
+        "pair-rows-hit-skips-edge",
+        "ladder.py",
+        "    _check_edge(h.start_projection[1], h)\n",
+        "",
+        ("tests/test_caches.py::test_a_threshold_set_after_a_warm_run_still_refuses_it",),
+    ),
+    Mutant(
+        "pair-rows-keyed-on-first-time",
+        "ladder.py",
+        "rows, duration, drift = _pair_rows(*key, struct.pack(f\"<{len(times)}d\", *times), c.b_n)",
+        "rows, duration, drift = vars(_pair_rows).setdefault((key, times[0]), _pair_rows(*key, "
+        "struct.pack(f\"<{len(times)}d\", *times), c.b_n))",
+        ("tests/test_caches.py::test_rows_at_times_that_share_a_first_time_are_their_own",),
     ),
     Mutant(
         "threshold-frozen-in-record",

@@ -1,13 +1,15 @@
 """The per-branch caches: adiabatic._partition (the fixed point of the
-reduction) and ladder._branch (each branch's record: its Hamiltonian, its
-decomposition and the flip cycle read off it).
+reduction), ladder._branch (each branch's record: its Hamiltonian, its
+decomposition and the flip cycle read off it) and ladder._pair_rows (each
+branch's (kept, flipped) rows at the times of one call).
 
-A warm call must give the bits of a cold one, a cached array must refuse a
-write, and every guard must still run on every call with the threshold it
-reads at that moment: the caches hold results, never refusals. The tests
-count the calls that do the work (building and decomposing a Hamiltonian,
-iterating the partition, reading a cycle), not cache hits, so that they hold
-whatever the caches are keyed on.
+A warm call must give the bits of a cold one, a cached array or row must
+refuse a write, and every guard must still run on every call with the
+threshold it reads at that moment: the caches hold results, never refusals.
+The tests count the calls that do the work (building and decomposing a
+Hamiltonian, iterating the partition, reading a cycle, forming phases and
+row norms), not cache hits, so that they hold whatever the caches are keyed
+on.
 """
 
 import collections
@@ -23,8 +25,9 @@ from braggbell.params import derive
 
 @pytest.fixture
 def calls(monkeypatch):
-    """A Counter of the calls, by name, of the functions that build, decompose
-    and read a branch; 'norm(s)' counts np.linalg.norm of one vector only."""
+    """A Counter of the calls, by name, of the functions that build, decompose,
+    propagate and read a branch; 'norm(s)' counts np.linalg.norm of one vector
+    only, 'norm(rows)' that of the rows of a 2-d array."""
     counted = collections.Counter()
 
     def counting(name, fn, counts=lambda *args, **kwargs: True):
@@ -36,10 +39,13 @@ def calls(monkeypatch):
 
     for owner, name in ((ladder, "build_hamiltonian"), (ladder, "initial_state"),
                         (ladder, "_cycle_terms"), (ladder.LadderHamiltonian, "matrix"),
-                        (np.linalg, "eigh"), (adiabatic, "_self_energies")):
+                        (ladder, "_phases"), (np.linalg, "eigh"), (adiabatic, "_self_energies")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    monkeypatch.setattr(np.linalg, "norm", counting("norm(s)", np.linalg.norm,
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", counting("norm(s)", norm,
                                                     lambda x, *args, **kwargs: np.ndim(x) == 1))
+    monkeypatch.setattr(np.linalg, "norm", counting("norm(rows)", np.linalg.norm,
+                                                    lambda x, *args, **kwargs: np.ndim(x) == 2))
     return counted
 
 
@@ -78,16 +84,19 @@ def test_a_warm_call_gives_the_bits_of_a_cold_one(at_ratio, calls, l0, sign, sta
 def test_cached_arrays_refuse_in_place_writes(rubidium_derived):
     c = adiabatic.coeffs(1, 2, rubidium_derived)
     _branch(c)
-    record = ladder._branch_of(c)
+    record = ladder._branch(*ladder._branch_key(c))
     evals, evecs = record.eigen
     for array in (record.diagonal, record.start, evals, evecs, record.start_projection[0]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    # what a caller receives is its own
+    # what a caller receives is shared with every warm call, and immutable
     rows = _branch(c)
-    rows[0, 0] = 0.0
     _, pair = ladder.cycle_readout(c, math.pi / abs(c.b_n))
-    pair[0] = 0.0
+    for row in (rows, rows[0], pair):
+        assert type(row) is tuple
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            row[0] = 0.0
+    assert {type(x) for x in itertools.chain(pair, *rows)} == {complex}
 
 
 def test_a_patched_guard_changes_both_results(monkeypatch, calls, rubidium_derived):
@@ -157,7 +166,7 @@ def test_a_threshold_set_after_a_warm_run_still_refuses_it(monkeypatch, calls, r
 def _cycle_bits(c):
     """cycle_readout of c at t1 = pi/|b_n|, its fields and pair as exact bit patterns."""
     fields, pair = ladder.cycle_readout(c, math.pi / abs(c.b_n))
-    return {k: v.hex() for k, v in fields.items()}, pair.tobytes()
+    return {k: v.hex() for k, v in fields.items()}, np.asarray(pair).tobytes()
 
 
 @pytest.mark.parametrize("l0, ratio", [(2, 0.02), (6, 0.02), (8, 0.03)])
@@ -231,8 +240,8 @@ def test_the_caches_keep_what_a_grid_of_scenarios_shares(calls):
 
 @pytest.mark.parametrize("readout", [False, True], ids=["branch_pairs", "cycle_readout"])
 def test_a_warm_call_builds_and_decomposes_nothing(calls, at_ratio, readout):
-    # a warm call reads the branch's record: it runs the guards and propagates,
-    # and builds, decomposes, starts and normalizes nothing
+    # a warm call reads the branch's record and its rows: it runs the guards,
+    # and builds, decomposes, starts, propagates and normalizes nothing
     c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
     t1 = math.pi / abs(c.b_n)
 
@@ -241,7 +250,72 @@ def test_a_warm_call_builds_and_decomposes_nothing(calls, at_ratio, readout):
 
     cold = call()
     assert calls["build_hamiltonian"] == calls["matrix"] == calls["eigh"] == 1
+    assert calls["_phases"] == 1 and calls["norm(rows)"] >= 1
     calls.clear()
     for _ in range(3):
-        assert call().tobytes() == cold.tobytes()
+        assert np.asarray(call()).tobytes() == np.asarray(cold).tobytes()
     assert not +calls, calls
+
+
+def test_the_scenarios_of_one_schedule_propagate_it_once(calls):
+    # bell-opposite, bell-same and ghz3-8 read the branch at the same (t1, t2)
+    p = params.rubidium_preset()
+    for s, r in ((1, 0), (3, 1)):
+        calls.clear()
+        reports = [entangle.run_scenario(p, s=s, r=r, mode=mode, k=k, engine="ladder")
+                   for mode, k in [("opposite", 2), ("same", 2), *(("same", k) for k in range(3, 9))]]
+        assert len({rep.scenario for rep in reports}) == 3
+        assert calls["_phases"] == 1, (s, r)
+
+
+# (refused times, or a threshold set before the call, and the refusal)
+REFUSED = [
+    pytest.param([1.0, math.nan], None, ValueError, id="nan-time"),
+    pytest.param([-1.0], None, ValueError, id="negative-time"),
+    pytest.param([1.0, 1e308], None, ladder.ResolutionError, id="overflowing-time"),
+    *(pytest.param(None, case[:2], case[2], id=case[0]) for case in THRESHOLDS),
+]
+
+
+@pytest.mark.parametrize("times, threshold, error", REFUSED)
+@pytest.mark.parametrize("readout", [False, True], ids=["branch_pairs", "cycle_readout"])
+def test_a_refused_call_is_refused_on_every_call_and_leaves_no_entry(monkeypatch, at_ratio,
+                                                                     times, threshold, error,
+                                                                     readout):
+    c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
+    times = times or [math.pi / abs(c.b_n)]
+    if threshold:
+        monkeypatch.setattr(ladder, *threshold)
+    for _ in range(3):
+        with pytest.raises(error):
+            if readout:  # at the refused time alone
+                ladder.cycle_readout(c, times[-1])
+            else:
+                ladder.branch_pairs(c, times)
+        assert ladder._pair_rows.cache_info().currsize == 0
+
+
+def test_the_row_cache_is_bounded(rubidium_derived):
+    c = adiabatic.coeffs(1, 2, rubidium_derived)
+    period = 2.0 * math.pi / abs(c.b_n)
+    for i in range(1000):
+        ladder.branch_pairs(c, [i * period / 1000])
+    assert 0 < ladder._pair_rows.cache_info().currsize <= 128
+
+
+def test_rows_at_times_that_share_a_first_time_are_their_own(calls, at_ratio):
+    # the rows are keyed on every time of a call, in order, so no call is
+    # served another's rows; each gives the bits of the uncached propagation
+    c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
+    h = ladder._branch(*ladder._branch_key(c))
+    t1, t2 = adiabatic.pulse_times(c, 1, 1)
+    schedules = [(t1,), (t1, t2), (t1, t1), (t1, 0.5 * t2), (t1, t2, 0.5 * t2), (t2, t1)]
+    for _ in range(2):
+        for times in schedules:
+            expect = ladder.evolve(h, c.b_n, times)[:, list(h.pair)]
+            assert np.asarray(ladder.branch_pairs(c, times)).tobytes() == expect.tobytes(), times
+            _, pair = ladder.cycle_readout(c, times[0])
+            alone = ladder.evolve(h, c.b_n, times[:1])[0, list(h.pair)]
+            assert np.asarray(pair).tobytes() == alone.tobytes()
+    # one propagation per call of evolve and per distinct tuple of times (t1 alone among them)
+    assert calls["_phases"] == 4 * len(schedules) + len({*schedules, (t1,), (t2,)})

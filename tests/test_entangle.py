@@ -295,6 +295,35 @@ def test_scores_refuse_a_nan_norm():
             score(nan_state)
 
 
+# an amplitude whose square is beyond the largest float, in one atom of either branch
+HUGE_PAIRS = [[(1e160, 0)], [(1, 0)]]
+HUGE_STATE = ((INV_SQRT2, INV_SQRT2), HUGE_PAIRS)
+HUGE_PAIR_OF_ATOMS = ((INV_SQRT2, INV_SQRT2), [[(1e160, 0), (1, 0)], [(1, 0), (0, 1)]])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: compose(HUGE_PAIRS), ValueError, "branch norm exceeds 1"),
+    (lambda: compose([[(1, 0)], [(complex(1e308, 1e308), 0)]]), ValueError, "branch norm exceeds 1"),
+    (lambda: fidelity(HUGE_STATE, (0,), (1,), 1.0), ValueError, "must be normalized, got norm inf"),
+    (lambda: fitted_fidelity(HUGE_STATE, (0,), (1,)), ValueError, "must be normalized, got norm inf"),
+    (lambda: concurrence(HUGE_PAIR_OF_ATOMS), ValueError, "must be normalized, got norm inf"),
+    (lambda: measure_field(HUGE_STATE, superposition_basis(), 0), MeasurementError, "largest float"),
+    (lambda: measure_field(HUGE_STATE, computational_basis(), 1), MeasurementError, "largest float"),
+    (lambda: measure_atom(HUGE_STATE, 0, superposition_basis(), 0), MeasurementError, "largest float"),
+    (lambda: measure_atom(HUGE_PAIR_OF_ATOMS, 1, computational_basis(), 0), MeasurementError,
+     "largest float"),
+    # no square overflows here, but the product of three norms does
+    (lambda: measure_field(((INV_SQRT2, INV_SQRT2), [[(1e110, 0)] * 3, [(0, 0)] * 3]),
+                           computational_basis(), 0), MeasurementError, "largest float"),
+], ids=["compose", "compose-complex", "fidelity", "fitted_fidelity", "concurrence",
+        "measure_field", "measure_field-other-branch", "measure_atom", "measure_atom-other-atom",
+        "measure_field-product"])
+def test_an_overflowing_square_is_the_documented_refusal(call, error, match):
+    # never an OverflowError, and never a probability of inf
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_fidelity_refuses_a_nan_target_phase():
     with pytest.raises(ValueError, match="modulus"):
         fidelity(_bell(PSI, 1.0), *PSI, complex(math.nan, 0.0))
@@ -537,7 +566,7 @@ def test_ladder_batched_branches_match_per_atom_evolve(at_ratio):
     times = [0.7 * math.pi / d.chi, 1.3 * math.pi / d.chi, 0.2 * math.pi / d.chi]
     c = adiabatic.coeffs(p.n0, p.l0, d)
     fock = ladder.branch_pairs(c, times)
-    assert fock.shape == (3, 2)
+    assert np.shape(fock) == (3, 2)
     for pair, t in zip(fock, times):
         for n in (0, p.n0):
             h = ladder.build_hamiltonian(n, p.l0, d)
@@ -553,9 +582,13 @@ def test_both_engines_give_rows_of_one_shape_from_one_record(at_ratio):
     for l0 in (2, 4):
         c = adiabatic.coeffs(1, l0, derive(at_ratio(0.02, l0=l0)))
         times = [0.0, 0.3 * math.pi / abs(c.b_n), math.pi / abs(c.b_n)]
-        closed, exact = np.array(adiabatic.branch_pairs(c, times)), ladder.branch_pairs(c, times)
-        assert closed.shape == exact.shape == (3, 2)
+        closed, exact = adiabatic.branch_pairs(c, times), ladder.branch_pairs(c, times)
+        assert np.shape(closed) == np.shape(exact) == (3, 2)
         np.testing.assert_array_equal(closed[0], [1.0, 0.0])
+        # ... and both hand entangle plain Python rows of complex
+        for rows in (closed, exact):
+            assert {type(x) for row in rows for x in row} == {complex}
+            assert all(type(row) is tuple for row in rows)
 
 
 def test_stark_rows_are_plain_rows_times_the_branch_phase(rubidium_derived):

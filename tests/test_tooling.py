@@ -98,9 +98,12 @@ def test_validate_propagates_the_ladder_once(monkeypatch, capsys):
     # the cycle readout and the Bell fidelity read one decomposition, which a
     # cold command computes once per distinct branch and a warm one reuses, and
     # a point the resolution guard refuses (l0 = 8 at 0.02) is never
-    # decomposed: each entry is the number of eigh calls, each on one matrix
+    # decomposed: each entry is the number of eigh calls, each on one matrix.
+    # A warm command reads every point's pair off the row cache: it forms no phases
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    phases, formed = ladder._phases, []
+    monkeypatch.setattr(ladder, "_phases", lambda *args: formed.append(args) or phases(*args))
     for argv, code, cold, warm in (
         (["validate"], 0, 1, 0),
         (["validate", "--l0", "8", "--chi-ratio", "0.02"], 2, 0, 0),
@@ -110,11 +113,14 @@ def test_validate_propagates_the_ladder_once(monkeypatch, capsys):
     ):
         adiabatic._partition.cache_clear()
         ladder._branch.cache_clear()
+        ladder._pair_rows.cache_clear()
         for expected in (cold, warm):
             calls.clear()
+            formed.clear()
             assert cli.main(argv) == code, capsys.readouterr().err
             assert len(calls) == expected, argv
             assert all(m.ndim == 2 for m in calls), argv
+        assert formed == [], argv
     traced = _traced('assert cli.main(["validate"]) == 0')
     assert traced["spans"].count("cli.validate_point") == 1
     assert traced["spans"].count("entangle.run_scenario") == 0
