@@ -40,11 +40,12 @@ point of a process that meets a branch again: a ladder record holds the
 branch's Hamiltonian, its decomposition and its readout terms, keyed on n,
 l0, the Stark flag, the ladder range and the bytes of w_rec and chi, and a
 bounded row cache (128 entries) holds its (kept, flipped) pair, keyed on
-that key, the bytes of the point's t1 and b_n. A warm point propagates
-nothing: it runs the ladder's resolution, duration, edge and norm-drift
-guards against the kept numbers, each threshold read at that moment. A
-one-shot command starts with the caches empty; a sweep over s, whose points
-share one branch, builds and decomposes it once.
+that key and the bytes of the point's t1. A point that meets its branch and
+t1 again propagates nothing: it runs the ladder's resolution, duration, edge
+and norm-drift guards against the kept numbers, each threshold read at that
+moment. A one-shot command starts with the caches empty; a sweep over s,
+whose points share one branch, builds and decomposes it once and propagates
+it once per point, as each point has its own t1.
 
 Only the commands that propagate the ladder load it, and numpy with it:
 `simulate`, `validate`, `sweep` and `bell`/`ghz --engine ladder`. `preset`,

@@ -11,15 +11,15 @@ degenerate at zero energy (the two Bragg-resonant propagation directions);
 everything else is detuned by multiples of w_rec, which is what confines the
 dynamics to two modes when w_rec >> chi*n.
 
-Propagation has one entry point, evolve(h, b_n, times), which checks that
-the flip frequency b_n is resolved, starts the atom at order l = 0 and
-samples its amplitudes at every requested time, then checks the norm; the
-engine's branch_pairs(c, times) reads its (kept, flipped) rows from it, on
-the branch of the record c. It uses the exact propagator from one
-eigendecomposition H = V E V^T of the (time-independent) generator, for any
-duration and number of times, so norm is conserved to machine precision:
-the amplitudes at time t are V exp(-iE*t) V^T C(0), one row of phases per
-time.
+evolve(h, b_n, times) checks that the flip frequency b_n is resolved,
+starts the atom at order l = 0 and samples its amplitudes at every
+requested time, then checks the norm. The engine's branch_pairs(c, times)
+reads its (kept, flipped) rows, on the branch of the record c, from the
+same sampling under the same guards in the same order (the row cache
+below). Both use the exact propagator from one eigendecomposition
+H = V E V^T of the (time-independent) generator, for any duration and
+number of times, so norm is conserved to machine precision: the amplitudes
+at time t are V exp(-iE*t) V^T C(0), one row of phases per time.
 
 cycle_readout(c, t1), which `validate` and `sweep` call for each point,
 samples nothing: it takes the one row at t1 as branch_pairs does, under
@@ -66,19 +66,22 @@ that call only.
 A process also propagates each branch once per schedule. _pair_rows, a
 second functools.lru_cache of the default size (128 entries), keeps the
 (kept, flipped) rows of a branch at the times of one call, as tuples of
-Python complex, with the largest time and the norm drift of the whole
-propagated rows. Its key is the branch's key, the "<d" bytes of the whole
-tuple of times, in order, and b_n, which evolve checks on a miss (every
-record adiabatic.coeffs makes of one branch has the same b_n, so it splits
-no entry). A one-row propagation can round differently from a two-row one,
-so no row is keyed on its time alone. Every atom of a scenario reads its
-branch at (t1, t2) and every `validate` or `sweep` point at t1. A miss
-calls evolve(record, b_n, times). A warm call builds, decomposes,
-propagates and normalizes nothing: it runs evolve's guards in its order,
-each reading its threshold at call time: check_resolution on the record's
-norm, the duration overflow on the largest time, the record's edge bound
-against EDGE_THRESHOLD and the kept drift against NORM_TOL. A refusal is
-never cached: it is raised again on every call and leaves no rows.
+Python complex, with the norm drift of the whole propagated rows. Its key is
+the branch's key and the "<d" bytes of the whole tuple of times, in order: a
+one-row propagation can round differently from a two-row one, so no row is
+keyed on its time alone. A hit needs the same branch at the same times again
+in one process. The atoms of every scenario of one schedule (each mode and
+atom count at one s and r) read their branch at the same (t1, t2), and a
+repeated command reads it again; the points of one `validate` or `sweep`
+each read their own branch or t1, so they miss. Every call runs evolve's
+guards in its order, each reading its threshold at call time:
+check_resolution on the record's norm and the duration overflow on the
+largest time before the lookup, then the record's edge bound against
+EDGE_THRESHOLD and the kept drift against NORM_TOL. A miss propagates the
+record's start with sample_evolution, which refuses a nan or negative time
+and checks the edge bound, and takes the drift once, checked before it is
+kept. A warm call builds, decomposes, propagates and normalizes nothing. A
+refusal is never cached: it is raised again on every call and leaves no rows.
 
 A mirror-incident atom (initial momentum -P_{l0}) obeys the same equations on
 a sign-flipped momentum grid, so the same Hamiltonian and propagation serve
@@ -380,17 +383,16 @@ def evolve(h: LadderHamiltonian, b_n: float, times: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache
 def _pair_rows(n: int, l0: int, include_stark: bool, l_range: tuple[int, int], rates: bytes,
-               times: bytes, b_n: float) -> tuple:
-    """(rows, largest time, norm drift) of the branch of _branch's key (the first
-    five arguments) at the times whose "<d" bytes are `times` (module docstring).
+               times: bytes) -> tuple:
+    """(rows, norm drift) of the branch of _branch's key (the first five
+    arguments) at the times whose "<d" bytes are `times` (module docstring).
     The rows are the (kept, flipped) pairs as tuples of complex; the drift is
-    that of the whole propagated rows. b_n, which evolve checks on a miss, is
-    the same in every record adiabatic.coeffs makes of one branch."""
+    that of the whole propagated rows, which a refusal does not keep."""
     h = _branch(n, l0, include_stark, l_range, rates)
-    times = struct.unpack(f"<{len(times) // 8}d", times)
-    amps = evolve(h, b_n, times)
-    rows = tuple(map(tuple, amps[:, list(h.pair)].tolist()))
-    return rows, max(times), _drift(amps, h.start_norm)
+    amps = sample_evolution(h.start, h, struct.unpack(f"<{len(times) // 8}d", times))
+    drift = _drift(amps, h.start_norm)
+    _check_drift(drift)
+    return tuple(map(tuple, amps[:, list(h.pair)].tolist())), drift
 
 
 def _rows_of(c: TwoLevelCoeffs, times) -> tuple[_Branch, tuple]:
@@ -398,9 +400,10 @@ def _rows_of(c: TwoLevelCoeffs, times) -> tuple[_Branch, tuple]:
     _pair_rows, with evolve's guards run on this call, in its order."""
     key = _branch_key(c)
     h = _branch(*key)
-    rows, duration, drift = _pair_rows(*key, struct.pack(f"<{len(times)}d", *times), c.b_n)
     check_resolution(h, c.b_n)
-    _check_duration(duration, h)
+    if not any(map(math.isnan, times)):  # a nan is sample_evolution's to refuse, as in evolve
+        _check_duration(max((0.0, *times)), h)
+    rows, drift = _pair_rows(*key, struct.pack(f"<{len(times)}d", *times))
     _check_edge(h.start_projection[1], h)
     _check_drift(drift)
     return h, rows

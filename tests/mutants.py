@@ -84,6 +84,13 @@ MUTANTS = (
         "ladder.py",
         "    check_resolution(h, b_n)\n",
         "",
+        ("tests/test_cli.py::test_simulate_duration_zero_is_refused_like_any_duration",),
+    ),
+    Mutant(
+        "pair-rows-resolution-guard-dropped",
+        "ladder.py",
+        "    check_resolution(h, c.b_n)\n",
+        "",
         ("tests/test_caches.py::test_a_resolution_refused_branch_is_never_decomposed",),
     ),
     Mutant(
@@ -91,13 +98,20 @@ MUTANTS = (
         "ladder.py",
         "    _check_drift(_drift(amps, h.start_norm))\n",
         "",
+        ("tests/test_ladder.py::test_evolve_refuses_a_drift_above_the_tolerance",),
+    ),
+    Mutant(
+        "pair-rows-miss-skips-drift",
+        "ladder.py",
+        "    _check_drift(drift)\n    return tuple(",
+        "    return tuple(",
         ("tests/test_caches.py::test_a_refused_call_is_refused_on_every_call_and_leaves_no_entry",),
     ),
     Mutant(
         "pair-rows-hit-skips-drift",
         "ladder.py",
-        "    _check_drift(drift)\n",
-        "",
+        "    _check_drift(drift)\n    return h, rows",
+        "    return h, rows",
         ("tests/test_caches.py::test_a_threshold_set_after_a_warm_run_still_refuses_it",),
     ),
     Mutant(
@@ -110,9 +124,9 @@ MUTANTS = (
     Mutant(
         "pair-rows-keyed-on-first-time",
         "ladder.py",
-        "rows, duration, drift = _pair_rows(*key, struct.pack(f\"<{len(times)}d\", *times), c.b_n)",
-        "rows, duration, drift = vars(_pair_rows).setdefault((key, times[0]), _pair_rows(*key, "
-        "struct.pack(f\"<{len(times)}d\", *times), c.b_n))",
+        "rows, drift = _pair_rows(*key, struct.pack(f\"<{len(times)}d\", *times))",
+        "rows, drift = vars(_pair_rows).setdefault((key, times[0]), _pair_rows(*key, "
+        "struct.pack(f\"<{len(times)}d\", *times)))",
         ("tests/test_caches.py::test_rows_at_times_that_share_a_first_time_are_their_own",),
     ),
     Mutant(

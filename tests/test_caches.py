@@ -15,6 +15,7 @@ on.
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,20 @@ def test_a_refused_call_is_refused_on_every_call_and_leaves_no_entry(monkeypatch
             else:
                 ladder.branch_pairs(c, times)
         assert ladder._pair_rows.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("times", [[math.nan], [1e308, math.nan], [math.nan, 1e308], [-math.inf],
+                                   [math.inf], [-1.0, 1e308], [1.0, 1e308]], ids=str)
+def test_a_refused_time_gets_the_refusal_evolve_gives(at_ratio, times):
+    # the duration guard runs before the lookup, on the times as evolve reads
+    # them: a nan is left to the time guard, a negative time does not count
+    c = adiabatic.coeffs(1, 4, derive(at_ratio(0.02, l0=4)))
+    h = ladder._branch(*ladder._branch_key(c))
+    with pytest.raises(Exception) as expected:
+        ladder.evolve(h, c.b_n, times)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        ladder.branch_pairs(c, times)
+    assert ladder._pair_rows.cache_info().currsize == 0
 
 
 def test_the_row_cache_is_bounded(rubidium_derived):

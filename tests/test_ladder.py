@@ -238,6 +238,15 @@ def test_evolve_refuses_a_nan_time(rubidium_derived):
         _evolve(h, rubidium_derived, [math.nan])
 
 
+def test_evolve_refuses_a_drift_above_the_tolerance(monkeypatch, rubidium_derived):
+    # no real propagation drifts by 1e-9; a negative tolerance refuses every one
+    h = build_hamiltonian(1, 2, rubidium_derived)
+    _evolve(h, rubidium_derived, [1e-3])
+    monkeypatch.setattr(ladder, "NORM_TOL", -1.0)
+    with pytest.raises(ladder.NormDriftError):
+        _evolve(h, rubidium_derived, [1e-3])
+
+
 def test_edge_bound_refuses_nan_amplitudes(rubidium_derived):
     h = build_hamiltonian(1, 2, rubidium_derived)
     s = initial_state(h)
