@@ -392,7 +392,8 @@ def _pair_rows(n: int, l0: int, include_stark: bool, l_range: tuple[int, int], r
     amps = sample_evolution(h.start, h, struct.unpack(f"<{len(times) // 8}d", times))
     drift = _drift(amps, h.start_norm)
     _check_drift(drift)
-    return tuple(map(tuple, amps[:, list(h.pair)].tolist())), drift
+    kept, flipped = h.pair
+    return tuple(zip(amps[:, kept].tolist(), amps[:, flipped].tolist())), drift
 
 
 def _rows_of(c: TwoLevelCoeffs, times) -> tuple[_Branch, tuple]:

@@ -103,8 +103,8 @@ MUTANTS = (
     Mutant(
         "pair-rows-miss-skips-drift",
         "ladder.py",
-        "    _check_drift(drift)\n    return tuple(",
-        "    return tuple(",
+        "    _check_drift(drift)\n    kept, flipped = h.pair\n",
+        "    kept, flipped = h.pair\n",
         ("tests/test_caches.py::test_a_refused_call_is_refused_on_every_call_and_leaves_no_entry",),
     ),
     Mutant(
