@@ -251,7 +251,7 @@ def test_a_warm_call_builds_and_decomposes_nothing(calls, at_ratio, readout):
 
     cold = call()
     assert calls["build_hamiltonian"] == calls["matrix"] == calls["eigh"] == 1
-    assert calls["_phases"] == 1 and calls["norm(rows)"] >= 1
+    assert calls["_phases"] == calls["norm(rows)"] == 1
     calls.clear()
     for _ in range(3):
         assert np.asarray(call()).tobytes() == np.asarray(cold).tobytes()
